@@ -370,18 +370,7 @@ def _run_composite(p: dict, seed):
             merged.type1_error <= p["eps"] + 2.0 * p["delta"] + 1e-9
         )
         if net is None:
-            floor = min(
-                beta_exact(
-                    CompositeInstance(StateEnsemble((v,)), s2, p["n"], p["eps"])
-                )[0]
-                for v in s1.vertices
-            )
-            size = len({bytes(np.round(v.a, 12)) for v in s1.vertices})
-            penalty = (
-                4.0 * math.log2(size) * math.log2(math.log2(size) / p["delta"])
-                if size > 1
-                else 0.0
-            )
+            floor, penalty = merged.floor_bits, merged.penalty_bits
             checks["universal_value_floor"] = bool(uval >= floor - penalty - 1e-9)
             results["universal"]["floor_bits"] = floor
             results["universal"]["penalty_bits"] = penalty

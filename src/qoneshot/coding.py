@@ -9,11 +9,14 @@ on a shared qubit ancilla, then merged into a single projector that accepts
 the output of every channel in the family.
 
 Two senders are modeled.  The uninformed sender uses the same shared state
-everywhere; her tests come from the mutual-information-type divergence that
+everywhere; its tests come from the mutual-information-type divergence that
 is uniform over all first-register states.  The informed sender knows which
 channel acts, keeps one shared state per channel grouped into bands of size
-s, and her tests are built against the averaged partner marginal, uniform
-over the finite set of possible channel outputs.
+s, and its tests are built against the averaged partner marginal, uniform
+over the finite set of possible channel outputs.  Both are simulated on one
+path: each message owns a band of slots (one slot for the uninformed
+sender, s for the informed one), and the decoder sums the merged projector
+over the band.
 
 All decoding-error probabilities are exact traces of explicitly assembled
 operators; nothing is sampled.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from .qcore import (
     psd_inv_sqrt,
     random_density,
     rng_from,
+    tensor_power,
 )
 from .divergences import (
     StateEnsemble,
@@ -247,13 +251,6 @@ def _embed(op: np.ndarray, dims: Sequence[int], targets: Sequence[int]) -> np.nd
         return _arrange([(op, list(targets))], dims)
     d_rest = math.prod(dims[i] for i in rest)
     return _arrange([(op, list(targets)), (np.eye(d_rest), rest)], dims)
-
-
-def _kron_pow(a: np.ndarray, k: int) -> np.ndarray:
-    out = a
-    for _ in range(k - 1):
-        out = np.kron(out, a)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -506,41 +503,59 @@ def rate_informed(
 # exact simulation
 # ---------------------------------------------------------------------------
 
-def _merge_delta(s: int, eta: float) -> float:
-    return eta / (3.0 * math.log2(2 * s))
-
-
-def _uninformed_code(
-    cc: CompoundChannel, psi: PureState, eps: float, eta: float, num_messages: int
+def _position_code(
+    cc: CompoundChannel,
+    joints: Sequence[DensityMatrix],
+    solve: Callable[[DensityMatrix], tuple[float, TestOperator]],
+    partners: Sequence[np.ndarray],
+    eta: float,
+    num_messages: int,
 ) -> dict:
-    """Assemble the uninformed code: per-channel tests, the merged projector,
-    and the per-message slot operators on output x slots x ancilla."""
-    _, r_lbl = _require_bipartite(psi, cc)
-    d_r = psi.layout.dim_of(r_lbl)
-    dims = [cc.dim_out] + [d_r] * num_messages + [2]
+    """Assemble a position-based code shared by both senders.
+
+    Each message owns a band of ``len(partners)`` slots.  ``solve`` maps a
+    joint output-partner state to ``(value, test)``; the tests are lifted,
+    merged into one projector, applied at every slot on output x slots x
+    ancilla, and summed over each message's band."""
+    band = len(partners)
+    positions = band * num_messages
+    dims = [cc.dim_out] + [partners[0].shape[0]] * positions + [2]
     total = math.prod(dims)
     if total > DIM_CAP:
-        raise CapacityError(
-            f"simulated dimension {total} exceeds the cap {DIM_CAP}"
-        )
-    joints = _channel_outputs(cc, psi)
-    tested = [i_h(rho, eps) for rho in joints]
-    dilated = [neumark_dilate(t) for _, t in tested]
-    merged = union_many([d.projector for d in dilated], _merge_delta(cc.size, eta))
+        raise CapacityError(f"simulated dimension {total} exceeds the cap {DIM_CAP}")
+    tested = [solve(rho) for rho in joints]
+    merged = union_many(
+        [neumark_dilate(t).projector for _, t in tested],
+        eta / (3.0 * math.log2(2 * cc.size)),
+    )
     lams = [
-        _embed(merged.a, dims, [0, m, num_messages + 1])
-        for m in range(1, num_messages + 1)
+        sum(
+            _embed(merged.a, dims, [0, k, positions + 1])
+            for k in range(band * m + 1, band * (m + 1) + 1)
+        )
+        for m in range(num_messages)
     ]
     return {
         "dims": dims,
         "joints": joints,
         "values": tuple(v for v, _ in tested),
         "tests": tuple(t for _, t in tested),
-        "dilated": dilated,
         "merged": merged,
         "lams": lams,
-        "partner_marginal": psi.density().marginal([r_lbl]).a,
+        "partners": partners,
     }
+
+
+def _uninformed_code(
+    cc: CompoundChannel, psi: PureState, eps: float, eta: float, num_messages: int
+) -> dict:
+    """The uninformed code: one slot per message, tests from ``i_h``, and the
+    shared state's partner marginal in every slot."""
+    joints = _channel_outputs(cc, psi)
+    partner = psi.density().marginal([psi.layout.labels[1]]).a
+    return _position_code(
+        cc, joints, lambda rho: i_h(rho, eps), [partner], eta, num_messages
+    )
 
 
 def _informed_code(
@@ -550,42 +565,14 @@ def _informed_code(
     eta: float,
     num_messages: int,
 ) -> dict:
-    """Assemble the informed code: tests against the averaged partner
-    marginal (uniform over the family's outputs), one merged projector, and
-    band-summed slot operators."""
+    """The informed code: a band of ``s`` slots per message, tests against
+    the averaged partner marginal (uniform over the family's outputs), and
+    the ``i``-th state's partner marginal in the ``i``-th slot of each band."""
     joints, outputs, partners, avg = _informed_family(cc, states)
-    s = cc.size
-    r_lbl = states[0].layout.labels[1]
-    d_r = states[0].layout.dim_of(r_lbl)
-    positions = s * num_messages
-    dims = [cc.dim_out] + [d_r] * positions + [2]
-    total = math.prod(dims)
-    if total > DIM_CAP:
-        raise CapacityError(
-            f"simulated dimension {total} exceeds the cap {DIM_CAP}"
-        )
-    tested = [i_h_tilde(rho, avg, outputs, eps) for rho in joints]
-    dilated = [neumark_dilate(t) for _, t in tested]
-    merged = union_many([d.projector for d in dilated], _merge_delta(s, eta))
-    slot = [
-        _embed(merged.a, dims, [0, k, positions + 1]) for k in range(1, positions + 1)
-    ]
-    lams = [
-        sum(slot[k] for k in range(s * m, s * (m + 1)))
-        for m in range(num_messages)
-    ]
-    return {
-        "dims": dims,
-        "joints": joints,
-        "values": tuple(v for v, _ in tested),
-        "tests": tuple(t for _, t in tested),
-        "dilated": dilated,
-        "merged": merged,
-        "lams": lams,
-        "slot": slot,
-        "positions": positions,
-        "partner_marginals": [v.a for v in partners.vertices],
-    }
+    return _position_code(
+        cc, joints, lambda rho: i_h_tilde(rho, avg, outputs, eps),
+        [v.a for v in partners.vertices], eta, num_messages,
+    )
 
 
 def _decoder(lams: Sequence[np.ndarray]) -> tuple[list[np.ndarray], float]:
@@ -599,18 +586,54 @@ def _decoder(lams: Sequence[np.ndarray]) -> tuple[list[np.ndarray], float]:
     return omegas, float(np.linalg.eigvalsh(resid)[0])
 
 
-def _ground(dim: int) -> np.ndarray:
-    e = np.zeros((dim, dim))
-    e[0, 0] = 1.0
-    return e
-
-
-def _indices(cc: CompoundChannel, true_channel: int | None) -> tuple[int, ...]:
+def _indices(
+    cc: CompoundChannel, true_channel: int | None, message: int, num_messages: int
+) -> tuple[int, ...]:
+    """Validate the simulation request; return the channels to simulate."""
+    if not 1 <= message <= num_messages:
+        raise ValueError(f"message {message} outside 1..{num_messages}")
     if true_channel is None:
         return tuple(range(cc.size))
     if not 0 <= true_channel < cc.size:
         raise ValueError(f"true_channel {true_channel} outside 0..{cc.size - 1}")
     return (true_channel,)
+
+
+def _evaluate(
+    code: dict,
+    params: CodeParams,
+    indices: tuple[int, ...],
+    message: int,
+    penalty: float,
+) -> SimulationReport:
+    """Exact error of the code for each simulated true channel.
+
+    Channel ``i`` sends in slot ``band (message - 1) + i mod band + 1``;
+    every other slot ``k`` holds ``partners[(k - 1) mod band]``.  The error
+    is ``1 - Tr[Omega(message) Theta]`` with all operators explicit."""
+    omegas, povm_gap = _decoder(code["lams"])
+    dims, partners = code["dims"], code["partners"]
+    band, last = len(partners), len(dims) - 1
+    errors = []
+    for i in indices:
+        star = band * (message - 1) + i % band + 1
+        pieces = [(code["joints"][i].a, [0, star])]
+        pieces += [
+            (partners[(k - 1) % band], [k]) for k in range(1, last) if k != star
+        ]
+        pieces.append((np.diag([1.0, 0.0]), [last]))
+        theta = _arrange(pieces, dims)
+        errors.append(1.0 - float(np.trace(omegas[message - 1] @ theta).real))
+    limit = min(code["values"]) + penalty
+    return SimulationReport(
+        per_channel_error=tuple(errors),
+        bound=params.epsilon + 3.0 * params.eta,
+        rate_used=params.rate_bits,
+        channel_indices=indices,
+        num_messages=params.num_messages,
+        rate_ok=bool(params.rate_bits <= limit + 1e-9),
+        povm_gap_min_eig=povm_gap,
+    )
 
 
 def simulate_uninformed(
@@ -630,33 +653,12 @@ def simulate_uninformed(
     """
     if params.shared_state is None:
         raise ValueError("uninformed simulation needs params.shared_state")
-    n = params.num_messages
-    if not 1 <= message <= n:
-        raise ValueError(f"message {message} outside 1..{n}")
-    code = _uninformed_code(cc, params.shared_state, params.epsilon, params.eta, n)
-    omegas, povm_gap = _decoder(code["lams"])
-    dims = code["dims"]
-    indices = _indices(cc, true_channel)
-    errors = []
-    for i in indices:
-        pieces = [(code["joints"][i].a, [0, message])]
-        pieces += [
-            (code["partner_marginal"], [k]) for k in range(1, n + 1) if k != message
-        ]
-        pieces.append((_ground(2), [n + 1]))
-        theta = _arrange(pieces, dims)
-        errors.append(1.0 - float(np.trace(omegas[message - 1] @ theta).real))
-    bound = params.epsilon + 3.0 * params.eta
-    limit = min(code["values"]) + _uninformed_penalty(cc.size, params.epsilon, params.eta)
-    return SimulationReport(
-        per_channel_error=tuple(errors),
-        bound=bound,
-        rate_used=params.rate_bits,
-        channel_indices=indices,
-        num_messages=n,
-        rate_ok=bool(params.rate_bits <= limit + 1e-9),
-        povm_gap_min_eig=povm_gap,
+    indices = _indices(cc, true_channel, message, params.num_messages)
+    code = _uninformed_code(
+        cc, params.shared_state, params.epsilon, params.eta, params.num_messages
     )
+    penalty = _uninformed_penalty(cc.size, params.epsilon, params.eta)
+    return _evaluate(code, params, indices, message, penalty)
 
 
 def simulate_informed(
@@ -677,38 +679,10 @@ def simulate_informed(
     marginal); it is implied by the published doubly restricted bound, which
     is never larger.
     """
-    n = params.num_messages
-    if not 1 <= message <= n:
-        raise ValueError(f"message {message} outside 1..{n}")
-    code = _informed_code(cc, states, params.epsilon, params.eta, n)
-    s = cc.size
-    omegas, povm_gap = _decoder(code["lams"])
-    dims = code["dims"]
-    positions = code["positions"]
-    indices = _indices(cc, true_channel)
-    errors = []
-    for i in indices:
-        star = s * (message - 1) + i + 1
-        pieces = [(code["joints"][i].a, [0, star])]
-        pieces += [
-            (code["partner_marginals"][(k - 1) % s], [k])
-            for k in range(1, positions + 1)
-            if k != star
-        ]
-        pieces.append((_ground(2), [positions + 1]))
-        theta = _arrange(pieces, dims)
-        errors.append(1.0 - float(np.trace(omegas[message - 1] @ theta).real))
-    bound = params.epsilon + 3.0 * params.eta
-    limit = min(code["values"]) + _informed_penalty(s, params.epsilon, params.eta)
-    return SimulationReport(
-        per_channel_error=tuple(errors),
-        bound=bound,
-        rate_used=params.rate_bits,
-        channel_indices=indices,
-        num_messages=n,
-        rate_ok=bool(params.rate_bits <= limit + 1e-9),
-        povm_gap_min_eig=povm_gap,
-    )
+    indices = _indices(cc, true_channel, message, params.num_messages)
+    code = _informed_code(cc, states, params.epsilon, params.eta, params.num_messages)
+    penalty = _informed_penalty(cc.size, params.epsilon, params.eta)
+    return _evaluate(code, params, indices, message, penalty)
 
 
 # ---------------------------------------------------------------------------
@@ -793,14 +767,14 @@ def informed_finite_blocking_bounds(
     blocks = n // ell
     marg_b = [st.marginal([b_lbl]).a for st in states]
     marg_r = [st.marginal([r_lbl]).a for st in states]
-    mu = sum(_kron_pow(m, ell) for m in marg_r) / s
-    omega = sum(_kron_pow(m, ell) for m in marg_b) / s
+    mu = sum(tensor_power(m, ell) for m in marg_r) / s
+    omega = sum(tensor_power(m, ell) for m in marg_b) / s
     factor = float(s) ** blocks
     rng = rng_from(20260824)
     sides = {}
     for name, margs, blocked in (("partner", marg_r, mu), ("output", marg_b, omega)):
-        bound = factor * _kron_pow(blocked, blocks)
-        powers = [_kron_pow(m, n) for m in margs]
+        bound = factor * tensor_power(blocked, blocks)
+        powers = [tensor_power(m, n) for m in margs]
         vertex = [float(np.linalg.eigvalsh(bound - p)[0]) for p in powers]
         mixture = []
         for _ in range(3):
@@ -821,7 +795,7 @@ def informed_finite_blocking_bounds(
     ref = np.kron(omega, mu)
     variance = []
     for i, st in enumerate(states):
-        rho_l = _arrange([(_kron_pow(st.a, ell), interleave)], dims2)
+        rho_l = _arrange([(tensor_power(st.a, ell), interleave)], dims2)
         v = relative_entropy_variance(rho_l, ref)
         k = 2.0 * math.log2(s) + ell * i_max(st)
         if v > k * k + 1e-8:

@@ -33,10 +33,11 @@ import numpy as np
 import scipy.optimize
 
 from .coding import neumark_dilate
-from .divergences import StateEnsemble, TestOperator
+from .divergences import StateEnsemble, TestOperator, bloch_density
 from .jordan import union_many
 from .qcore import (
     ATOL,
+    PAULIS,
     CapacityError,
     ComplexMatrix,
     DensityMatrix,
@@ -44,6 +45,7 @@ from .qcore import (
     content_hash,
     rng_from,
     root_fidelity,
+    tensor_power,
 )
 
 MAX_VERTICES = 4
@@ -56,6 +58,7 @@ QUBIT = RegisterLayout.of("a:2")
 __all__ = [
     "CompositeInstance",
     "EpsilonNet",
+    "UniversalTest",
     "beta_exact",
     "build_universal_test",
     "classical_composite_value",
@@ -120,8 +123,8 @@ class EpsilonNet:
 def composite_record(inst: CompositeInstance, value: float, test: TestOperator,
                      delta: float | None = None) -> dict:
     """Structured, JSON-ready record of a composite-testing computation."""
-    powers1 = [_tensor_power(v.a, inst.n) for v in inst.s1.vertices]
-    powers2 = [_tensor_power(v.a, inst.n) for v in inst.s2.vertices]
+    powers1 = [tensor_power(v.a, inst.n) for v in inst.s1.vertices]
+    powers2 = [tensor_power(v.a, inst.n) for v in inst.s2.vertices]
     rec = {
         "s1_hashes": [content_hash(v) for v in inst.s1.vertices],
         "s2_hashes": [content_hash(v) for v in inst.s2.vertices],
@@ -145,13 +148,6 @@ def composite_record(inst: CompositeInstance, value: float, test: TestOperator,
 # ---------------------------------------------------------------------------
 # exact program
 # ---------------------------------------------------------------------------
-
-def _tensor_power(a: np.ndarray, n: int) -> np.ndarray:
-    out = a
-    for _ in range(n - 1):
-        out = np.kron(out, a)
-    return out
-
 
 def _check_caps(inst: CompositeInstance) -> None:
     if len(inst.s1.vertices) > MAX_VERTICES or len(inst.s2.vertices) > MAX_VERTICES:
@@ -293,8 +289,8 @@ def beta_exact(inst: CompositeInstance) -> tuple[float, TestOperator]:
     products (about 1e-15).
     """
     _check_caps(inst)
-    rmats = [_tensor_power(v.a, inst.n) for v in inst.s1.vertices]
-    qmats = [_tensor_power(v.a, inst.n) for v in inst.s2.vertices]
+    rmats = [tensor_power(v.a, inst.n) for v in inst.s1.vertices]
+    qmats = [tensor_power(v.a, inst.n) for v in inst.s2.vertices]
     g_star, w, lam, evals = _dual_ascent(rmats, qmats, inst.epsilon)
     mat, level = _eigenbasis_test(rmats, qmats, inst.epsilon, w, lam)
     value = -math.log2(level) if level > 0.0 else math.inf
@@ -353,8 +349,18 @@ def _nearest_point(state: DensityMatrix, net: EpsilonNet) -> DensityMatrix:
     return best
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class UniversalTest(TestOperator):
+    """The universal test with the reference it is certified against: the
+    best single-prototype value ``floor_bits`` and the merge penalty
+    ``penalty_bits`` of the prototype count."""
+
+    floor_bits: float = 0.0
+    penalty_bits: float = 0.0
+
+
 def build_universal_test(inst: CompositeInstance, delta: float,
-                         net: EpsilonNet | None = None) -> TestOperator:
+                         net: EpsilonNet | None = None) -> UniversalTest:
     """One test for the whole family: a near-optimal test per prototype,
     dilated to projectors over a shared ancilla qubit, merged by the
     projector union, and compressed back onto the ancilla ground block.
@@ -412,19 +418,23 @@ def build_universal_test(inst: CompositeInstance, delta: float,
         merged.a.reshape(dim_n, 2, dim_n, 2)[:, 0, :, 0]
     )
     block = 0.5 * (block + block.conj().T)
-    rmats = [_tensor_power(v.a, inst.n) for v in inst.s1.vertices]
-    qmats = [_tensor_power(v.a, inst.n) for v in inst.s2.vertices]
+    rmats = [tensor_power(v.a, inst.n) for v in inst.s1.vertices]
+    qmats = [tensor_power(v.a, inst.n) for v in inst.s2.vertices]
     type1 = max(1.0 - float(np.trace(block @ r).real) for r in rmats)
     level = max(float(np.trace(block @ q).real) for q in qmats)
     value = -math.log2(level) if level > 0.0 else math.inf
     size = len(unique)
-    penalty = 4.0 * math.log2(size) * math.log2(max(math.log2(size), 1e-300) / delta) if size > 1 else 0.0
-    return TestOperator(
+    penalty = (
+        4.0 * math.log2(size) * math.log2(math.log2(size) / delta) if size > 1 else 0.0
+    )
+    return UniversalTest(
         matrix=ComplexMatrix(block),
         type1_error=type1,
         type2_bound=level,
         iterations=rounds,
         certificate_gap_bits=max(0.0, value - (floor_bits - penalty)),
+        floor_bits=floor_bits,
+        penalty_bits=penalty,
     )
 
 
@@ -433,9 +443,11 @@ def build_universal_test(inst: CompositeInstance, delta: float,
 # ---------------------------------------------------------------------------
 
 def _bloch_state(r: np.ndarray) -> DensityMatrix:
-    x, y, z = (float(c) for c in r)
-    mat = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
-    return DensityMatrix(ComplexMatrix(mat), QUBIT)
+    return DensityMatrix(ComplexMatrix(bloch_density(*r)), QUBIT)
+
+
+def _bloch_vector(rho: DensityMatrix) -> np.ndarray:
+    return np.array([np.trace(rho.a @ p).real for p in PAULIS[1:]])
 
 
 def _sphere_layer(count: int) -> np.ndarray:
@@ -489,30 +501,8 @@ def net_covering_report(net: EpsilonNet, num_samples: int = 10_000,
                         seed=7) -> dict:
     """Measure the net's worst fidelity deficit over sampled qubit states."""
     rng = rng_from(seed)
-    bloch = np.stack(
-        [
-            np.array(
-                [
-                    np.trace(rho.a @ np.array([[0, 1], [1, 0]])).real,
-                    np.trace(rho.a @ np.array([[0, -1j], [1j, 0]])).real,
-                    np.trace(rho.a @ np.array([[1, 0], [0, -1]])).real,
-                ]
-            )
-            for rho in (_random_qubit(rng) for _ in range(num_samples))
-        ]
-    )
-    pts = np.stack(
-        [
-            np.array(
-                [
-                    np.trace(p.a @ np.array([[0, 1], [1, 0]])).real,
-                    np.trace(p.a @ np.array([[0, -1j], [1j, 0]])).real,
-                    np.trace(p.a @ np.array([[1, 0], [0, -1]])).real,
-                ]
-            )
-            for p in net.points
-        ]
-    )
+    bloch = np.stack([_bloch_vector(_random_qubit(rng)) for _ in range(num_samples)])
+    pts = np.stack([_bloch_vector(p) for p in net.points])
     r2 = np.clip(1.0 - np.sum(bloch ** 2, axis=1), 0.0, None)
     s2 = np.clip(1.0 - np.sum(pts ** 2, axis=1), 0.0, None)
     # squared fidelity between qubit states in Bloch form

@@ -25,6 +25,7 @@ import scipy.optimize
 
 from .qcore import (
     ATOL,
+    PAULIS,
     ComplexMatrix,
     DensityMatrix,
     LayoutError,
@@ -592,8 +593,9 @@ def i_h_hat(
 # ---------------------------------------------------------------------------
 
 def bloch_density(x: float, y: float, z: float) -> np.ndarray:
-    """Qubit state with the given Bloch vector (|r| <= 1)."""
-    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
+    """Qubit state ``(I + x X + y Y + z Z) / 2`` with Bloch vector
+    ``(x, y, z)``, ``|r| <= 1``."""
+    return 0.5 * sum(c * p for c, p in zip((1.0, x, y, z), PAULIS))
 
 
 def _ball_lattice(res: float) -> np.ndarray:
@@ -707,9 +709,7 @@ def best_qubit_two_level_test(
     def best_for_directions(dirs: np.ndarray) -> tuple[float, np.ndarray]:
         best_beta, best_dir = math.inf, dirs[0]
         for u in dirs:
-            proj = 0.5 * (np.eye(2) + u[0] * np.array([[0, 1], [1, 0]])
-                          + u[1] * np.array([[0, -1j], [1j, 0]])
-                          + u[2] * np.array([[1, 0], [0, -1]]))
+            proj = bloch_density(*u)
             p1 = float(np.trace(proj @ r).real)
             p2 = float(np.trace(r).real) - p1
             q1 = float(np.trace(proj @ s).real)

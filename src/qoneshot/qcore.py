@@ -352,6 +352,14 @@ def tensor_product(a, b):
     )
 
 
+def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
+    """The ``n``-fold Kronecker power of an array (``n >= 1``)."""
+    out = a
+    for _ in range(n - 1):
+        out = np.kron(out, a)
+    return out
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     """Trace out every register not named in ``keep``.
 
@@ -645,19 +653,42 @@ def _format_rows(a: np.ndarray) -> list[str]:
     ]
 
 
-def _parse_rows(lines: list[str], dim: int) -> np.ndarray:
-    rows = []
+def _read_lines(path) -> list[str]:
+    with open(path) as fh:
+        return [ln for ln in (l.strip() for l in fh) if ln]
+
+
+def _field(lines: list[str], i: int, prefix: str, path) -> str:
+    """The text after ``prefix`` on non-empty line ``i``; raises if the
+    line is missing or does not start with ``prefix``."""
+    if i >= len(lines) or not lines[i].startswith(prefix):
+        raise ValueError(f"{path}: expected '{prefix}...' at line {i + 1}")
+    return lines[i][len(prefix):]
+
+
+def _parse_rows(lines: list[str], rows: int, cols: int, path) -> np.ndarray:
+    if len(lines) != rows:
+        raise ValueError(f"{path}: expected {rows} rows, got {len(lines)}")
+    out = []
     for line in lines:
         row = []
         for tok in line.split():
             re_s, _, im_s = tok.partition(",")
             row.append(complex(float(re_s), float(im_s)))
-        if len(row) != dim:
-            raise ValueError(f"expected {dim} entries per row, got {len(row)}")
-        rows.append(row)
-    if len(rows) != dim:
-        raise ValueError(f"expected {dim} rows, got {len(rows)}")
-    return np.array(rows, dtype=np.complex128)
+        if len(row) != cols:
+            raise ValueError(f"{path}: expected {cols} entries per row, got {len(row)}")
+        out.append(row)
+    return np.array(out, dtype=np.complex128)
+
+
+def _load_square(path) -> tuple[np.ndarray, RegisterLayout | None]:
+    """The matrix of a ``dim`` file and its ``layout`` header, if any."""
+    lines = _read_lines(path)
+    dim = int(_field(lines, 0, "dim ", path))
+    layout = None
+    if len(lines) > 1 and lines[1].startswith("layout "):
+        layout = RegisterLayout.of(lines.pop(1)[len("layout "):])
+    return _parse_rows(lines[1:], dim, dim, path), layout
 
 
 def save_matrix(path, m) -> None:
@@ -675,29 +706,15 @@ def save_matrix(path, m) -> None:
 
 
 def load_matrix(path) -> ComplexMatrix:
-    with open(path) as fh:
-        lines = [ln for ln in (l.strip() for l in fh) if ln]
-    if not lines or not lines[0].startswith("dim "):
-        raise ValueError(f"{path}: missing 'dim <n>' header")
-    dim = int(lines[0].split()[1])
-    body = lines[2:] if len(lines) > 1 and lines[1].startswith("layout ") else lines[1:]
-    return ComplexMatrix(_parse_rows(body, dim))
+    return ComplexMatrix(_load_square(path)[0])
 
 
 def load_state(path) -> DensityMatrix:
     """Read a density matrix; uses the ``layout`` header if present."""
-    with open(path) as fh:
-        lines = [ln for ln in (l.strip() for l in fh) if ln]
-    if not lines or not lines[0].startswith("dim "):
-        raise ValueError(f"{path}: missing 'dim <n>' header")
-    dim = int(lines[0].split()[1])
-    if len(lines) > 1 and lines[1].startswith("layout "):
-        layout = RegisterLayout.of(lines[1][len("layout "):])
-        body = lines[2:]
-    else:
-        layout = RegisterLayout((("r", dim),))
-        body = lines[1:]
-    return DensityMatrix(ComplexMatrix(_parse_rows(body, dim)), layout)
+    a, layout = _load_square(path)
+    if layout is None:
+        layout = RegisterLayout((("r", len(a)),))
+    return DensityMatrix(ComplexMatrix(a), layout)
 
 
 def save_channel(path, ch: Channel) -> None:
@@ -714,30 +731,16 @@ def save_channel(path, ch: Channel) -> None:
 
 
 def load_channel(path) -> Channel:
-    with open(path) as fh:
-        lines = [ln for ln in (l.strip() for l in fh) if ln]
-    if not lines or not lines[0].startswith("channel kraus "):
-        raise ValueError(f"{path}: missing 'channel kraus <k>' header")
-    nk = int(lines[0].split()[2])
-    in_layout = RegisterLayout.of(lines[1][len("in_layout "):])
-    out_layout = RegisterLayout.of(lines[2][len("out_layout "):])
+    """Read a channel; raises ``ValueError`` on a short or malformed file."""
+    lines = _read_lines(path)
+    nk = int(_field(lines, 0, "channel kraus ", path))
+    in_layout = RegisterLayout.of(_field(lines, 1, "in_layout ", path))
+    out_layout = RegisterLayout.of(_field(lines, 2, "out_layout ", path))
     dout, din = out_layout.dim, in_layout.dim
-    ks, i = [], 3
-    for _ in range(nk):
-        if not lines[i].startswith("kraus "):
-            raise ValueError(f"{path}: expected 'kraus <i>' at line {i + 1}")
-        block = lines[i + 1 : i + 1 + dout]
-        rows = []
-        for line in block:
-            row = []
-            for tok in line.split():
-                re_s, _, im_s = tok.partition(",")
-                row.append(complex(float(re_s), float(im_s)))
-            if len(row) != din:
-                raise ValueError(f"{path}: expected {din} entries per Kraus row")
-            rows.append(row)
-        ks.append(np.array(rows, dtype=np.complex128))
-        i += 1 + dout
+    ks = []
+    for i in range(3, 3 + nk * (1 + dout), 1 + dout):
+        _field(lines, i, "kraus ", path)
+        ks.append(_parse_rows(lines[i + 1 : i + 1 + dout], dout, din, path))
     return Channel(tuple(ks), in_layout, out_layout)
 
 

@@ -140,6 +140,22 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 
+    def test_truncated_channel_file_is_config_error(self, tmp_path, files, capsys):
+        with open(files["ident"]) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "channel kraus 1" and len(lines) == 6
+        cases = {
+            "header_only": lines[:3],
+            "missing_kraus_block": ["channel kraus 2"] + lines[1:],
+        }
+        for name, text in cases.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_text("\n".join(text) + "\n")
+            assert run(["compound-sim", "--channels", str(path), "--state", files["psi"],
+                        "--rate", "0", "--eps", "0.2", "--eta", "0.05",
+                        "--out", str(tmp_path / f"{name}.json")]) == 2
+            assert "config error" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_same_config_gives_identical_bytes(self, tmp_path, files):
@@ -267,6 +283,29 @@ class TestSubcommands:
         assert abs(rec["results"]["beta"]["value_bits"] - 0.3219280948873623) < 1e-9
         assert rec["checks"]["universal_acceptance"]
         assert rec["checks"]["universal_value_floor"]
+
+    def test_composite_solves_each_vertex_once(self, tmp_path, files, monkeypatch):
+        from qoneshot import composite
+
+        calls = []
+
+        def counted(solve):
+            def wrapper(inst):
+                calls.append(len(inst.s1.vertices))
+                return solve(inst)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "beta_exact", counted(cli.beta_exact))
+        monkeypatch.setattr(composite, "beta_exact", counted(composite.beta_exact))
+        out = str(tmp_path / "c.json")
+        assert run(["composite", "--s1", f"{files['ground']},{files['excited']},{files['tilted']}",
+                    "--s2", files["mixed"], "--n", "1", "--eps", "0.2",
+                    "--delta", "0.1", "--out", out]) == 0
+        # the family once, then each s1 vertex once for the universal test
+        assert calls == [3, 1, 1, 1]
+        universal = read(out)["results"]["universal"]
+        assert "floor_bits" in universal and "penalty_bits" in universal
 
     def test_net_validate(self, tmp_path):
         out = str(tmp_path / "n.json")

@@ -358,7 +358,7 @@ class TestSimulateUninformed:
         inv = (v * np.where(w > 1e-12, 1.0 / np.sqrt(np.maximum(w, 1e-12)), 0.0)) @ v.conj().T
         omega = inv @ lams[0] @ inv
         joint = code["joints"][0].a
-        partner = code["partner_marginal"]
+        partner = code["partners"][0]
         ground = np.diag([1.0, 0.0])
         theta = np.zeros((16, 16), dtype=complex)
         for r in range(16):
@@ -461,6 +461,25 @@ class TestSimulateInformed:
         other = maximally_entangled(2, ("x", "y"))
         with pytest.raises(LayoutError, match="share"):
             simulate_informed(cc, [good, other], CodeParams(0.0, EPS, ETA))
+
+
+class TestRequestValidation:
+    def test_bad_true_channel_rejected_before_any_solver(self, monkeypatch):
+        import qoneshot.coding as coding
+
+        def solver(*args, **kwargs):
+            raise AssertionError("a solver ran before the request was validated")
+
+        monkeypatch.setattr(coding, "i_h", solver)
+        monkeypatch.setattr(coding, "i_h_tilde", solver)
+        cc = CompoundChannel((IDENT, XFLIP))
+        psi = maximally_entangled(2, ("a", "r"))
+        with pytest.raises(ValueError, match="true_channel"):
+            simulate_uninformed(cc, CodeParams(0.0, EPS, ETA, psi), true_channel=2)
+        with pytest.raises(ValueError, match="true_channel"):
+            simulate_informed(cc, [psi, psi], CodeParams(0.0, EPS, ETA), true_channel=-1)
+        with pytest.raises(ValueError, match="message"):
+            simulate_informed(cc, [psi, psi], CodeParams(0.0, EPS, ETA), message=2)
 
 
 class TestDecoderInequality:

@@ -17,7 +17,6 @@ import pytest
 from qoneshot.composite import (
     CompositeInstance,
     EpsilonNet,
-    _tensor_power,
     beta_exact,
     build_universal_test,
     classical_composite_value,
@@ -37,6 +36,7 @@ from qoneshot.qcore import (
     RegisterLayout,
     random_density,
     rng_from,
+    tensor_power,
 )
 
 QUBIT = RegisterLayout.of("a:2")
@@ -106,8 +106,8 @@ class TestBetaExact:
             for eps in (0.1, 0.3):
                 value, test = beta_exact(CompositeInstance(s1, s2, n, eps))
                 lp = classical_composite_value(
-                    [_tensor_power(p1, n), _tensor_power(p2, n)],
-                    [_tensor_power(q1, n), _tensor_power(q2, n)],
+                    [tensor_power(p1, n), tensor_power(p2, n)],
+                    [tensor_power(q1, n), tensor_power(q2, n)],
                     eps,
                 )
                 assert abs(value - lp) < 1e-8
@@ -130,7 +130,7 @@ class TestBetaExact:
             )
             value, _ = beta_exact(inst)
             direct, _ = hypothesis_test_divergence(
-                _tensor_power(rho.a, n), _tensor_power(sigma.a, n), 0.2
+                tensor_power(rho.a, n), tensor_power(sigma.a, n), 0.2
             )
             assert abs(value - direct) < 1e-6
 
@@ -144,8 +144,8 @@ class TestBetaExact:
                 StateEnsemble((rho,)), StateEnsemble((alt1, alt2)), n, 0.2
             )
             value, _ = beta_exact(inst)
-            rn = _tensor_power(rho.a, n)
-            q1, q2 = _tensor_power(alt1.a, n), _tensor_power(alt2.a, n)
+            rn = tensor_power(rho.a, n)
+            q1, q2 = tensor_power(alt1.a, n), tensor_power(alt2.a, n)
             scan = min(
                 hypothesis_test_divergence(rn, w * q1 + (1.0 - w) * q2, 0.2)[0]
                 for w in np.linspace(0.0, 1.0, 501)
@@ -216,7 +216,7 @@ class TestBetaExact:
             0.2,
         )
         _, test = beta_exact(inst)
-        qmats = [_tensor_power(v.a, 2) for v in inst.s2.vertices]
+        qmats = [tensor_power(v.a, 2) for v in inst.s2.vertices]
         vertex_max = max(float(np.trace(test.a @ q).real) for q in qmats)
         rng = rng_from(9)
         for _ in range(50):
@@ -301,6 +301,23 @@ class TestUniversalTest:
         inst = CompositeInstance(StateEnsemble((GROUND,)), StateEnsemble((MIXED,)), 1, 0.2)
         with pytest.raises(ValueError, match="delta"):
             build_universal_test(inst, 0.0)
+
+    def test_reports_floor_and_penalty_of_distinct_prototypes(self):
+        eps, delta = 0.2, 0.1
+        inst = CompositeInstance(
+            StateEnsemble((GROUND, PLUS, GROUND)), StateEnsemble((MIXED,)), 1, eps
+        )
+        merged = build_universal_test(inst, delta)
+        floor = min(
+            beta_exact(CompositeInstance(StateEnsemble((v,)), inst.s2, 1, eps))[0]
+            for v in (GROUND, PLUS)
+        )
+        # the repeated vertex counts once: two prototypes
+        penalty = 4.0 * math.log2(2) * math.log2(math.log2(2) / delta)
+        assert abs(merged.floor_bits - floor) < 1e-12
+        assert abs(merged.penalty_bits - penalty) < 1e-12
+        value = -math.log2(merged.type2_bound)
+        assert abs(merged.certificate_gap_bits - max(0.0, value - (floor - penalty))) < 1e-12
 
 
 class TestEpsilonNet:
