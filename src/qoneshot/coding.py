@@ -186,8 +186,10 @@ class SimulationReport:
     the guarantee ``epsilon + 3 eta`` which applies whenever ``rate_ok`` (the
     unrounded rate satisfies the achievable-rate inequality of the protocol
     that produced this report).  ``povm_gap_min_eig`` is the smallest
-    eigenvalue of ``I - sum_m Omega(m)``; decoder validity means it is not
-    below ``-atol``.
+    eigenvalue of ``I - sum_m Omega(m)``, computed by an explicit eigensolve
+    of ``I - T^(-1/2) T T^(-1/2)`` with ``T = sum_m Lambda(m)`` (the same
+    operator, without forming every ``Omega(m)``); decoder validity means it
+    is not below ``-atol``.
     """
 
     per_channel_error: tuple[float, ...]
@@ -516,34 +518,42 @@ def _position_code(
     Each message owns a band of ``len(partners)`` slots.  ``solve`` maps a
     joint output-partner state to ``(value, test)``; the tests are lifted,
     merged into one projector, applied at every slot on output x slots x
-    ancilla, and summed over each message's band."""
+    ancilla, and summed over each message's band into ``Lambda(m)``
+    (``_band_operator``).  Only the decoder's total ``T = sum_m Lambda(m)``
+    is kept, accumulated in message order in one buffer."""
     band = len(partners)
-    positions = band * num_messages
-    dims = [cc.dim_out] + [partners[0].shape[0]] * positions + [2]
-    total = math.prod(dims)
-    if total > DIM_CAP:
-        raise CapacityError(f"simulated dimension {total} exceeds the cap {DIM_CAP}")
+    dims = [cc.dim_out] + [partners[0].shape[0]] * (band * num_messages) + [2]
+    dim = math.prod(dims)
+    if dim > DIM_CAP:
+        raise CapacityError(f"simulated dimension {dim} exceeds the cap {DIM_CAP}")
     tested = [solve(rho) for rho in joints]
     merged = union_many(
         [neumark_dilate(t).projector for _, t in tested],
         eta / (3.0 * math.log2(2 * cc.size)),
     )
-    lams = [
-        sum(
-            _embed(merged.a, dims, [0, k, positions + 1])
-            for k in range(band * m + 1, band * (m + 1) + 1)
-        )
-        for m in range(num_messages)
-    ]
-    return {
+    code = {
         "dims": dims,
         "joints": joints,
         "values": tuple(v for v, _ in tested),
         "tests": tuple(t for _, t in tested),
         "merged": merged,
-        "lams": lams,
         "partners": partners,
     }
+    total = _band_operator(code, 1)
+    for m in range(2, num_messages + 1):
+        total += _band_operator(code, m)
+    code["total"] = total
+    return code
+
+
+def _band_operator(code: dict, message: int) -> np.ndarray:
+    """``Lambda(message)``: the merged projector on output x slot x ancilla,
+    summed over the slots of the message's band."""
+    dims, band = code["dims"], len(code["partners"])
+    return sum(
+        _embed(code["merged"].a, dims, [0, k, len(dims) - 1])
+        for k in range(band * (message - 1) + 1, band * message + 1)
+    )
 
 
 def _uninformed_code(
@@ -575,15 +585,18 @@ def _informed_code(
     )
 
 
-def _decoder(lams: Sequence[np.ndarray]) -> tuple[list[np.ndarray], float]:
-    """Square-root measurement from the per-message operators, plus the
-    smallest eigenvalue of ``I - sum_m Omega(m)`` as a validity certificate."""
-    total = sum(lams)
+def _decoder(code: dict, message: int) -> tuple[np.ndarray, float]:
+    """The square-root measurement element ``Omega(message) = T^(-1/2)
+    Lambda(message) T^(-1/2)`` with ``T = sum_m Lambda(m)``, plus a validity
+    certificate: the smallest eigenvalue of ``I - T^(-1/2) T T^(-1/2)``,
+    which equals ``I - sum_m Omega(m)``.  Only ``Omega(message)`` is formed;
+    the certificate costs one product pair and an explicit eigensolve."""
+    total = code["total"]
     inv = psd_inv_sqrt(total, cutoff=1e-12)
-    omegas = [inv @ l @ inv for l in lams]
-    resid = np.eye(total.shape[0]) - sum(omegas)
+    resid = np.eye(total.shape[0]) - inv @ total @ inv
     resid = 0.5 * (resid + resid.conj().T)
-    return omegas, float(np.linalg.eigvalsh(resid)[0])
+    omega = inv @ _band_operator(code, message) @ inv
+    return omega, float(np.linalg.eigvalsh(resid)[0])
 
 
 def _indices(
@@ -610,8 +623,10 @@ def _evaluate(
 
     Channel ``i`` sends in slot ``band (message - 1) + i mod band + 1``;
     every other slot ``k`` holds ``partners[(k - 1) mod band]``.  The error
-    is ``1 - Tr[Omega(message) Theta]`` with all operators explicit."""
-    omegas, povm_gap = _decoder(code["lams"])
+    is ``1 - Tr[Omega(message) Theta]`` with all operators explicit; only
+    ``Omega(message)`` is formed (``_decoder``), and the trace is the O(d^2)
+    elementwise sum ``sum_ij Omega_ij Theta_ji``, not a d^3 product."""
+    omega, povm_gap = _decoder(code, message)
     dims, partners = code["dims"], code["partners"]
     band, last = len(partners), len(dims) - 1
     errors = []
@@ -623,7 +638,7 @@ def _evaluate(
         ]
         pieces.append((np.diag([1.0, 0.0]), [last]))
         theta = _arrange(pieces, dims)
-        errors.append(1.0 - float(np.trace(omegas[message - 1] @ theta).real))
+        errors.append(1.0 - float(np.sum(omega * theta.T).real))
     limit = min(code["values"]) + penalty
     return SimulationReport(
         per_channel_error=tuple(errors),

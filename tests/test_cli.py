@@ -4,7 +4,10 @@ subcommand."""
 
 import json
 import math
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,3 +329,35 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert abs(read(out)["results"]["value_bits"] - 1.0) < 1e-12
+
+
+class TestBlasThreadDeterminism:
+    def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path, files):
+        """The decoder is the library's heaviest BLAS user; its records must
+        be byte-identical under one and two OpenBLAS threads."""
+        import qoneshot
+
+        src = str(Path(qoneshot.__file__).resolve().parent.parent)
+        channels = f"{files['ident']},{files['flip']}"
+        commands = {
+            "compound": ["compound-sim", "--channels", channels, "--state", files["psi"],
+                         "--rate", "2", "--eps", "0.2", "--eta", "0.05"],
+            "informed": ["informed-sim", "--channels", channels,
+                         "--states", f"{files['psi']},{files['psi']}", "--rate", "1",
+                         "--eps", "0.2", "--eta", "0.05"],
+            "pauli": ["pauli-example", "--eps", "0.1"],
+        }
+        outputs = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            for name, argv in commands.items():
+                out = tmp_path / f"{name}.json"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "qoneshot", *argv, "--out", str(out)],
+                    capture_output=True, env=env, timeout=120,
+                )
+                assert proc.returncode == 0, proc.stderr
+                outputs[name, threads] = (out.read_bytes(), proc.stdout)
+        for name in commands:
+            assert outputs[name, "1"] == outputs[name, "2"], name

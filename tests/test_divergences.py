@@ -171,6 +171,42 @@ class TestVarianceVersusDMax:
         assert k == pytest.approx(1.0, abs=1e-10)
         assert v > k**2 + 0.05, f"expected a strict violation, got V={v} vs k^2={k**2}"
 
+    def test_gate_eight_fifth_leg_instance_exceeds_squared_dmax(self):
+        """The library's answer behind the by-design gate-08 failure: replay
+        the gate's seeded draws (``rng_from(108)``, its first four legs draw
+        only) to instance 3 of its fifth leg, where V > D_max^2."""
+        rng = rng_from(108)
+        for _ in range(500):
+            dim = int(rng.integers(2, 5))
+            for _ in range(3):
+                random_density(dim, rng)
+            rng.uniform()
+        for _ in range(500):
+            dim = int(rng.integers(2, 5))
+            random_density(dim, rng)
+            rng.uniform()
+            random_density(dim, rng)
+            random_density(dim, rng)
+            rng.uniform()
+        for _ in range(500):
+            for dim in (4, 2, 2):
+                random_density(dim, rng)
+        for _ in range(500):
+            dim = int(rng.integers(2, 7))
+            rng.normal(size=(4, dim, dim))
+            rng.uniform(size=2)
+        for i in range(4):
+            dim = int(rng.integers(2, 5))
+            rho = random_density(dim, rng).a
+            if i % 2 == 0:
+                sigma = random_density(dim, rng).a
+            else:
+                t = float(rng.uniform(0.05, 0.5))
+                sigma = (1.0 - t) * rho + t * random_density(dim, rng).a
+        k = d_max(rho, sigma)
+        v = relative_entropy_variance(rho, sigma)
+        assert v > k**2 + 0.1, f"expected a strict violation, got V={v} vs k^2={k**2}"
+
 
 # ---------------------------------------------------------------------------
 # plain hypothesis-testing divergence
