@@ -229,17 +229,55 @@ def i_max(rho: DensityMatrix) -> float:
 # Neyman-Pearson solver
 # ---------------------------------------------------------------------------
 
+def _jump_points(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Sorted distinct finite thresholds t > 0 at which Tr[r {r - t s > 0}]
+    can jump: the finite generalized eigenvalues of the pencil (r, s).
+
+    On the support of r + s the pencil is regular.  Whitening by
+    (r + s)^{-1/2} turns r into an operator with eigenvalues mu in [0, 1],
+    and r x = t s x holds at t = mu / (1 - mu).  Directions where either
+    state holds at most ``EDGE`` of the pair's weight (mu = 0: outside
+    supp r; mu = 1: outside supp s) give no finite jump.  Two eigensolves.
+    """
+    w, v = np.linalg.eigh(r + s)
+    keep = w > EDGE * w[-1]
+    white = v[:, keep] / np.sqrt(w[keep])
+    mu = np.linalg.eigvalsh(white.conj().T @ r @ white)
+    mu = mu[(mu > EDGE) & (mu < 1.0 - EDGE)]
+    return np.unique(mu / (1.0 - mu))
+
+
 def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
     """Optimal test for Tr[M r] >= 1 - eps minimizing Tr[M s].
 
-    Returns (beta, M, threshold, iterations).  The test is built from the
-    spectral decomposition of r - t s: the strictly positive eigenspace plus
-    a fractional weight on the boundary block chosen to meet the Type-1
-    constraint exactly; when the Type-1 level varies continuously in t the
-    bisection instead closes once its bracket is below 1e-12.
+    Returns (beta, M, threshold, iterations); ``iterations`` counts every
+    eigensolve.  The optimal test is {r - t s > 0} plus a fractional weight
+    on the boundary block {r - t s = 0} (Wang-Renner, arXiv:1007.5456).  Its
+    Type-1 curve f(t) = Tr[r {r - t s > 0}] does not increase with t, jumps
+    only at the finite generalized eigenvalues of (r, s), and is smooth in
+    between.  One loop finds the threshold, keeping a bracket lo < hi with
+    f(lo+) > 1 - eps > f(hi-):
+
+    1. ``_jump_points`` lists the jumps (two eigensolves);
+    2. a binary search probes the jumps inside the bracket; at a jump the
+       ``EDGE`` band gives both one-sided limits of f from one eigensolve,
+       and a target inside the jump closes there with a fractional
+       boundary block that meets the Type-1 constraint exactly;
+    3. on the smooth piece left between two jumps, a regula-falsi secant
+       with Anderson-Bjorck weights (the Illinois family) converges, with a
+       bisection step whenever f(lo+) - f(hi-) has not halved over three
+       steps (the safeguard of Brent 1973);
+    4. past the last jump, t doubles until f falls below the target; if it
+       never does up to 2^200, r keeps its weight outside supp(s) and the
+       test at 2^200 is reported.
+
+    A bracket narrower than 1e-12 in f, or than 8e-16 (1 + hi) in t, closes
+    at lo with the boundary band widened to the bracket's scale, so the
+    returned test meets Tr[M r] >= 1 - eps with no solver slack.
     """
     target = 1.0 - eps
-    iters = 0
+    iters = 2
+    jumps = _jump_points(r, s)
 
     def pieces(t: float, band: float):
         nonlocal iters
@@ -251,8 +289,7 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
         t_bnd = float(np.einsum("ij,ij->", bnd.conj(), r @ bnd).real)
         return pos, bnd, t_pos, t_bnd
 
-    def close(t: float, band: float):
-        pos, bnd, t_pos, t_bnd = pieces(t, band)
+    def close(pos, bnd, t_pos, t_bnd):
         frac = 0.0
         if t_bnd > 1e-300:
             frac = min(1.0, max(0.0, (target - t_pos) / t_bnd))
@@ -261,46 +298,65 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
             m = m + frac * (bnd @ bnd.conj().T)
         return m
 
-    # bracket the threshold
-    lo, f_lo = 0.0, 1.0
-    hi = 1.0
-    for _ in range(200):
-        _, _, t_pos, t_bnd = pieces(hi, EDGE)
-        if t_pos + t_bnd < target:
-            f_hi = t_pos + t_bnd
-            break
-        hi *= 2.0
-    else:
-        # no finite threshold: r keeps >= target weight outside supp(s)
-        m = close(hi, EDGE)
-        beta = float(np.trace(m @ s).real)
-        return beta, m, hi, iters
-
-    m = None
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        pos, bnd, t_pos, t_bnd = pieces(mid, EDGE)
-        if t_pos <= target <= t_pos + t_bnd:
-            frac = 0.0 if t_bnd <= 1e-300 else (target - t_pos) / t_bnd
-            m = pos @ pos.conj().T
-            if bnd.shape[1] and frac > 0.0:
-                m = m + frac * (bnd @ bnd.conj().T)
-            thr = mid
-            break
-        if t_pos > target:
-            lo, f_lo = mid, t_pos
-        else:
-            hi, f_hi = mid, t_pos + t_bnd
-        if f_lo - f_hi <= 1e-12 or hi - lo <= 8e-16 * (1.0 + hi):
-            # degenerate bracket: widen the boundary band to its scale
-            band = max(EDGE, 4.0 * (hi - lo) * float(np.linalg.norm(s, 2)))
-            m = close(lo, band)
-            thr = lo
-            break
-    else:
+    def widened(lo: float, hi: float, at_lo):
+        # degenerate bracket: widen the boundary band to its scale
         band = max(EDGE, 4.0 * (hi - lo) * float(np.linalg.norm(s, 2)))
-        m = close(lo, band)
-        thr = lo
+        return close(*(at_lo if band == EDGE and at_lo is not None else pieces(lo, band)))
+
+    lo, f_lo, at_lo = 0.0, float(np.trace(r).real), None
+    hi, f_hi = math.inf, 0.0
+    # secant weights on f_lo - target and f_hi - target; `moved` is +1 (-1)
+    # when the last step was a secant step that moved lo (hi), else 0
+    w_lo = w_hi = 1.0
+    moved = 0
+    gaps: list[float] = []
+    for _ in range(300):
+        inside = jumps[(jumps > lo) & (jumps < hi)]
+        secant = False
+        if inside.size:
+            t = float(inside[inside.size // 2])
+        elif hi == math.inf:
+            t = max(1.0, math.ldexp(1.0, math.frexp(lo)[1]))
+            if t >= 2.0**200:
+                # no finite threshold: r keeps >= target weight outside supp(s)
+                m = close(*pieces(t, EDGE))
+                beta = float(np.trace(m @ s).real)
+                return beta, m, t, iters
+        else:
+            gaps.append(f_lo - f_hi)
+            g_lo, g_hi = w_lo * (f_lo - target), w_hi * (f_hi - target)
+            t = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+            secant = lo < t < hi and not (len(gaps) > 3 and gaps[-1] > 0.5 * gaps[-4])
+            if not secant:
+                # bisect in mu = t / (1 + t), which stays balanced when hi >> lo
+                t = (lo + hi + 2.0 * lo * hi) / (2.0 + lo + hi)
+                if not lo < t < hi:
+                    t = 0.5 * (lo + hi)
+        pos, bnd, t_pos, t_bnd = pieces(t, EDGE)
+        if t_pos <= target <= t_pos + t_bnd:
+            m, thr = close(pos, bnd, t_pos, t_bnd), t
+            break
+        side = 1 if t_pos > target else -1
+        f_new = t_pos if side > 0 else t_pos + t_bnd
+        if not secant:
+            w_lo = w_hi = 1.0
+        elif side == moved:
+            # the other end was kept twice: shrink its weight (Anderson-Bjorck)
+            k = 1.0 - (f_new - target) / ((f_lo if side > 0 else f_hi) - target)
+            if side > 0:
+                w_hi *= k if k > 0.0 else 0.5
+            else:
+                w_lo *= k if k > 0.0 else 0.5
+        moved = side if secant else 0
+        if side > 0:
+            lo, f_lo, w_lo, at_lo = t, f_new, 1.0, (pos, bnd, t_pos, t_bnd)
+        else:
+            hi, f_hi, w_hi = t, f_new, 1.0
+        if hi < math.inf and (f_lo - f_hi <= 1e-12 or hi - lo <= 8e-16 * (1.0 + hi)):
+            m, thr = widened(lo, hi, at_lo), lo
+            break
+    else:
+        m, thr = widened(lo, hi, at_lo), lo
     m = 0.5 * (m + m.conj().T)
     beta = float(np.trace(m @ s).real)
     return beta, m, thr, iters
@@ -414,7 +470,8 @@ def _best_mixture(r, fixed_b, atoms, eps, w0=None):
             jac=lambda w: -evaluate(w)[2],
             method="SLSQP",
             bounds=[(0.0, 1.0)] * k,
-            constraints=[{"type": "eq", "fun": lambda w: np.sum(w) - 1.0}],
+            constraints=[{"type": "eq", "fun": lambda w: np.sum(w) - 1.0,
+                          "jac": lambda w: np.ones(k)}],
             options={"maxiter": 40, "ftol": 1e-13},
         )
     beta, w, m, per = best

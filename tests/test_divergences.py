@@ -10,15 +10,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoneshot.divergences import (
+    EDGE,
+    TOL_NP,
     StateEnsemble,
     TestOperator,
     best_qubit_two_level_test,
     bloch_density,
     classical_np_value,
+    _jump_points,
     d_max,
     divergence_record,
     hypothesis_test_divergence,
@@ -295,6 +299,147 @@ class TestHypothesisTestDivergence:
             hypothesis_test_divergence(np.eye(2) / 2, np.eye(2) / 2, 0.0)
         with pytest.raises(LayoutError):
             hypothesis_test_divergence(np.eye(2) / 2, np.eye(3) / 3, 0.1)
+
+
+def _bisection_np(r, s, eps):
+    """Neyman-Pearson oracle: bisect the threshold t of {r - t s > 0} down
+    to 8e-16 of its width, with no jump points and no interpolation.
+
+    Returns (beta, type1_error).  A plain bisection with its own bracket,
+    boundary-block closure and widened-band fallback; it shares no code with
+    the library solver.
+    """
+    target = 1.0 - eps
+
+    def pieces(t, band):
+        w, v = np.linalg.eigh(r - t * s)
+        pos, bnd = v[:, w > band], v[:, np.abs(w) <= band]
+        t_pos = float(np.einsum("ij,ij->", pos.conj(), r @ pos).real)
+        t_bnd = float(np.einsum("ij,ij->", bnd.conj(), r @ bnd).real)
+        return pos, bnd, t_pos, t_bnd
+
+    def close(pos, bnd, t_pos, t_bnd):
+        frac = min(1.0, max(0.0, (target - t_pos) / t_bnd)) if t_bnd > 1e-300 else 0.0
+        return pos @ pos.conj().T + frac * (bnd @ bnd.conj().T)
+
+    lo, f_lo, hi = 0.0, 1.0, 1.0
+    while hi < 2.0**200 and sum(pieces(hi, EDGE)[2:]) >= target:
+        hi *= 2.0
+    if hi >= 2.0**200:
+        m = close(*pieces(hi, EDGE))
+    else:
+        f_hi = sum(pieces(hi, EDGE)[2:])
+        while True:
+            mid = 0.5 * (lo + hi)
+            pos, bnd, t_pos, t_bnd = pieces(mid, EDGE)
+            if t_pos <= target <= t_pos + t_bnd:
+                m = close(pos, bnd, t_pos, t_bnd)
+                break
+            if t_pos > target:
+                lo, f_lo = mid, t_pos
+            else:
+                hi, f_hi = mid, t_pos + t_bnd
+            if f_lo - f_hi <= 1e-12 or hi - lo <= 8e-16 * (1.0 + hi):
+                band = max(EDGE, 4.0 * (hi - lo) * float(np.linalg.norm(s, 2)))
+                m = close(*pieces(lo, band))
+                break
+    m = 0.5 * (m + m.conj().T)
+    return float(np.trace(m @ s).real), 1.0 - float(np.trace(m @ r).real)
+
+
+def _np_oracle_set():
+    """400 seeded (shape, r, s, eps) instances, d in 2..6, in four shapes:
+    full-rank pairs, a pure null state, a rank-deficient alternative (singular
+    s; covers the unbounded tail), and commuting diagonals whose alternative
+    permutes the null's spectrum (every jump exact)."""
+    rng = rng_from(2024)
+    out = []
+    for i in range(400):
+        d = int(rng.integers(2, 7))
+        eps = float(rng.uniform(0.05, 0.4))
+        shape = ("full", "pure_null", "singular_alt", "commuting")[i % 4]
+        if shape == "full":
+            r, s = random_density(d, rng).a, random_density(d, rng).a
+        elif shape == "pure_null":
+            r, s = random_density(d, rng, rank=1).a, random_density(d, rng).a
+        elif shape == "singular_alt":
+            r = random_density(d, rng).a
+            s = random_density(d, rng, rank=int(rng.integers(1, d))).a
+        else:
+            p = _probs(rng, d)
+            r, s = np.diag(p).astype(complex), np.diag(p[rng.permutation(d)]).astype(complex)
+        out.append((shape, r, s, eps))
+    return out
+
+
+@pytest.fixture(scope="module")
+def np_oracle_runs():
+    """Each oracle instance with the library's result and the oracle's."""
+    return [
+        (shape, r, s, eps, hypothesis_test_divergence(r, s, eps), _bisection_np(r, s, eps))
+        for shape, r, s, eps in _np_oracle_set()
+    ]
+
+
+class TestNeymanPearsonSolver:
+    def test_beta_matches_bisection_oracle(self, np_oracle_runs):
+        for shape, r, s, eps, (_, test), (beta, type1) in np_oracle_runs:
+            # 1e-15 absolute: where r's weight outside supp(s) meets the
+            # target, both betas are rounding noise of a zero trace
+            assert abs(test.type2_bound - beta) <= TOL_NP * abs(beta) + 1e-15, shape
+            assert type1 <= eps + 1e-15
+
+    def test_type1_error_never_exceeds_eps(self, np_oracle_runs):
+        for shape, r, s, eps, (_, test), _ in np_oracle_runs:
+            assert test.type1_error <= eps + 1e-15, shape
+
+    def test_commuting_pairs_match_linear_program(self, np_oracle_runs):
+        runs = [x for x in np_oracle_runs if x[0] == "commuting"]
+        assert len(runs) == 100
+        for _, r, s, eps, (value, _), _ in runs:
+            p, q = np.diag(r).real, np.diag(s).real
+            assert abs(value - classical_np_value(p, q, eps)) <= 1e-9
+
+    def test_eigensolves_per_solve_on_oracle_set(self, np_oracle_runs):
+        # the bisection needs 38-44 per solve on this set
+        mean = np.mean([test.iterations for *_, (_, test), _ in np_oracle_runs])
+        assert mean <= 12.0
+
+    def test_pinned_work_on_fixed_two_qubit_instance(self):
+        """Exact solver work on one seeded instance; a solver change that
+        alters it must update these counts in review."""
+        rng = rng_from(77)
+        rho = random_density(4, rng, layout=_qubit_layout())
+        prod = np.kron(rho.marginal({"a"}).a, rho.marginal({"b"}).a)
+        _, test = hypothesis_test_divergence(rho.a, prod, 0.2)
+        assert test.iterations == 11  # eigensolves; 40 with the bisection
+        _, test = i_h(rho, 0.2)
+        assert test.iterations == 97  # Neyman-Pearson solves
+
+
+class TestJumpPoints:
+    def test_diagonal_pairs_give_the_distinct_finite_ratios(self):
+        rng = rng_from(91)
+        for _ in range(20):
+            d = int(rng.integers(2, 7))
+            p, q = _probs(rng, d), _probs(rng, d)
+            q[rng.random(d) < 0.3] = 0.0  # q_i = 0: no finite jump
+            if d > 2:
+                p[1], q[1] = p[0], q[0]  # a repeated ratio counts once
+            expected = np.unique(p[q > 0] / q[q > 0])
+            jumps = _jump_points(np.diag(p), np.diag(q))
+            assert jumps.shape == expected.shape
+            np.testing.assert_allclose(jumps, expected, rtol=1e-12, atol=0)
+
+    def test_full_rank_pair_matches_generalized_eigenvalues(self):
+        # states mixed with I/d keep scipy's Cholesky route accurate at the
+        # small end (on a near-singular r it can be off by 1e-8 relative)
+        rng = rng_from(92)
+        for _ in range(20):
+            d = int(rng.integers(2, 7))
+            r, s = (0.8 * random_density(d, rng).a + 0.2 * np.eye(d) / d for _ in "rs")
+            expected = np.sort(scipy.linalg.eigh(r, s, eigvals_only=True))
+            np.testing.assert_allclose(_jump_points(r, s), expected, rtol=1e-10, atol=0)
 
 
 # ---------------------------------------------------------------------------
