@@ -16,7 +16,9 @@ s, and its tests are built against the averaged partner marginal, uniform
 over the finite set of possible channel outputs.  Both are simulated on one
 path: each message owns a band of slots (one slot for the uninformed
 sender, s for the informed one), and the decoder sums the merged projector
-over the band.
+over the band.  With one slot per message and a qubit partner the decoder
+works on the spin blocks of the other slots (``qoneshot.schur``), which
+are far smaller than the full register space.
 
 All decoding-error probabilities are exact traces of explicitly assembled
 operators; nothing is sampled.
@@ -61,6 +63,7 @@ from .divergences import (
     relative_entropy_variance,
 )
 from .jordan import union_many
+from . import schur
 
 __all__ = [
     "CompoundChannel",
@@ -185,11 +188,13 @@ class SimulationReport:
     message when ``channel_indices[j]`` is the true channel.  ``bound`` is
     the guarantee ``epsilon + 3 eta`` which applies whenever ``rate_ok`` (the
     unrounded rate satisfies the achievable-rate inequality of the protocol
-    that produced this report).  ``povm_gap_min_eig`` is the smallest
-    eigenvalue of ``I - sum_m Omega(m)``, computed by an explicit eigensolve
-    of ``I - T^(-1/2) T T^(-1/2)`` with ``T = sum_m Lambda(m)`` (the same
-    operator, without forming every ``Omega(m)``); decoder validity means it
-    is not below ``-atol``.
+    that produced this report).  The decoder certificate is read from the
+    eigenvalues of ``T = sum_m Lambda(m)``: ``decoder_rank`` is the rank of
+    ``T`` over the kernel cutoff and ``decoder_min_kept_eigenvalue`` the
+    smallest eigenvalue kept, so a square-root measurement built from the
+    wrong ``T`` shows in both; ``povm_gap_min_eig`` is the smallest
+    eigenvalue of ``I - sum_m Omega(m)``, and decoder validity means it is
+    not below ``-atol``.
     """
 
     per_channel_error: tuple[float, ...]
@@ -199,6 +204,8 @@ class SimulationReport:
     num_messages: int
     rate_ok: bool
     povm_gap_min_eig: float
+    decoder_rank: int = 0
+    decoder_min_kept_eigenvalue: float = 0.0
 
     def __post_init__(self):
         errs = tuple(float(e) for e in self.per_channel_error)
@@ -220,6 +227,8 @@ class SimulationReport:
             "num_messages": self.num_messages,
             "rate_ok": self.rate_ok,
             "povm_gap_min_eig": self.povm_gap_min_eig,
+            "decoder_rank": self.decoder_rank,
+            "decoder_min_kept_eigenvalue": self.decoder_min_kept_eigenvalue,
             "within_bound": [e <= self.bound + ATOL for e in self.per_channel_error],
         }
 
@@ -516,14 +525,20 @@ def _position_code(
     """Assemble a position-based code shared by both senders.
 
     Each message owns a band of ``len(partners)`` slots.  ``solve`` maps a
-    joint output-partner state to ``(value, test)``; the tests are lifted,
-    merged into one projector, applied at every slot on output x slots x
-    ancilla, and summed over each message's band into ``Lambda(m)``
-    (``_band_operator``).  Only the decoder's total ``T = sum_m Lambda(m)``
-    is kept, accumulated in message order in one buffer."""
-    band = len(partners)
-    dims = [cc.dim_out] + [partners[0].shape[0]] * (band * num_messages) + [2]
-    dim = math.prod(dims)
+    joint output-partner state to ``(value, test)``; the tests are lifted
+    and merged into one projector, which the decoder applies at every slot
+    on output x slot x ancilla.  A band of one slot with a qubit partner is
+    decoded on the spin blocks of the other slots (``blocks``,
+    ``_block_decoder``), whose largest operator is ``2 d_out 2
+    num_messages`` wide; every other code on the full register space
+    (``_dense_decoder``).  The cap applies to the largest operator the
+    decoder builds and is checked before any solver runs."""
+    band, d_r = len(partners), partners[0].shape[0]
+    blocks = band == 1 and d_r == 2
+    if blocks:
+        dim = 2 * cc.dim_out * 2 * num_messages
+    else:
+        dim = cc.dim_out * 2 * d_r ** min(band * num_messages, DIM_CAP)
     if dim > DIM_CAP:
         raise CapacityError(f"simulated dimension {dim} exceeds the cap {DIM_CAP}")
     tested = [solve(rho) for rho in joints]
@@ -531,19 +546,15 @@ def _position_code(
         [neumark_dilate(t).projector for _, t in tested],
         eta / (3.0 * math.log2(2 * cc.size)),
     )
-    code = {
-        "dims": dims,
+    return {
+        "dims": [cc.dim_out] + [d_r] * (band * num_messages) + [2],
+        "blocks": blocks,
         "joints": joints,
         "values": tuple(v for v, _ in tested),
         "tests": tuple(t for _, t in tested),
         "merged": merged,
         "partners": partners,
     }
-    total = _band_operator(code, 1)
-    for m in range(2, num_messages + 1):
-        total += _band_operator(code, m)
-    code["total"] = total
-    return code
 
 
 def _band_operator(code: dict, message: int) -> np.ndarray:
@@ -585,18 +596,135 @@ def _informed_code(
     )
 
 
-def _decoder(code: dict, message: int) -> tuple[np.ndarray, float]:
-    """The square-root measurement element ``Omega(message) = T^(-1/2)
-    Lambda(message) T^(-1/2)`` with ``T = sum_m Lambda(m)``, plus a validity
-    certificate: the smallest eigenvalue of ``I - T^(-1/2) T T^(-1/2)``,
-    which equals ``I - sum_m Omega(m)``.  Only ``Omega(message)`` is formed;
-    the certificate costs one product pair and an explicit eigensolve."""
-    total = code["total"]
-    inv = psd_inv_sqrt(total, cutoff=1e-12)
-    resid = np.eye(total.shape[0]) - inv @ total @ inv
-    resid = 0.5 * (resid + resid.conj().T)
-    omega = inv @ _band_operator(code, message) @ inv
-    return omega, float(np.linalg.eigvalsh(resid)[0])
+#: eigenvalues of T at or below this are its kernel
+_KERNEL_CUTOFF = 1e-12
+
+
+def _apply(op: np.ndarray, x: np.ndarray, dims: Sequence[int], targets: Sequence[int]) -> np.ndarray:
+    """``(op on the target registers, identity elsewhere) @ x`` for a matrix
+    ``x`` whose rows live on ``dims``; O(rows x columns x op width), with no
+    operator on the full space formed."""
+    k = len(targets)
+    out = np.tensordot(
+        op.reshape([dims[i] for i in targets] * 2),
+        x.reshape(*dims, -1),
+        axes=(list(range(k, 2 * k)), list(targets)),
+    )
+    return np.moveaxis(out, list(range(k)), list(targets)).reshape(x.shape)
+
+
+def _ground_omega(
+    total: np.ndarray, apply_lam: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ancilla-ground block of ``T^(-1/2) Lambda T^(-1/2)`` and the
+    eigenvalues of ``T``, from one eigensolve of ``T``.
+
+    The ancilla is the last register, so its ground rows are the even ones;
+    every input state has the ancilla in ``|0>``, so only that block is
+    read.  ``apply_lam(x)`` returns ``Lambda @ x``.  ``T^(-1/2)`` is taken
+    on the support (eigenvalues above ``_KERNEL_CUTOFF``) and formed only on
+    its ground columns."""
+    w, v = np.linalg.eigh(total)
+    inv = np.where(w > _KERNEL_CUTOFF, 1.0 / np.sqrt(np.clip(w, _KERNEL_CUTOFF, None)), 0.0)
+    root = (v * inv) @ v[::2].conj().T
+    return root.conj().T @ apply_lam(root), w
+
+
+def _dense_omega(code: dict, message: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_ground_omega`` on the full register space: ``T = sum_m
+    Lambda(m)`` accumulated in message order in one buffer, and
+    ``Lambda(message)`` applied slot by slot as a local operator."""
+    dims, band = code["dims"], len(code["partners"])
+    last = len(dims) - 1
+    total = _band_operator(code, 1)
+    for m in range(2, (last - 1) // band + 1):
+        total += _band_operator(code, m)
+    slots = range(band * (message - 1) + 1, band * message + 1)
+    return _ground_omega(
+        total,
+        lambda x: sum(_apply(code["merged"].a, x, dims, [0, k, last]) for k in slots),
+    )
+
+
+def _dense_decoder(code: dict, message: int, indices: tuple[int, ...]):
+    """Errors and spectrum of ``T`` on the full register space.
+
+    Channel ``i`` sends in slot ``band (message - 1) + i mod band + 1``;
+    every other slot ``k`` holds ``partners[(k - 1) mod band]``, and the
+    ancilla is in ``|0>``.  The error is ``1 - Tr[Omega(message) Theta]``,
+    an elementwise sum over the ancilla-ground block."""
+    omega, w = _dense_omega(code, message)
+    dims, partners = code["dims"][:-1], code["partners"]
+    band = len(partners)
+    errors = []
+    for i in indices:
+        star = band * (message - 1) + i % band + 1
+        pieces = [(code["joints"][i].a, [0, star])]
+        pieces += [
+            (partners[(k - 1) % band], [k]) for k in range(1, len(dims)) if k != star
+        ]
+        errors.append(1.0 - float(np.sum(omega * _arrange(pieces, dims).T).real))
+    return errors, [(w, 1)]
+
+
+def _block_decoder(code: dict, indices: tuple[int, ...]):
+    """Errors and spectrum of ``T`` on the spin blocks of the other slots.
+
+    With one slot per message and a qubit partner ``sigma``, ``T``, the
+    sent message's ``Lambda`` (at slot 1, by the symmetry of the slots) and
+    the input state are invariant under permutations of the other ``N = n -
+    1`` slots.  Writing the merged projector as ``Pi = sum_ab A_ab (x)
+    |a><b|_slot``, on (output, slot 1, V_j, ancilla) block ``j`` holds
+    ``T_j = Pi (x) I + sum_ab A_ab (x) I_slot (x) E_ab``, the sent element
+    ``Pi (x) I`` and ``Theta_ij = rho_i (x) det(sigma)^(N/2 - j)
+    Sym^(2j)(sigma) (x) |0><0|``, each with multiplicity ``m_j``
+    (``qoneshot.schur``).  The error is ``1 - sum_j m_j Tr[T_j^(-1/2) (Pi
+    (x) I) T_j^(-1/2) Theta_ij]``."""
+    pi, sigma = code["merged"].a, code["partners"][0]
+    d_out, n = code["dims"][0], len(code["dims"]) - 2
+    det = max(0.0, float(np.linalg.det(sigma).real))
+    six = pi.reshape(d_out, 2, 2, d_out, 2, 2)
+    errors = [1.0] * len(indices)
+    spectrum = []
+    for two_j in schur.spins(n - 1):
+        dims = [d_out, 2, two_j + 1, 2]
+        rest = np.einsum(
+            "oaxpby,st,abvw->osvxptwy", six, np.eye(2), schur.collective(n - 1, two_j)
+        )
+        total = _embed(pi, dims, [0, 1, 3]) + rest.reshape(math.prod(dims), -1)
+        omega, w = _ground_omega(total, lambda x: _apply(pi, x, dims, [0, 1, 3]))
+        sym = schur.block_weight(n - 1, two_j, det) * schur.sym_power(sigma, two_j)
+        for slot, i in enumerate(indices):
+            theta = np.kron(code["joints"][i].a, sym)
+            errors[slot] -= float(np.sum(omega * theta.T).real)
+        spectrum.append((w, schur.multiplicity(n - 1, two_j)))
+    return errors, spectrum
+
+
+def _decoder(code: dict, message: int, indices: tuple[int, ...]) -> tuple[list[float], dict]:
+    """Exact errors of the square-root measurement for the simulated
+    channels, and the decoder certificate read from the eigenvalues of
+    ``T`` (each block's counted ``m_j`` times on the block path):
+
+    * ``decoder_rank``: the rank of ``T`` over ``_KERNEL_CUTOFF``;
+    * ``decoder_min_kept_eigenvalue``: the smallest eigenvalue kept;
+    * ``povm_gap_min_eig``: the smallest eigenvalue of ``I - sum_m Omega(m)
+      = I - T^(-1/2) T T^(-1/2)``, which is ``1 - w w^(-1)`` on the support
+      and 1 on the kernel.
+    """
+    if code["blocks"]:
+        errors, spectrum = _block_decoder(code, indices)
+    else:
+        errors, spectrum = _dense_decoder(code, message, indices)
+    kept = [(w[w > _KERNEL_CUTOFF], m) for w, m in spectrum if w[-1] > _KERNEL_CUTOFF]
+    return errors, {
+        "decoder_rank": sum(m * k.size for k, m in kept),
+        "decoder_min_kept_eigenvalue": min((float(k[0]) for k, _ in kept), default=0.0),
+        "povm_gap_min_eig": min(
+            (float(np.min(1.0 - k * (1.0 / np.sqrt(k)) ** 2)) for k, _ in kept),
+            default=1.0,
+        ),
+    }
 
 
 def _indices(
@@ -619,26 +747,9 @@ def _evaluate(
     message: int,
     penalty: float,
 ) -> SimulationReport:
-    """Exact error of the code for each simulated true channel.
-
-    Channel ``i`` sends in slot ``band (message - 1) + i mod band + 1``;
-    every other slot ``k`` holds ``partners[(k - 1) mod band]``.  The error
-    is ``1 - Tr[Omega(message) Theta]`` with all operators explicit; only
-    ``Omega(message)`` is formed (``_decoder``), and the trace is the O(d^2)
-    elementwise sum ``sum_ij Omega_ij Theta_ji``, not a d^3 product."""
-    omega, povm_gap = _decoder(code, message)
-    dims, partners = code["dims"], code["partners"]
-    band, last = len(partners), len(dims) - 1
-    errors = []
-    for i in indices:
-        star = band * (message - 1) + i % band + 1
-        pieces = [(code["joints"][i].a, [0, star])]
-        pieces += [
-            (partners[(k - 1) % band], [k]) for k in range(1, last) if k != star
-        ]
-        pieces.append((np.diag([1.0, 0.0]), [last]))
-        theta = _arrange(pieces, dims)
-        errors.append(1.0 - float(np.sum(omega * theta.T).real))
+    """Exact error of the code for each simulated true channel, with the
+    decoder certificate (``_decoder``)."""
+    errors, certificate = _decoder(code, message, indices)
     limit = min(code["values"]) + penalty
     return SimulationReport(
         per_channel_error=tuple(errors),
@@ -647,7 +758,7 @@ def _evaluate(
         channel_indices=indices,
         num_messages=params.num_messages,
         rate_ok=bool(params.rate_bits <= limit + 1e-9),
-        povm_gap_min_eig=povm_gap,
+        **certificate,
     )
 
 

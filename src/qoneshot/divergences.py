@@ -229,6 +229,15 @@ def i_max(rho: DensityMatrix) -> float:
 # Neyman-Pearson solver
 # ---------------------------------------------------------------------------
 
+def _whiten(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Columns spanning the support of r + s on which (r + s) acts as the
+    identity: (r + s)^{-1/2} there.  Directions where r + s holds at most
+    ``EDGE`` of its largest eigenvalue count as outside.  One eigensolve."""
+    w, v = np.linalg.eigh(r + s)
+    keep = w > EDGE * w[-1]
+    return v[:, keep] / np.sqrt(w[keep])
+
+
 def _jump_points(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Sorted distinct finite thresholds t > 0 at which Tr[r {r - t s > 0}]
     can jump: the finite generalized eigenvalues of the pencil (r, s).
@@ -239,12 +248,20 @@ def _jump_points(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     state holds at most ``EDGE`` of the pair's weight (mu = 0: outside
     supp r; mu = 1: outside supp s) give no finite jump.  Two eigensolves.
     """
-    w, v = np.linalg.eigh(r + s)
-    keep = w > EDGE * w[-1]
-    white = v[:, keep] / np.sqrt(w[keep])
+    white = _whiten(r, s)
     mu = np.linalg.eigvalsh(white.conj().T @ r @ white)
     mu = mu[(mu > EDGE) & (mu < 1.0 - EDGE)]
     return np.unique(mu / (1.0 - mu))
+
+
+def _kernel_projector(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The projector onto ker(s) at ``_jump_points``' cutoff: the span of
+    the whitened directions with mu >= 1 - EDGE, where s holds at most
+    ``EDGE`` of the pair's weight.  Two eigensolves."""
+    white = _whiten(r, s)
+    mu, u = np.linalg.eigh(white.conj().T @ r @ white)
+    q, _ = np.linalg.qr(white @ u[:, mu >= 1.0 - EDGE])
+    return q @ q.conj().T
 
 
 def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
@@ -267,9 +284,12 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
        with Anderson-Bjorck weights (the Illinois family) converges, with a
        bisection step whenever f(lo+) - f(hi-) has not halved over three
        steps (the safeguard of Brent 1973);
-    4. past the last jump, t doubles until f falls below the target; if it
-       never does up to 2^200, r keeps its weight outside supp(s) and the
-       test at 2^200 is reported.
+    4. past the last jump f tends to Tr[r P], P the projector onto ker(s)
+       (``_kernel_projector``, two eigensolves, computed only here).  If
+       that meets the target, D_H = +inf exactly: the test is P, with
+       beta = 0 and threshold +inf.  Otherwise t doubles until f falls
+       below the target; if rounding keeps it above up to 2^200, the test
+       at 2^200 is reported.
 
     A bracket narrower than 1e-12 in f, or than 8e-16 (1 + hi) in t, closes
     at lo with the boundary band widened to the bracket's scale, so the
@@ -310,15 +330,23 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
     w_lo = w_hi = 1.0
     moved = 0
     gaps: list[float] = []
+    in_tail = False
     for _ in range(300):
         inside = jumps[(jumps > lo) & (jumps < hi)]
         secant = False
         if inside.size:
             t = float(inside[inside.size // 2])
         elif hi == math.inf:
+            if not in_tail:
+                in_tail = True
+                iters += 2
+                kernel = _kernel_projector(r, s)
+                if float(np.trace(r @ kernel).real) >= target:
+                    # D_H = +inf: ker(s) alone meets the Type-1 constraint
+                    return 0.0, kernel, math.inf, iters
             t = max(1.0, math.ldexp(1.0, math.frexp(lo)[1]))
             if t >= 2.0**200:
-                # no finite threshold: r keeps >= target weight outside supp(s)
+                # rounding kept f above the target although Tr[r P] is below it
                 m = close(*pieces(t, EDGE))
                 beta = float(np.trace(m @ s).real)
                 return beta, m, t, iters

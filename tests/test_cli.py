@@ -124,6 +124,23 @@ class TestExitCodes:
         assert run(["pauli-example", "--qubits", "2", "--eps", "0.1",
                     "--out", str(tmp_path / "p.json")]) == 3
 
+    def test_uninformed_cap_applies_to_the_largest_spin_block(self, tmp_path, files):
+        base = ["compound-sim", "--channels", f"{files['ident']},{files['flip']}",
+                "--state", files["psi"], "--eps", "0.2", "--eta", "0.05"]
+        # 32 messages: the full register space is 2 x 2^32 x 2 wide, the
+        # largest spin block of the other slots 2 x 2 x 2 x 32 = 256
+        out = str(tmp_path / "r5.json")
+        assert run(base + ["--rate", "5", "--out", out]) == 0
+        rec = read(out)
+        assert rec["results"]["num_messages"] == 32
+        assert set(rec["results"]) == {
+            "channel_indices", "per_channel_error", "bound", "rate_used",
+            "num_messages", "rate_ok", "povm_gap_min_eig", "decoder_rank",
+            "decoder_min_kept_eigenvalue", "within_bound",
+        }
+        # 4096 messages: the largest block would be 32768 wide
+        assert run(base + ["--rate", "12", "--out", str(tmp_path / "r12.json")]) == 3
+
     def test_failed_check_is_four_and_file_still_written(self, tmp_path, monkeypatch, capsys):
         out = str(tmp_path / "f.json")
 

@@ -22,6 +22,7 @@ from qoneshot.coding import (
     _band_operator,
     _channel_outputs,
     _decoder,
+    _dense_omega,
     _embed,
     _evaluate,
     _informed_code,
@@ -49,9 +50,11 @@ from qoneshot.divergences import (
 from qoneshot.qcore import (
     ATOL,
     CapacityError,
+    Channel,
     ComplexMatrix,
     DensityMatrix,
     LayoutError,
+    PureState,
     RegisterLayout,
     haar_unitary,
     maximally_entangled,
@@ -526,8 +529,8 @@ def slow_theta(joint, partners, star, dims):
 
 
 class TestDecoderMatchesEveryOmegaOracle:
-    """The decoder forms only ``Omega(message)`` and certifies through
-    ``I - T^(-1/2) T T^(-1/2)``; both must agree with the full construction."""
+    """The decoder never forms every ``Omega(m)``; its errors and its POVM
+    certificate must agree with the full construction on both paths."""
 
     def check(self, code, params):
         dims, partners = code["dims"], code["partners"]
@@ -535,23 +538,26 @@ class TestDecoderMatchesEveryOmegaOracle:
         omegas, gap = every_omega_oracle(code["merged"].a, dims, band, params.num_messages)
         indices = tuple(range(len(code["joints"])))
         for message in range(1, params.num_messages + 1):
-            omega, povm_gap = _decoder(code, message)
-            assert np.max(np.abs(omega - omegas[message - 1])) < 1e-12
-            assert abs(povm_gap - gap) < 1e-12
+            errors, certificate = _decoder(code, message, indices)
+            assert abs(certificate["povm_gap_min_eig"] - gap) < 1e-12
             rep = _evaluate(code, params, indices, message, 0.0)
             assert abs(rep.povm_gap_min_eig - gap) < 1e-12
-            for i, err in zip(indices, rep.per_channel_error):
+            for i, err, reported in zip(indices, errors, rep.per_channel_error):
                 star = band * (message - 1) + i % band + 1
                 theta = slow_theta(code["joints"][i].a, partners, star, dims)
                 oracle = 1.0 - np.trace(omegas[message - 1] @ theta).real
                 assert abs(err - oracle) < 1e-12
+                assert abs(reported - oracle) < 1e-12
+        return omegas
 
     def test_uninformed_four_messages(self):
         cc = CompoundChannel((IDENT, ZPHASE))
         psi = maximally_entangled(2, ("a", "r"))
         params = CodeParams(2.0, EPS, ETA, psi)
         assert params.num_messages == 4
-        self.check(_uninformed_code(cc, psi, EPS, ETA, 4), params)
+        code = _uninformed_code(cc, psi, EPS, ETA, 4)
+        assert code["blocks"]
+        self.check(code, params)
 
     def test_informed_band_two_two_messages(self):
         # a Haar unitary, so that Omega and Theta are complex and the trace
@@ -561,7 +567,140 @@ class TestDecoderMatchesEveryOmegaOracle:
         states = [maximally_entangled(2, ("a", "r")), schmidt_state(0.3)]
         params = CodeParams(1.0, EPS, ETA)
         assert params.num_messages == 2
-        self.check(_informed_code(cc, states, EPS, ETA, 2), params)
+        code = _informed_code(cc, states, EPS, ETA, 2)
+        assert not code["blocks"]
+        omegas = self.check(code, params)
+        for message in (1, 2):
+            # the dense path forms the ancilla-ground block of Omega(message)
+            omega, _ = _dense_omega(code, message)
+            assert np.max(np.abs(omega - omegas[message - 1][::2, ::2])) < 1e-12
+
+
+def haar_member(rng):
+    return unitary_channel(haar_unitary(2, rng), QUBIT_IN, QUBIT_OUT)
+
+
+def damped_member(rng):
+    """Amplitude damping at a random strength, between Haar rotations."""
+    g = float(rng.uniform(0.1, 0.9))
+    u, v = haar_unitary(2, rng), haar_unitary(2, rng)
+    kraus = [
+        u @ np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - g)]]) @ v,
+        u @ np.array([[0.0, math.sqrt(g)], [0.0, 0.0]]) @ v,
+    ]
+    return Channel(tuple(kraus), QUBIT_IN, QUBIT_OUT)
+
+
+def random_shared_state(rng):
+    vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return PureState(vec / np.linalg.norm(vec), RegisterLayout.of("a:2 r:2"))
+
+
+def resized(code, n):
+    """The same merged projector and joints, decoded with n messages."""
+    dims = code["dims"]
+    return {**code, "dims": [dims[0]] + [dims[1]] * n + [dims[-1]]}
+
+
+def oracle_spectrum(code):
+    """Rank of the index-loop ``T = sum_k Pi_(0, k, ancilla)`` over 1e-12
+    and its smallest eigenvalue kept."""
+    dims = code["dims"]
+    last = len(dims) - 1
+    total = sum(slow_embed(code["merged"].a, dims, [0, k, last]) for k in range(1, last))
+    w = np.linalg.eigvalsh(total)
+    kept = w[w > 1e-12]
+    return kept.size, float(kept[0])
+
+
+class TestDecoderCertificate:
+    """``decoder_rank`` and ``decoder_min_kept_eigenvalue`` are read from the
+    decoder's own eigensolves of T; both must match an index-loop T with
+    every message in it, on the block path and on the dense path."""
+
+    def check(self, code, params):
+        rank, low = oracle_spectrum(code)
+        indices = tuple(range(len(code["joints"])))
+        rec = _evaluate(code, params, indices, 1, 0.0).to_record()
+        assert rec["decoder_rank"] == rank
+        assert abs(rec["decoder_min_kept_eigenvalue"] - low) <= 1e-12 * max(1.0, low)
+
+    def test_block_path(self):
+        rng = rng_from(606)
+        for members, n in ((1, 4), (2, 5), (3, 3)):
+            cc = CompoundChannel(tuple(haar_member(rng) for _ in range(members)))
+            psi = random_shared_state(rng)
+            code = _uninformed_code(cc, psi, EPS, ETA, n)
+            assert code["blocks"]
+            self.check(code, CodeParams(0.0, EPS, ETA, psi, num_messages=n))
+
+    def test_dense_path(self):
+        rng = rng_from(607)
+        cc = CompoundChannel((haar_member(rng), damped_member(rng)))
+        states = [random_shared_state(rng), random_shared_state(rng)]
+        code = _informed_code(cc, states, EPS, ETA, 2)
+        assert not code["blocks"]
+        self.check(code, CodeParams(1.0, EPS, ETA))
+
+
+class TestBlockDecoder:
+    """The spin-block decoder against the dense decoder on the same code."""
+
+    def agree(self, code, indices):
+        assert code["blocks"]
+        blocks, block_cert = _decoder(code, 1, indices)
+        dense, dense_cert = _decoder({**code, "blocks": False}, 1, indices)
+        for b, d in zip(blocks, dense):
+            assert abs(b - d) <= 1e-12
+        assert block_cert["decoder_rank"] == dense_cert["decoder_rank"]
+        return blocks
+
+    def test_gate_05_channels(self):
+        psi = maximally_entangled(2, ("a", "r"))
+        for members in ((IDENT,), (IDENT, XFLIP)):
+            cc = CompoundChannel(members)
+            rate = achievable_rate_uninformed(cc, psi, EPS, ETA)
+            for params in (CodeParams(rate, EPS, ETA, psi), CodeParams(2.0, EPS, ETA, psi)):
+                code = _uninformed_code(cc, psi, EPS, ETA, params.num_messages)
+                self.agree(code, tuple(range(cc.size)))
+
+    def test_random_families_and_message_counts(self):
+        rng = rng_from(505)
+        for trial in range(30):
+            make = haar_member if trial % 2 else damped_member
+            cc = CompoundChannel(tuple(make(rng) for _ in range(1 + trial % 3)))
+            psi = random_shared_state(rng)
+            code = _uninformed_code(cc, psi, EPS, ETA, 1)
+            indices = tuple(range(cc.size))
+            # the dense decoder at 8 messages takes about a second: one
+            # family of each size goes that far
+            for n in (1, 2, 3, 4, 5, 8) if trial < 3 else (1, 2, 3, 4, 5):
+                self.agree(resized(code, n), indices)
+
+    def test_explicit_message_counts_through_the_simulator(self):
+        cc = CompoundChannel((IDENT, ZPHASE))
+        psi = schmidt_state(0.3)
+        for n in (3, 5):
+            rep = simulate_uninformed(cc, CodeParams(0.0, EPS, ETA, psi, num_messages=n))
+            assert rep.num_messages == n
+            code = _uninformed_code(cc, psi, EPS, ETA, n)
+            dense, _ = _decoder({**code, "blocks": False}, 1, (0, 1))
+            for b, d in zip(rep.per_channel_error, dense):
+                assert abs(b - d) <= 1e-12
+
+    def test_product_shared_state(self):
+        # sigma has rank 1, so det(sigma) = 0 and only the 0^0 = 1 term of
+        # the top spin survives
+        rng = rng_from(507)
+        plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        for partner in (plus, random_shared_state(rng).vector[:2]):
+            partner = partner / np.linalg.norm(partner)
+            psi = PureState(np.kron([1.0, 0.0], partner).astype(complex), RegisterLayout.of("a:2 r:2"))
+            cc = CompoundChannel((haar_member(rng), damped_member(rng)))
+            code = _uninformed_code(cc, psi, EPS, ETA, 1)
+            for n in (1, 2, 4, 5):
+                errors = self.agree(resized(code, n), (0, 1))
+                assert all(0.0 <= e <= 1.0 for e in errors)
 
 
 class TestDecoderInequality:

@@ -405,6 +405,27 @@ class TestNeymanPearsonSolver:
         mean = np.mean([test.iterations for *_, (_, test), _ in np_oracle_runs])
         assert mean <= 12.0
 
+    def test_infinite_value_decided_by_kernel_weight(self, np_oracle_runs):
+        """D_H = +inf exactly when r holds at least 1 - eps on ker(s).  The
+        kernel here comes from an eigensolve of s alone.  On the 15 pairs
+        where it holds, the doubling tail once stopped at 2^50-2^55 on
+        rounding noise and returned 54-57 bits or +inf after 58-204
+        eigensolves; now each returns ker(s) itself after 5."""
+        infinite = []
+        for k, (shape, r, s, eps, (value, test), _) in enumerate(np_oracle_runs):
+            w, v = np.linalg.eigh(s)
+            kernel = v[:, w <= 1e-12 * w[-1]]
+            weight = float(np.trace(kernel.conj().T @ r @ kernel).real)
+            if weight >= 1.0 - eps:
+                infinite.append(k)
+                assert value == math.inf and test.type2_bound == 0.0
+                assert test.threshold == math.inf and test.iterations == 5
+                assert test.type1_error <= eps
+                assert abs(float(np.trace(test.a @ s).real)) <= 1e-15
+            else:
+                assert value < 40.0, (k, value)
+        assert infinite == [18, 42, 58, 134, 162, 194, 238, 242, 254, 258, 302, 322, 350, 366, 390]
+
     def test_pinned_work_on_fixed_two_qubit_instance(self):
         """Exact solver work on one seeded instance; a solver change that
         alters it must update these counts in review."""
