@@ -213,6 +213,10 @@ def _run_divergence(p: dict, seed):
     return results, checks, tolerances
 
 
+#: eigenvalues of sum_i P_i below this fraction of its largest span its kernel
+_SUPPORT_CUTOFF = 1e-10
+
+
 def _run_union_stress(p: dict, seed):
     s, delta, dim, trials, eps = p["s"], p["delta"], p["dim"], p["trials"], p["eps"]
     if dim < 2:
@@ -225,6 +229,7 @@ def _run_union_stress(p: dict, seed):
     floor = 1.0 - eps - delta * width
     worst_accept = math.inf
     worst_gap = math.inf
+    constant = support_residual = 0.0
     for _ in range(trials):
         projs, states = [], []
         for _ in range(s):
@@ -240,8 +245,15 @@ def _run_union_stress(p: dict, seed):
             worst_accept = min(
                 worst_accept, float(np.trace(merged.a @ st).real) - floor
             )
-        gap = factor * sum(pr.a for pr in projs) - merged.a
-        worst_gap = min(worst_gap, float(np.linalg.eigvalsh(gap)[0]))
+        total = sum(pr.a for pr in projs)
+        worst_gap = min(worst_gap, float(np.linalg.eigvalsh(factor * total - merged.a)[0]))
+        # M <= c total holds for some c iff M vanishes off supp(total); the
+        # least such c is lambda_max(W^dag M W), W whitening total on its support
+        w, v = np.linalg.eigh(total)
+        keep = w > _SUPPORT_CUTOFF * w[-1]
+        white = v[:, keep] / np.sqrt(w[keep])
+        support_residual = max(support_residual, float(np.linalg.norm(merged.a @ v[:, ~keep])))
+        constant = max(constant, float(np.linalg.eigvalsh(white.conj().T @ merged.a @ white)[-1]))
     results = {
         "s": s,
         "delta": delta,
@@ -252,12 +264,14 @@ def _run_union_stress(p: dict, seed):
         "operator_factor": factor,
         "worst_acceptance_margin": worst_accept,
         "worst_gap_eigenvalue": worst_gap,
+        "operator_constant": constant,
+        "support_residual": support_residual,
     }
     checks = {
         "acceptance_bound": bool(worst_accept >= -1e-8),
-        "operator_bound": bool(worst_gap >= -1e-8),
+        "operator_bound": bool(support_residual <= 1e-8 and constant <= factor),
     }
-    return results, checks, {"slack": 1e-8}
+    return results, checks, {"slack": 1e-8, "support_cutoff": _SUPPORT_CUTOFF}
 
 
 def _run_jordan_inspect(p: dict, seed):

@@ -402,16 +402,10 @@ def build_universal_test(inst: CompositeInstance, delta: float,
         evals += test.iterations
     floor_bits = min(v for v, _ in per_prototype)
 
-    if len(unique) == 1:
-        merged = neumark_dilate(per_prototype[0][1]).projector
-        rounds = 0
-    else:
-        width = math.log2(2 * len(unique))
-        merged = union_many(
-            [neumark_dilate(t).projector for _, t in per_prototype],
-            delta / width,
-        )
-        rounds = math.ceil(math.log2(len(unique)))
+    merged = union_many(
+        [neumark_dilate(t).projector for _, t in per_prototype],
+        delta / math.log2(2 * len(unique)),
+    )
 
     dim_n = inst.total_dim
     block = np.ascontiguousarray(
@@ -431,7 +425,7 @@ def build_universal_test(inst: CompositeInstance, delta: float,
         matrix=ComplexMatrix(block),
         type1_error=type1,
         type2_bound=level,
-        iterations=rounds,
+        iterations=math.ceil(math.log2(len(unique))),
         certificate_gap_bits=max(0.0, value - (floor_bits - penalty)),
         floor_bits=floor_bits,
         penalty_bits=penalty,

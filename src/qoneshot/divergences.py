@@ -184,36 +184,16 @@ def relative_entropy_variance(rho, sigma) -> float:
 
 
 def d_max(rho, sigma) -> float:
-    """Smallest k with rho <= 2^k sigma, by bisection on the PSD certificate."""
+    """Smallest k with rho <= 2^k sigma: log2 lambda_max(W^dag rho W), W
+    whitening sigma on its support (eigenvalues above ``EDGE``)."""
     r, s = as_array(rho), as_array(sigma)
     if r.shape != s.shape:
         raise LayoutError(f"dimension mismatch {r.shape} vs {s.shape}")
     if _kernel_weight(r, s) > ATOL:
         return math.inf
-
-    def holds(lam: float) -> bool:
-        return float(np.linalg.eigvalsh((2.0**lam) * s - r)[0]) >= -1e-13
-
-    hi = 1.0
-    for _ in range(60):
-        if holds(hi):
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    lo = -1.0
-    while holds(lo):
-        hi = lo
-        lo *= 2.0
-        if lo < -4096:
-            break
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    w, v = np.linalg.eigh(s)
+    white = v[:, w > EDGE] / np.sqrt(w[w > EDGE])
+    return math.log2(float(np.linalg.eigvalsh(white.conj().T @ r @ white)[-1]))
 
 
 def i_max(rho: DensityMatrix) -> float:

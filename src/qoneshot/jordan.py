@@ -77,8 +77,26 @@ def _range_basis(p: Projector) -> np.ndarray:
     return v[:, w > 0.5]
 
 
+def _principal(p1: Projector, p2: Projector):
+    """Principal directions from one SVD of Q1^dag Q2: orthonormal columns
+    ``a`` of range(p1) and ``b`` of range(p2), and the cosines ``c`` (at
+    most 1) of the pairs (a_i, b_i), i < len(c).  Columns past len(c) have
+    cosine 0 with the whole other range."""
+    q1 = _range_basis(p1)
+    q2 = _range_basis(p2)
+    u, c, vh = np.linalg.svd(q1.conj().T @ q2)
+    return q1 @ u, q2 @ vh.conj().T, np.minimum(c, 1.0)
+
+
 def _col(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
+
+
+def _check_pair(p1: Projector, p2: Projector, delta: float) -> None:
+    if p1.dim != p2.dim:
+        raise LayoutError(f"projector dims differ: {p1.dim} vs {p2.dim}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
 
 
 def jordan_decompose(p1: Projector, p2: Projector, delta: float) -> JordanDecomposition:
@@ -88,14 +106,10 @@ def jordan_decompose(p1: Projector, p2: Projector, delta: float) -> JordanDecomp
     with both inputs, and carry the inputs' rank-<=1 restrictions; blocks
     whose restrictions overlap at least ``1 - delta**2`` are labeled NEAR.
     """
-    if p1.dim != p2.dim:
-        raise LayoutError(f"projector dims differ: {p1.dim} vs {p2.dim}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    _check_pair(p1, p2, delta)
     d = p1.dim
     near_cut = 1.0 - delta * delta
-    q1 = _range_basis(p1)
-    q2 = _range_basis(p2)
+    a_vecs, b_vecs, sv = _principal(p1, p2)
     blocks: list[JordanBlock] = []
     zero = Projector.of(np.zeros((d, d)))
 
@@ -104,56 +118,35 @@ def jordan_decompose(p1: Projector, p2: Projector, delta: float) -> JordanDecomp
         blocks.append(JordanBlock(Projector.of(block), r1, r2, overlap, label))
 
     used = []  # columns spanning all assigned blocks, for the kernel complement
-    if q1.shape[1] and q2.shape[1]:
-        u, sv, vh = np.linalg.svd(q1.conj().T @ q2)
-        a_vecs = q1 @ u  # principal directions in range(p1)
-        b_vecs = q2 @ vh.conj().T  # matching directions in range(p2)
-        npair = len(sv)
-        for i in range(npair):
-            s = float(min(sv[i], 1.0))
-            a = a_vecs[:, i]
-            b = b_vecs[:, i]
-            if s >= 1.0 - _ALIGNED:
-                # aligned direction: one-dimensional block shared by both
-                add(_col(a), Projector.of(_col(a)), Projector.of(_col(a)), s * s)
-                used.append(a)
-            elif s <= _ORTHO:
-                # orthogonal pair: two single-sided one-dimensional blocks
-                add(_col(a), Projector.of(_col(a)), zero, 0.0)
-                add(_col(b), zero, Projector.of(_col(b)), 0.0)
-                used += [a, b]
-            else:
-                g = b - s * a
-                g = g / np.linalg.norm(g)
-                add(
-                    _col(a) + _col(g),
-                    Projector.of(_col(a)),
-                    Projector.of(_col(b)),
-                    s * s,
-                )
-                used += [a, g]
-        for i in range(npair, a_vecs.shape[1]):
-            add(_col(a_vecs[:, i]), Projector.of(_col(a_vecs[:, i])), zero, 0.0)
-            used.append(a_vecs[:, i])
-        for i in range(npair, b_vecs.shape[1]):
-            add(_col(b_vecs[:, i]), zero, Projector.of(_col(b_vecs[:, i])), 0.0)
-            used.append(b_vecs[:, i])
-    else:
-        # one projector is zero: every range direction of the other is a
-        # single-sided one-dimensional block
-        q, first = (q1, True) if q1.shape[1] else (q2, False)
-        for i in range(q.shape[1]):
-            col = Projector.of(_col(q[:, i]))
-            add(_col(q[:, i]), col if first else zero, zero if first else col, 0.0)
-            used.append(q[:, i])
+    npair = len(sv)
+    for i in range(npair):
+        s = float(sv[i])
+        a = a_vecs[:, i]
+        b = b_vecs[:, i]
+        if s >= 1.0 - _ALIGNED:
+            # aligned direction: one-dimensional block shared by both
+            add(_col(a), Projector.of(_col(a)), Projector.of(_col(a)), s * s)
+            used.append(a)
+        elif s <= _ORTHO:
+            # orthogonal pair: two single-sided one-dimensional blocks
+            add(_col(a), Projector.of(_col(a)), zero, 0.0)
+            add(_col(b), zero, Projector.of(_col(b)), 0.0)
+            used += [a, b]
+        else:
+            g = b - s * a
+            g = g / np.linalg.norm(g)
+            add(_col(a) + _col(g), Projector.of(_col(a)), Projector.of(_col(b)), s * s)
+            used += [a, g]
+    for i in range(npair, a_vecs.shape[1]):
+        add(_col(a_vecs[:, i]), Projector.of(_col(a_vecs[:, i])), zero, 0.0)
+        used.append(a_vecs[:, i])
+    for i in range(npair, b_vecs.shape[1]):
+        add(_col(b_vecs[:, i]), zero, Projector.of(_col(b_vecs[:, i])), 0.0)
+        used.append(b_vecs[:, i])
 
     # joint kernel: one-dimensional blocks invisible to both projectors
-    if used:
-        basis = np.stack(used, axis=1)
-        comp = np.eye(d) - basis @ basis.conj().T
-    else:
-        comp = np.eye(d)
-    w, v = np.linalg.eigh(comp)
+    basis = np.stack(used, axis=1) if used else np.zeros((d, 0))
+    w, v = np.linalg.eigh(np.eye(d) - basis @ basis.conj().T)
     for i in range(d):
         if w[i] > 0.5:
             add(_col(v[:, i]), zero, zero, 0.0)
@@ -216,21 +209,23 @@ def decomposition_report(dec: JordanDecomposition) -> dict:
 def union_pair(p1: Projector, p2: Projector, delta: float) -> Projector:
     """A projector accepting nearly as well as either input.
 
-    FAR blocks contribute their whole (at most two-dimensional) subspace;
-    NEAR blocks contribute the first input's restriction, which already
-    captures the second to within delta.  Blocks outside both ranges
-    contribute nothing.  The result loses at most delta in acceptance
-    against either input and is dominated by (2/delta^2)(p1 + p2).
+    In the joint blocks, FAR blocks contribute their whole (at most
+    two-dimensional) subspace and NEAR blocks the first input's
+    restriction, which already captures the second to within delta.
+    Summed over the blocks this is p1 plus the FAR principal directions of
+    p2 taken outside range(p1): M = p1 + G G^dag with
+    G = (I - Q1 Q1^dag) B_far, columns normalized.  A direction is FAR when
+    its cosine c has c^2 < 1 - delta^2; aligned directions add nothing.
+    The result loses at most delta in acceptance against either input and
+    is dominated by (2/delta^2)(p1 + p2).
     """
-    dec = jordan_decompose(p1, p2, delta)
-    d = p1.dim
-    out = np.zeros((d, d), dtype=complex)
-    for b in dec.blocks:
-        if b.label == NEAR:
-            out += b.p1_restricted.a
-        elif b.p1_restricted.rank or b.p2_restricted.rank:
-            out += b.block_projector.a
-    return Projector.of(out)
+    _check_pair(p1, p2, delta)
+    a, b, c = _principal(p1, p2)
+    cos = np.pad(c, (0, b.shape[1] - len(c)))
+    far = b[:, (cos * cos < 1.0 - delta * delta) & (cos < 1.0 - _ALIGNED)]
+    g = far - a @ (a.conj().T @ far)
+    g = g / np.linalg.norm(g, axis=0)
+    return Projector.of(p1.a + g @ g.conj().T)
 
 
 def union_many(projectors: list[Projector], delta: float) -> Projector:

@@ -242,6 +242,22 @@ class TestSubcommands:
         rec = read(out)
         assert rec["checks"] == {"acceptance_bound": True, "operator_bound": True}
         assert rec["results"]["worst_acceptance_margin"] >= -1e-8
+        assert rec["results"]["operator_constant"] <= rec["results"]["operator_factor"]
+        assert rec["results"]["support_residual"] <= 1e-8
+
+    def test_union_stress_flags_weight_outside_the_support(self, tmp_path, monkeypatch):
+        """A union reaching outside supp(sum P) obeys no operator bound,
+        however small its constant on the support."""
+        out = str(tmp_path / "u.json")
+        monkeypatch.setattr(
+            cli, "union_many", lambda projs, delta: cli.Projector.of(np.eye(projs[0].dim))
+        )
+        assert run(["union-stress", "--s", "2", "--delta", "0.3", "--dim", "4",
+                    "--trials", "3", "--seed", "7", "--out", out]) == 4
+        rec = read(out)
+        assert rec["checks"] == {"acceptance_bound": True, "operator_bound": False}
+        assert rec["results"]["support_residual"] == pytest.approx(math.sqrt(2.0))
+        assert rec["results"]["operator_constant"] <= rec["results"]["operator_factor"]
 
     def test_jordan_inspect(self, tmp_path):
         p1 = random_projector(6, 2, 11)

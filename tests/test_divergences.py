@@ -143,6 +143,18 @@ class TestDMax:
             oracle = math.log2(float(np.linalg.eigvalsh(isq @ r @ isq)[-1]))
             assert abs(d_max(r, s) - oracle) <= 1e-9
 
+    def test_definition_on_the_oracle_pairs(self):
+        """rho <= 2^k sigma holds at k = d_max (to rounding) and fails just
+        below it."""
+        rng = rng_from(31)
+        for _ in range(100):
+            d = int(rng.integers(2, 7))
+            r = random_density(d, rng).a
+            s = random_density(d, rng).a
+            k = d_max(r, s)
+            assert np.linalg.eigvalsh(2.0**k * s - r)[0] >= -1e-12 * 2.0**k
+            assert np.linalg.eigvalsh(2.0 ** (k - 1e-6) * s - r)[0] < 0.0
+
     def test_classical_value_and_support_violation(self):
         r = np.diag([0.9, 0.1])
         s = np.diag([0.45, 0.55])

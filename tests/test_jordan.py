@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from qoneshot import jordan
 from qoneshot.jordan import (
     FAR,
     NEAR,
@@ -24,6 +25,7 @@ from qoneshot.qcore import (
     ATOL,
     LayoutError,
     Projector,
+    haar_unitary,
     random_density,
     random_projector,
     rng_from,
@@ -42,6 +44,49 @@ def _planted_state(rng, proj, eps):
     background = random_density(d, rng).a
     rho = (1.0 - eps / 2) * np.outer(direction, direction.conj()) + (eps / 2) * background
     return 0.5 * (rho + rho.conj().T)
+
+
+def _span(cols):
+    return Projector.of(cols @ cols.conj().T)
+
+
+def _union_pairs(rng, count):
+    """Seeded pairs (d from 1 to 32) with identical, partly shared,
+    orthogonal, generic and zero ranges, in turn."""
+    for k in range(count):
+        d = int(rng.integers(1, 33))
+        q = haar_unitary(d, rng)
+        r1 = int(rng.integers(0, d + 1))
+        extra = int(rng.integers(0, d - r1 + 1))
+        shape = k % 5
+        if shape == 0:
+            cols = q[:, :r1]
+        elif shape == 1:
+            # some of range(p1) plus directions at generic angles to the rest
+            shared = q[:, : int(rng.integers(0, r1 + 1))]
+            g = rng.normal(size=(d, extra)) + 1j * rng.normal(size=(d, extra))
+            g -= shared @ (shared.conj().T @ g)
+            cols = np.linalg.qr(np.concatenate([shared, g], axis=1))[0]
+        elif shape == 2:
+            cols = q[:, r1 : r1 + extra]
+        elif shape == 3:
+            cols = haar_unitary(d, rng)[:, : int(rng.integers(0, d + 1))]
+        else:
+            cols = q[:, :0]
+        pair = (_span(q[:, :r1]), _span(cols))
+        yield pair if k % 2 else pair[::-1]
+
+
+def _block_union(p1, p2, delta):
+    """The union assembled from the joint blocks: NEAR blocks add p1's
+    restriction, FAR blocks meeting either range add the whole block."""
+    out = np.zeros((p1.dim, p1.dim), dtype=complex)
+    for b in jordan_decompose(p1, p2, delta).blocks:
+        if b.label == NEAR:
+            out += b.p1_restricted.a
+        elif b.p1_restricted.rank or b.p2_restricted.rank:
+            out += b.block_projector.a
+    return out
 
 
 class TestDecompose:
@@ -92,6 +137,23 @@ class TestDecompose:
             direct = float(np.trace(b.p1_restricted.a @ b.p2_restricted.a).real)
             assert abs(b.overlap - direct) <= 1e-10
 
+    def test_zero_projector_on_either_side(self):
+        p = random_projector(5, 2, rng_from(104))
+        zero = Projector.of(np.zeros((5, 5)))
+        ranged = {"rank": 1, "overlap": 0.0, "label": FAR}
+        kernel = dict(ranged, p1_rank=0, p2_rank=0)
+        cases = (
+            (zero, p, [dict(ranged, p1_rank=0, p2_rank=1)] * 2 + [kernel] * 3),
+            (p, zero, [dict(ranged, p1_rank=1, p2_rank=0)] * 2 + [kernel] * 3),
+            (zero, zero, [kernel] * 5),
+        )
+        for p1, p2, blocks in cases:
+            dec = jordan_decompose(p1, p2, 0.3)
+            assert decomposition_report(dec) == {
+                "delta": 0.3, "num_blocks": 5, "blocks": blocks
+            }
+            assert max(decomposition_residuals(dec, p1, p2).values()) <= ATOL
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(LayoutError):
             jordan_decompose(Projector.of(KET0), Projector.of(np.eye(3)), 0.3)
@@ -108,6 +170,32 @@ class TestDecompose:
 
 
 class TestUnionPair:
+    def test_matches_block_assembled_union(self):
+        rng = rng_from(110)
+        for p1, p2 in _union_pairs(rng, 300):
+            for delta in (float(rng.uniform(0.05, 0.95)), 1e-7):
+                star = union_pair(p1, p2, delta)
+                assert float(np.max(np.abs(star.a - _block_union(p1, p2, delta)))) <= 1e-12
+
+    def test_aligned_band_adds_nothing(self):
+        """A cosine within 1e-12 of 1 marks one shared direction, even
+        where a tiny delta would call its block FAR."""
+        theta = math.acos(1.0 - 1e-13)
+        a = np.array([1.0, 0.0, 0.0])
+        b = np.array([math.cos(theta), math.sin(theta), 0.0])
+        p1, p2 = Projector.of(np.outer(a, a)), Projector.of(np.outer(b, b))
+        for delta in (1e-7, 0.3):
+            star = union_pair(p1, p2, delta).a
+            assert float(np.max(np.abs(star - _block_union(p1, p2, delta)))) <= 1e-12
+            assert float(np.max(np.abs(star - p1.a))) <= 1e-12
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(LayoutError):
+            union_pair(Projector.of(KET0), Projector.of(np.eye(3)), 0.3)
+        for delta in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                union_pair(Projector.of(KET0), Projector.of(KET1), delta)
+
     def test_identical_projectors_collapse(self):
         rng = rng_from(111)
         p = random_projector(5, 2, rng)
@@ -169,6 +257,18 @@ class TestUnionMany:
             factor = (2 / delta**2) ** math.log2(2 * s)
             gap = factor * sum(p.a for p in projs) - star.a
             assert float(np.linalg.eigvalsh(gap)[0]) >= -1e-8
+
+    def test_builds_no_jordan_blocks(self, monkeypatch):
+        rng = rng_from(125)
+        projs = [random_projector(6, int(rng.integers(1, 4)), rng) for _ in range(5)]
+        expected = union_many(projs, 0.3).a
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the union path built a Jordan block")
+
+        monkeypatch.setattr(jordan, "jordan_decompose", forbidden)
+        monkeypatch.setattr(jordan, "JordanBlock", forbidden)
+        np.testing.assert_array_equal(union_many(projs, 0.3).a, expected)
 
     def test_odd_count_merges(self):
         rng = rng_from(124)
