@@ -231,7 +231,7 @@ def _run_union_stress(p: dict, seed):
     worst_gap = math.inf
     constant = support_residual = 0.0
     for _ in range(trials):
-        projs, states = [], []
+        projs, planted = [], []
         for _ in range(s):
             psi = _random_unit(rng, dim)
             g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -239,11 +239,11 @@ def _run_union_stress(p: dict, seed):
             orth = g / np.linalg.norm(g)
             v = math.sqrt(1.0 - eps) * psi + math.sqrt(eps) * orth
             projs.append(Projector.of(np.outer(v, v.conj())))
-            states.append(np.outer(psi, psi.conj()))
+            planted.append(psi)
         merged = union_many(projs, delta)
-        for st in states:
+        for psi in planted:  # Tr[M |psi><psi|] as <psi|M|psi>, O(d^2)
             worst_accept = min(
-                worst_accept, float(np.trace(merged.a @ st).real) - floor
+                worst_accept, float((psi.conj() @ merged.a @ psi).real) - floor
             )
         total = sum(pr.a for pr in projs)
         worst_gap = min(worst_gap, float(np.linalg.eigvalsh(factor * total - merged.a)[0]))
@@ -515,13 +515,19 @@ COMMANDS: dict[str, _Command] = {
 # dispatch
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """Only the subcommand argv[0] names, or all; the metavar keeps the full
+    usage line (unset on the full parser: it renames "invalid choice" errors)."""
     parser = argparse.ArgumentParser(
         prog="qoneshot",
         description="reproducible experiments on one-shot coding constructions",
     )
-    subparsers = parser.add_subparsers(dest="command")
-    for name, spec in COMMANDS.items():
+    one = bool(argv) and argv[0] in COMMANDS
+    subparsers = parser.add_subparsers(
+        dest="command", metavar="{" + ",".join(COMMANDS) + "}" if one else None
+    )
+    for name in [argv[0]] if one else COMMANDS:
+        spec = COMMANDS[name]
         sub = subparsers.add_parser(name, help=spec.summary)
         for param in spec.params:
             sub.add_argument(
@@ -587,7 +593,8 @@ def _output_path(config: ExperimentConfig) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

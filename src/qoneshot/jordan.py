@@ -77,15 +77,24 @@ def _range_basis(p: Projector) -> np.ndarray:
     return v[:, w > 0.5]
 
 
-def _principal(p1: Projector, p2: Projector):
-    """Principal directions from one SVD of Q1^dag Q2: orthonormal columns
-    ``a`` of range(p1) and ``b`` of range(p2), and the cosines ``c`` (at
-    most 1) of the pairs (a_i, b_i), i < len(c).  Columns past len(c) have
-    cosine 0 with the whole other range."""
-    q1 = _range_basis(p1)
-    q2 = _range_basis(p2)
+def _principal(q1: np.ndarray, q2: np.ndarray):
+    """Principal directions from one SVD of Q1^dag Q2 (orthonormal range
+    bases): orthonormal columns ``a`` of range(Q1) and ``b`` of range(Q2),
+    and the cosines ``c`` (at most 1) of the pairs (a_i, b_i), i < len(c).
+    Columns past len(c) have cosine 0 with the whole other range."""
     u, c, vh = np.linalg.svd(q1.conj().T @ q2)
     return q1 @ u, q2 @ vh.conj().T, np.minimum(c, 1.0)
+
+
+def _far_complement(q1: np.ndarray, q2: np.ndarray, delta: float) -> np.ndarray:
+    """union_pair's G = (I - Q1 Q1^dag) B_far, columns normalized.  For
+    principal vectors B^dag (I - Q1 Q1^dag) B = I - diag(c^2), so [Q1, G] is
+    orthonormal."""
+    a, b, c = _principal(q1, q2)
+    cos = np.pad(c, (0, b.shape[1] - len(c)))
+    far = b[:, (cos * cos < 1.0 - delta * delta) & (cos < 1.0 - _ALIGNED)]
+    g = far - a @ (a.conj().T @ far)
+    return g / np.linalg.norm(g, axis=0)
 
 
 def _col(v: np.ndarray) -> np.ndarray:
@@ -109,7 +118,7 @@ def jordan_decompose(p1: Projector, p2: Projector, delta: float) -> JordanDecomp
     _check_pair(p1, p2, delta)
     d = p1.dim
     near_cut = 1.0 - delta * delta
-    a_vecs, b_vecs, sv = _principal(p1, p2)
+    a_vecs, b_vecs, sv = _principal(_range_basis(p1), _range_basis(p2))
     blocks: list[JordanBlock] = []
     zero = Projector.of(np.zeros((d, d)))
 
@@ -220,11 +229,7 @@ def union_pair(p1: Projector, p2: Projector, delta: float) -> Projector:
     is dominated by (2/delta^2)(p1 + p2).
     """
     _check_pair(p1, p2, delta)
-    a, b, c = _principal(p1, p2)
-    cos = np.pad(c, (0, b.shape[1] - len(c)))
-    far = b[:, (cos * cos < 1.0 - delta * delta) & (cos < 1.0 - _ALIGNED)]
-    g = far - a @ (a.conj().T @ far)
-    g = g / np.linalg.norm(g, axis=0)
+    g = _far_complement(_range_basis(p1), _range_basis(p2), delta)
     return Projector.of(p1.a + g @ g.conj().T)
 
 
@@ -234,7 +239,9 @@ def union_many(projectors: list[Projector], delta: float) -> Projector:
     Consecutive projectors are merged pairwise per round (an odd leftover
     passes through unchanged), for ceil(log2 s) rounds.  Acceptance
     degrades by at most delta per round and the operator bound gains one
-    factor of 2/delta^2 per round.
+    factor of 2/delta^2 per round.  Rounds run on range bases: one
+    eigensolve per input, a merge appends union_pair's G to the first basis,
+    and one Projector is formed and validated at the end.
     """
     if not projectors:
         raise ValueError("need at least one projector")
@@ -245,13 +252,15 @@ def union_many(projectors: list[Projector], delta: float) -> Projector:
     dims = {p.dim for p in projectors}
     if len(dims) != 1:
         raise LayoutError(f"projectors must share one dimension, got {sorted(dims)}")
-    level = list(projectors)
+    if len(projectors) == 1:
+        return projectors[0]
+    level = [_range_basis(p) for p in projectors]
     while len(level) > 1:
         merged = [
-            union_pair(level[i], level[i + 1], delta)
+            np.hstack([level[i], _far_complement(level[i], level[i + 1], delta)])
             for i in range(0, len(level) - 1, 2)
         ]
         if len(level) % 2:
             merged.append(level[-1])
         level = merged
-    return level[0]
+    return Projector.of(level[0] @ level[0].conj().T)

@@ -351,6 +351,37 @@ class TestSubcommands:
         assert rec["results"]["covered"] and rec["results"]["within_budget"]
 
 
+def test_parser_built_per_command_keeps_help_and_errors(capsys, monkeypatch):
+    """A call naming a subcommand builds only that subparser; its help and
+    errors are byte-identical to those of the parser with every one."""
+    full = cli._build_parser
+
+    def outcome(argv):
+        code = run(list(argv))
+        return (code, *capsys.readouterr())
+
+    cases = {
+        ("--help",): 0,
+        (): 2,
+        ("no-such-command",): 2,
+        ("union-stress", "--rate", "2"): 2,
+        ("union-stress", "--s", "two"): 2,
+        ("composite", "stray"): 2,
+        **{(name, "--help"): 0 for name in cli.COMMANDS},
+    }
+    seen = {}
+    for argv, expected in cases.items():
+        seen[argv] = outcome(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_parser", lambda argv: full())
+            assert seen[argv] == outcome(argv), argv
+        assert seen[argv][0] == expected, argv
+    assert seen[()][1].startswith("usage: qoneshot")
+    unknown = seen["no-such-command",][2]
+    assert "invalid choice" in unknown and all(f"'{name}'" in unknown for name in cli.COMMANDS)
+    assert "unrecognized arguments: --rate 2" in seen["union-stress", "--rate", "2"][2]
+
+
 class TestModuleEntry:
     def test_python_dash_m_invocation(self, tmp_path, files):
         out = str(tmp_path / "m.json")
@@ -366,8 +397,9 @@ class TestModuleEntry:
 
 class TestBlasThreadDeterminism:
     def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path, files):
-        """The decoder is the library's heaviest BLAS user; its records must
-        be byte-identical under one and two OpenBLAS threads."""
+        """The decoder is the library's heaviest BLAS user, and the union
+        multiplies carried range bases; their records must be
+        byte-identical under one and two OpenBLAS threads."""
         import qoneshot
 
         src = str(Path(qoneshot.__file__).resolve().parent.parent)
@@ -379,6 +411,8 @@ class TestBlasThreadDeterminism:
                          "--states", f"{files['psi']},{files['psi']}", "--rate", "1",
                          "--eps", "0.2", "--eta", "0.05"],
             "pauli": ["pauli-example", "--eps", "0.1"],
+            "union": ["union-stress", "--s", "8", "--delta", "0.1", "--dim", "64",
+                      "--trials", "3", "--seed", "5"],
         }
         outputs = {}
         for threads in ("1", "2"):

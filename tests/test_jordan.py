@@ -89,6 +89,43 @@ def _block_union(p1, p2, delta):
     return out
 
 
+def _families(rng, s, count):
+    """Seeded lists of s projectors (d from 1 to 32, ranks 0 to d): generic,
+    one repeated range, nested ranges and generic with zero ranges mixed
+    in, in turn."""
+    for k in range(count):
+        d = int(rng.integers(1, 33))
+        q = haar_unitary(d, rng)
+        ranks = rng.integers(0, d + 1, size=s)
+        shape = k % 4
+        if shape == 0:
+            projs = [_span(haar_unitary(d, rng)[:, :r]) for r in ranks]
+        elif shape == 1:
+            projs = [_span(q[:, : ranks[0]])] * s
+        elif shape == 2:
+            projs = [_span(q[:, :r]) for r in ranks]
+        else:
+            projs = [
+                _span(q[:, :0] if j % 3 == 0 else haar_unitary(d, rng)[:, :r])
+                for j, r in enumerate(ranks)
+            ]
+        yield projs
+
+
+def _pairwise_fold(projectors, delta):
+    """The tree union folded through the public union_pair, round by round."""
+    level = list(projectors)
+    while len(level) > 1:
+        merged = [
+            union_pair(level[i], level[i + 1], delta)
+            for i in range(0, len(level) - 1, 2)
+        ]
+        if len(level) % 2:
+            merged.append(level[-1])
+        level = merged
+    return level[0]
+
+
 class TestDecompose:
     def test_commuting_orthogonal_projectors(self):
         dec = jordan_decompose(Projector.of(KET0), Projector.of(KET1), 0.3)
@@ -237,6 +274,31 @@ class TestUnionMany:
         p = random_projector(4, 2, rng_from(121))
         star = union_many([p], 0.3)
         assert float(np.max(np.abs(star.a - p.a))) <= 1e-12
+
+    def test_matches_pairwise_fold(self, monkeypatch):
+        """The union on carried bases matches the fold through union_pair
+        and takes one eigensolve per input (none for a single one, which
+        comes back as it is)."""
+        rng = rng_from(126)
+        counted = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            counted.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for s in (1, 2, 3, 5, 8, 64):
+            for projs in _families(rng, s, 8 if s < 64 else 4):
+                for delta in (1e-7, 0.1, 0.9):
+                    expected = _pairwise_fold(projs, delta)
+                    counted.clear()
+                    star = union_many(projs, delta)
+                    if s == 1:
+                        assert star is projs[0] and not counted
+                        continue
+                    assert len(counted) == s
+                    assert float(np.max(np.abs(star.a - expected.a))) <= 1e-12
 
     def test_identical_projectors_collapse(self):
         p = random_projector(4, 1, rng_from(122))
