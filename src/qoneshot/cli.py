@@ -53,6 +53,7 @@ from .composite import (
 )
 from .divergences import (
     StateEnsemble,
+    bits,
     d_max,
     divergence_record,
     hypothesis_test_divergence,
@@ -78,6 +79,7 @@ from .qcore import (
     load_matrix,
     load_state,
     rng_from,
+    whiten,
 )
 
 SCHEMA = "qoneshot-result-1"
@@ -249,10 +251,8 @@ def _run_union_stress(p: dict, seed):
         worst_gap = min(worst_gap, float(np.linalg.eigvalsh(factor * total - merged.a)[0]))
         # M <= c total holds for some c iff M vanishes off supp(total); the
         # least such c is lambda_max(W^dag M W), W whitening total on its support
-        w, v = np.linalg.eigh(total)
-        keep = w > _SUPPORT_CUTOFF * w[-1]
-        white = v[:, keep] / np.sqrt(w[keep])
-        support_residual = max(support_residual, float(np.linalg.norm(merged.a @ v[:, ~keep])))
+        white, ker = whiten(total, _SUPPORT_CUTOFF)
+        support_residual = max(support_residual, float(np.linalg.norm(merged.a @ ker)))
         constant = max(constant, float(np.linalg.eigvalsh(white.conj().T @ merged.a @ white)[-1]))
     results = {
         "s": s,
@@ -324,10 +324,8 @@ def _run_rates(p: dict, seed):
     if p["state"] is not None:
         entries = [("file", _load_pure(p["state"]))]
     else:
-        step = p["sweep_step"]
-        sweep = shared_state_sweep(step)
-        weights = np.arange(step, 1.0 - step / 2.0, step)
-        entries = [(f"{w:.6f}", psi) for w, psi in zip(weights, sweep)]
+        sweep = shared_state_sweep(p["sweep_step"])
+        entries = [(f"{abs(psi.vector[0]) ** 2:.6f}", psi) for psi in sweep]
     points = []
     dominated = True
     for label, psi in entries:
@@ -370,9 +368,7 @@ def _run_composite(p: dict, seed):
             else None
         )
         merged = build_universal_test(inst, p["delta"], net=net)
-        uval = (
-            -math.log2(merged.type2_bound) if merged.type2_bound > 0 else math.inf
-        )
+        uval = bits(merged.type2_bound)
         results["universal"] = {
             "value_bits": uval,
             "type1_error": merged.type1_error,

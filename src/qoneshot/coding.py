@@ -48,9 +48,9 @@ from .qcore import (
     content_hash,
     maximally_entangled,
     pauli_channel_family,
-    psd_inv_sqrt,
     random_density,
     rng_from,
+    spectral,
     tensor_power,
 )
 from .divergences import (
@@ -324,7 +324,7 @@ def hayashi_nagaoka_check(s, t, c: float) -> dict:
     if wt[0] < -ATOL:
         raise ValueError(f"T must be positive semidefinite, min eigenvalue {wt[0]:.3e}")
     d = ss.shape[0]
-    inv = psd_inv_sqrt(ss + tt)
+    inv = spectral(ss + tt, lambda w: 1.0 / np.sqrt(w), 1e-12)
     lhs = np.eye(d) - inv @ ss @ inv
     rhs = (1.0 + c) * (np.eye(d) - ss) + (2.0 + c + 1.0 / c) * tt
     gap = rhs - lhs

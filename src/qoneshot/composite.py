@@ -33,7 +33,7 @@ import numpy as np
 import scipy.optimize
 
 from .coding import neumark_dilate
-from .divergences import StateEnsemble, TestOperator, bloch_density
+from .divergences import StateEnsemble, TestOperator, bits, bloch_density
 from .jordan import union_many
 from .qcore import (
     ATOL,
@@ -43,6 +43,7 @@ from .qcore import (
     DensityMatrix,
     RegisterLayout,
     content_hash,
+    random_density,
     rng_from,
     root_fidelity,
     tensor_power,
@@ -293,8 +294,8 @@ def beta_exact(inst: CompositeInstance) -> tuple[float, TestOperator]:
     qmats = [tensor_power(v.a, inst.n) for v in inst.s2.vertices]
     g_star, w, lam, evals = _dual_ascent(rmats, qmats, inst.epsilon)
     mat, level = _eigenbasis_test(rmats, qmats, inst.epsilon, w, lam)
-    value = -math.log2(level) if level > 0.0 else math.inf
-    dual_bits = -math.log2(g_star) if g_star > 0.0 else math.inf
+    value = bits(level)
+    dual_bits = bits(g_star)
     type1 = max(1.0 - float(np.trace(mat @ r).real) for r in rmats)
     test = TestOperator(
         matrix=ComplexMatrix(mat),
@@ -333,7 +334,7 @@ def classical_composite_value(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]
     )
     if not lp.success:
         raise ArithmeticError(f"classical program failed: {lp.message}")
-    return -math.log2(lp.x[-1]) if lp.x[-1] > 0.0 else math.inf
+    return bits(lp.x[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +417,7 @@ def build_universal_test(inst: CompositeInstance, delta: float,
     qmats = [tensor_power(v.a, inst.n) for v in inst.s2.vertices]
     type1 = max(1.0 - float(np.trace(block @ r).real) for r in rmats)
     level = max(float(np.trace(block @ q).real) for q in qmats)
-    value = -math.log2(level) if level > 0.0 else math.inf
+    value = bits(level)
     size = len(unique)
     penalty = (
         4.0 * math.log2(size) * math.log2(math.log2(size) / delta) if size > 1 else 0.0
@@ -495,7 +496,8 @@ def net_covering_report(net: EpsilonNet, num_samples: int = 10_000,
                         seed=7) -> dict:
     """Measure the net's worst fidelity deficit over sampled qubit states."""
     rng = rng_from(seed)
-    bloch = np.stack([_bloch_vector(_random_qubit(rng)) for _ in range(num_samples)])
+    samples = (random_density(2, rng, layout=QUBIT) for _ in range(num_samples))
+    bloch = np.stack([_bloch_vector(q) for q in samples])
     pts = np.stack([_bloch_vector(p) for p in net.points])
     r2 = np.clip(1.0 - np.sum(bloch ** 2, axis=1), 0.0, None)
     s2 = np.clip(1.0 - np.sum(pts ** 2, axis=1), 0.0, None)
@@ -514,8 +516,3 @@ def net_covering_report(net: EpsilonNet, num_samples: int = 10_000,
         "covered": bool(np.max(deficit) <= net.resolution),
     }
 
-
-def _random_qubit(rng) -> DensityMatrix:
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    h = g @ g.conj().T
-    return DensityMatrix(ComplexMatrix(h / np.trace(h).real), QUBIT)

@@ -32,7 +32,8 @@ from .qcore import (
     as_array,
     content_hash,
     partial_trace,
-    psd_sqrt,
+    spectral,
+    whiten,
 )
 
 #: eigenvalues within this band of zero count as the threshold boundary block
@@ -132,52 +133,45 @@ def divergence_record(quantity: str, inputs: dict, value: float, test: TestOpera
 # entropic quantities
 # ---------------------------------------------------------------------------
 
-def _eig_state(a: np.ndarray):
-    w, v = np.linalg.eigh(a)
-    return np.clip(w, 0.0, None), v
+def bits(p: float) -> float:
+    """-log2 p, or +inf when p is at most 1e-300 (a zero up to rounding)."""
+    return math.inf if p <= 1e-300 else -math.log2(p)
 
 
-def _kernel_weight(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """rho's weight on sigma's numerical kernel."""
-    w, v = np.linalg.eigh(sigma)
-    ker = v[:, w <= EDGE]
-    if ker.shape[1] == 0:
-        return 0.0
-    return float(np.einsum("ij,ij->", ker.conj(), rho @ ker).real)
+def _supported(rho, sigma):
+    """``(r, s, W, inside)``: the arrays of rho and sigma, ``W`` whitening
+    sigma on its support, and whether rho puts at most ``ATOL`` weight on
+    ker(sigma).  The kernel is sigma's eigenvalues at or below ``EDGE``
+    times its largest.  One eigensolve."""
+    r, s = as_array(rho), as_array(sigma)
+    if r.shape != s.shape:
+        raise LayoutError(f"dimension mismatch {r.shape} vs {s.shape}")
+    white, ker = whiten(s, EDGE)
+    inside = float(np.einsum("ij,ij->", ker.conj(), r @ ker).real) <= ATOL
+    return r, s, white, inside
+
+
+def _log_ratio(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """log rho - log sigma, each logarithm taken on its support (eigenvalues
+    above ``EDGE``); Tr[rho (log rho - log sigma)] is D(rho||sigma)."""
+    return spectral(r, np.log2, EDGE) - spectral(s, np.log2, EDGE)
 
 
 def relative_entropy(rho, sigma) -> float:
     """Tr[rho (log rho - log sigma)] in bits; inf on support violation."""
-    r, s = as_array(rho), as_array(sigma)
-    if r.shape != s.shape:
-        raise LayoutError(f"dimension mismatch {r.shape} vs {s.shape}")
-    if _kernel_weight(r, s) > ATOL:
+    r, s, _, inside = _supported(rho, sigma)
+    if not inside:
         return math.inf
-    p, vr = _eig_state(r)
-    q, vs = _eig_state(s)
-    overlap = np.abs(vr.conj().T @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
-    psel = p > EDGE
-    qsel = q > EDGE
-    term_r = float(np.sum(p[psel] * np.log2(p[psel])))
-    term_s = float(p[psel] @ overlap[np.ix_(psel, qsel)] @ np.log2(q[qsel]))
-    d = term_r - term_s
+    d = float(np.trace(r @ _log_ratio(r, s)).real)
     return 0.0 if d < 0.0 else d
-
-
-def _log_on_support(a: np.ndarray):
-    w, v = np.linalg.eigh(a)
-    lg = np.where(w > EDGE, np.log2(np.clip(w, EDGE, None)), 0.0)
-    return (v * lg) @ v.conj().T
 
 
 def relative_entropy_variance(rho, sigma) -> float:
     """Tr[rho (log rho - log sigma)^2] - D(rho||sigma)^2, in bits squared."""
-    r, s = as_array(rho), as_array(sigma)
-    if r.shape != s.shape:
-        raise LayoutError(f"dimension mismatch {r.shape} vs {s.shape}")
-    if _kernel_weight(r, s) > ATOL:
+    r, s, _, inside = _supported(rho, sigma)
+    if not inside:
         return math.inf
-    ell = _log_on_support(r) - _log_on_support(s)
+    ell = _log_ratio(r, s)
     d = float(np.trace(r @ ell).real)
     second = float(np.trace(r @ ell @ ell).real)
     return second - d * d
@@ -185,14 +179,10 @@ def relative_entropy_variance(rho, sigma) -> float:
 
 def d_max(rho, sigma) -> float:
     """Smallest k with rho <= 2^k sigma: log2 lambda_max(W^dag rho W), W
-    whitening sigma on its support (eigenvalues above ``EDGE``)."""
-    r, s = as_array(rho), as_array(sigma)
-    if r.shape != s.shape:
-        raise LayoutError(f"dimension mismatch {r.shape} vs {s.shape}")
-    if _kernel_weight(r, s) > ATOL:
+    whitening sigma on its support."""
+    r, _, white, inside = _supported(rho, sigma)
+    if not inside:
         return math.inf
-    w, v = np.linalg.eigh(s)
-    white = v[:, w > EDGE] / np.sqrt(w[w > EDGE])
     return math.log2(float(np.linalg.eigvalsh(white.conj().T @ r @ white)[-1]))
 
 
@@ -209,15 +199,6 @@ def i_max(rho: DensityMatrix) -> float:
 # Neyman-Pearson solver
 # ---------------------------------------------------------------------------
 
-def _whiten(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Columns spanning the support of r + s on which (r + s) acts as the
-    identity: (r + s)^{-1/2} there.  Directions where r + s holds at most
-    ``EDGE`` of its largest eigenvalue count as outside.  One eigensolve."""
-    w, v = np.linalg.eigh(r + s)
-    keep = w > EDGE * w[-1]
-    return v[:, keep] / np.sqrt(w[keep])
-
-
 def _jump_points(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Sorted distinct finite thresholds t > 0 at which Tr[r {r - t s > 0}]
     can jump: the finite generalized eigenvalues of the pencil (r, s).
@@ -228,20 +209,10 @@ def _jump_points(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     state holds at most ``EDGE`` of the pair's weight (mu = 0: outside
     supp r; mu = 1: outside supp s) give no finite jump.  Two eigensolves.
     """
-    white = _whiten(r, s)
+    white = whiten(r + s, EDGE)[0]
     mu = np.linalg.eigvalsh(white.conj().T @ r @ white)
     mu = mu[(mu > EDGE) & (mu < 1.0 - EDGE)]
     return np.unique(mu / (1.0 - mu))
-
-
-def _kernel_projector(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The projector onto ker(s) at ``_jump_points``' cutoff: the span of
-    the whitened directions with mu >= 1 - EDGE, where s holds at most
-    ``EDGE`` of the pair's weight.  Two eigensolves."""
-    white = _whiten(r, s)
-    mu, u = np.linalg.eigh(white.conj().T @ r @ white)
-    q, _ = np.linalg.qr(white @ u[:, mu >= 1.0 - EDGE])
-    return q @ q.conj().T
 
 
 def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
@@ -265,7 +236,7 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
        bisection step whenever f(lo+) - f(hi-) has not halved over three
        steps (the safeguard of Brent 1973);
     4. past the last jump f tends to Tr[r P], P the projector onto ker(s)
-       (``_kernel_projector``, two eigensolves, computed only here).  If
+       (from ``whiten``: one eigensolve of s, computed only here).  If
        that meets the target, D_H = +inf exactly: the test is P, with
        beta = 0 and threshold +inf.  Otherwise t doubles until f falls
        below the target; if rounding keeps it above up to 2^200, the test
@@ -319,8 +290,9 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
         elif hi == math.inf:
             if not in_tail:
                 in_tail = True
-                iters += 2
-                kernel = _kernel_projector(r, s)
+                iters += 1
+                ker = whiten(s, EDGE)[1]
+                kernel = ker @ ker.conj().T
                 if float(np.trace(r @ kernel).real) >= target:
                     # D_H = +inf: ker(s) alone meets the Type-1 constraint
                     return 0.0, kernel, math.inf, iters
@@ -382,7 +354,7 @@ def hypothesis_test_divergence(rho, sigma, eps: float) -> tuple[float, TestOpera
     if r.shape != s.shape:
         raise LayoutError(f"dimension mismatch {r.shape} vs {s.shape}")
     beta, m, thr, iters = _np_solve(r, s, eps)
-    value = math.inf if beta <= 1e-300 else -math.log2(beta)
+    value = bits(beta)
     test = TestOperator(
         matrix=ComplexMatrix(m),
         type1_error=1.0 - float(np.trace(m @ r).real),
@@ -411,7 +383,7 @@ def classical_np_value(p: np.ndarray, q: np.ndarray, eps: float) -> float:
     if not res.success:
         raise RuntimeError(f"classical Neyman-Pearson LP failed: {res.message}")
     beta = max(res.fun, 0.0)
-    return math.inf if beta <= 1e-300 else -math.log2(beta)
+    return bits(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +478,7 @@ def i_h(
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     d_a, d_b, rho_a, rho_b = _split_bipartite(rho)
     r = rho.a
-    sq_b = psd_sqrt(rho_b)
+    sq_b = spectral(rho_b, np.sqrt)
     atoms = [rho_a]
     w0 = None
     total_solves = 0
@@ -530,8 +502,8 @@ def i_h(
         top = vecs[:, -1:]
         atoms.append(top @ top.conj().T)
         w0 = np.append(w * (1.0 - 1e-3), 1e-3)
-    value = math.inf if lam_best <= 1e-300 else -math.log2(lam_best)
-    upper = math.inf if beta_best <= 1e-300 else -math.log2(beta_best)
+    value = bits(lam_best)
+    upper = bits(beta_best)
     test = TestOperator(
         matrix=ComplexMatrix(m_best),
         type1_error=1.0 - float(np.trace(m_best @ r).real),
@@ -566,8 +538,8 @@ def i_h_tilde(
     atoms = [v.a for v in s_a.vertices]
     w, beta, m, per, solves = _best_mixture(rho.a, sigma_b.a, atoms, eps)
     worst = float(np.max(per))
-    value = math.inf if worst <= 1e-300 else -math.log2(worst)
-    upper = math.inf if beta <= 1e-300 else -math.log2(beta)
+    value = bits(worst)
+    upper = bits(beta)
     test = TestOperator(
         matrix=ComplexMatrix(m),
         type1_error=1.0 - float(np.trace(m @ rho.a).real),
@@ -691,7 +663,7 @@ def min_dh_over_bloch_grid(
 
     def value_at(pt) -> float:
         beta, _, _, _ = _np_solve(r, np.kron(bloch_density(*pt), rho_b), eps)
-        return math.inf if beta <= 1e-300 else -math.log2(beta)
+        return bits(beta)
 
     best_v, best_p = math.inf, None
     for pt in _ball_lattice(coarse):
@@ -742,8 +714,7 @@ def min_dh_over_weight_grids(
     for ta in mixtures(s_a):
         for sb in mixtures(s_b):
             beta, _, _, _ = _np_solve(r, np.kron(ta, sb), eps)
-            v = math.inf if beta <= 1e-300 else -math.log2(beta)
-            best = min(best, v)
+            best = min(best, bits(beta))
     return best
 
 
@@ -815,4 +786,4 @@ def best_qubit_two_level_test(
         if beta2 < beta:
             beta, u0 = beta2, u2
         cap = 4.0 * (2.0 * cap / (k - 1))
-    return math.inf if beta <= 1e-300 else -math.log2(beta)
+    return bits(beta)

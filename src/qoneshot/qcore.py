@@ -489,18 +489,22 @@ def apply_channel(
 # metrics and standard states
 # ---------------------------------------------------------------------------
 
-def psd_sqrt(a) -> np.ndarray:
-    """Square root of a positive-semidefinite matrix (negative noise clipped)."""
+def spectral(a, f, cutoff: float = 0.0) -> np.ndarray:
+    """``V f(w) V^dag`` from one eigensolve of a Hermitian ``a``, with ``f``
+    applied to the eigenvalues above ``cutoff`` and zero on the rest."""
     w, v = np.linalg.eigh(as_array(a))
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    fw = np.zeros_like(w)
+    fw[w > cutoff] = f(w[w > cutoff])
+    return (v * fw) @ v.conj().T
 
 
-def psd_inv_sqrt(a, cutoff: float = 1e-12) -> np.ndarray:
-    """Inverse square root on the support; eigenvalues below ``cutoff`` are
-    treated as kernel and pseudo-inverted to zero."""
+def whiten(a, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(W, K)`` from one eigensolve of a positive semidefinite ``a``: ``W``
+    scales the eigenvectors above ``cutoff`` times the largest eigenvalue so
+    that ``W^dag a W = I``; ``K`` holds the rest (the kernel), orthonormal."""
     w, v = np.linalg.eigh(as_array(a))
-    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
-    return (v * inv) @ v.conj().T
+    keep = w > cutoff * w[-1]
+    return v[:, keep] / np.sqrt(w[keep]), v[:, ~keep]
 
 
 def root_fidelity(rho, sigma) -> float:
@@ -508,7 +512,7 @@ def root_fidelity(rho, sigma) -> float:
     r, s = as_array(rho), as_array(sigma)
     if r.shape != s.shape:
         raise LayoutError(f"dimension mismatch {r.shape} vs {s.shape}")
-    sv = np.linalg.svd(psd_sqrt(r) @ psd_sqrt(s), compute_uv=False)
+    sv = np.linalg.svd(spectral(r, np.sqrt) @ spectral(s, np.sqrt), compute_uv=False)
     return float(np.sum(sv))
 
 

@@ -24,6 +24,8 @@ from qoneshot.qcore import (
     unitary_channel,
 )
 
+#: the source tree this module imported qoneshot from, for child interpreters
+SRC = str(Path(cli.__file__).resolve().parents[1])
 QUBIT = RegisterLayout.of("a:2")
 OUT_QUBIT = RegisterLayout.of("b:2")
 
@@ -386,10 +388,11 @@ class TestModuleEntry:
     def test_python_dash_m_invocation(self, tmp_path, files):
         out = str(tmp_path / "m.json")
         proc = subprocess.run(
-            ["python3", "-m", "qoneshot", "divergence", "--kind", "re",
+            [sys.executable, "-m", "qoneshot", "divergence", "--kind", "re",
              "--rho", files["ground"], "--sigma", files["mixed"], "--out", out],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
         )
         assert proc.returncode == 0
         assert abs(read(out)["results"]["value_bits"] - 1.0) < 1e-12
@@ -400,9 +403,6 @@ class TestBlasThreadDeterminism:
         """The decoder is the library's heaviest BLAS user, and the union
         multiplies carried range bases; their records must be
         byte-identical under one and two OpenBLAS threads."""
-        import qoneshot
-
-        src = str(Path(qoneshot.__file__).resolve().parent.parent)
         channels = f"{files['ident']},{files['flip']}"
         commands = {
             "compound": ["compound-sim", "--channels", channels, "--state", files["psi"],
@@ -416,7 +416,7 @@ class TestBlasThreadDeterminism:
         }
         outputs = {}
         for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+            env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads,
                    "OMP_NUM_THREADS": threads}
             for name, argv in commands.items():
                 out = tmp_path / f"{name}.json"

@@ -68,6 +68,24 @@ def _qubit_layout():
 # relative entropy and its variance
 # ---------------------------------------------------------------------------
 
+def _overlap_relative_entropy(r, s):
+    """D by the eigenvector-overlap formula: sum_ij p_i |<r_i|s_j>|^2
+    (log p_i - log q_j), over eigenvalues above ``EDGE``."""
+    p, vr = np.linalg.eigh(r)
+    q, vs = np.linalg.eigh(s)
+    overlap = np.abs(vr.conj().T @ vs) ** 2
+    psel, qsel = p > EDGE, q > EDGE
+    term_r = float(np.sum(p[psel] * np.log2(p[psel])))
+    term_s = float(p[psel] @ overlap[np.ix_(psel, qsel)] @ np.log2(q[qsel]))
+    return max(term_r - term_s, 0.0)
+
+
+def _on_subspace(rng, basis):
+    """A random state supported on the span of the orthonormal columns."""
+    a = random_density(basis.shape[1], rng).a
+    return basis @ a @ basis.conj().T
+
+
 class TestRelativeEntropy:
     def test_matches_classical_kl_on_commuting_pairs(self):
         rng = rng_from(11)
@@ -76,6 +94,28 @@ class TestRelativeEntropy:
             r, s, p, q = _rotated_pair(rng, d)
             kl = float(np.sum(p * (np.log2(p) - np.log2(q))))
             assert abs(relative_entropy(r, s) - kl) <= 1e-9
+
+    def test_matches_eigenvector_overlap_formula(self):
+        """Tr[rho (log rho - log sigma)] against the overlap formula on
+        non-commuting, rank-deficient and shared-support pairs."""
+        rng = rng_from(13)
+        worst = 0.0
+        for k in range(600):
+            d = int(rng.integers(2, 7))
+            u = haar_unitary(d, rng)
+            shape = k % 3
+            if shape == 0:  # non-commuting, full rank
+                r, s = random_density(d, rng).a, random_density(d, rng).a
+            elif shape == 1:  # rho rank-deficient, sigma full rank
+                r = _on_subspace(rng, u[:, : int(rng.integers(1, d))])
+                s = random_density(d, rng).a
+            else:  # both on one proper subspace
+                basis = u[:, : int(rng.integers(1, d))]
+                r, s = _on_subspace(rng, basis), _on_subspace(rng, basis)
+            value, oracle = relative_entropy(r, s), _overlap_relative_entropy(r, s)
+            assert math.isfinite(value), (k, shape)
+            worst = max(worst, abs(value - oracle) / max(1.0, abs(oracle)))
+        assert worst <= 1e-12
 
     def test_known_values(self):
         ket0 = np.diag([1.0, 0.0])
@@ -132,14 +172,14 @@ class TestRelativeEntropyVariance:
 
 class TestDMax:
     def test_matches_spectral_oracle(self):
-        from qoneshot.qcore import psd_inv_sqrt
+        from qoneshot.qcore import spectral
 
         rng = rng_from(31)
         for _ in range(100):
             d = int(rng.integers(2, 7))
             r = random_density(d, rng).a
             s = random_density(d, rng).a
-            isq = psd_inv_sqrt(s)
+            isq = spectral(s, lambda w: 1.0 / np.sqrt(w), 1e-12)
             oracle = math.log2(float(np.linalg.eigvalsh(isq @ r @ isq)[-1]))
             assert abs(d_max(r, s) - oracle) <= 1e-9
 
@@ -422,7 +462,7 @@ class TestNeymanPearsonSolver:
         kernel here comes from an eigensolve of s alone.  On the 15 pairs
         where it holds, the doubling tail once stopped at 2^50-2^55 on
         rounding noise and returned 54-57 bits or +inf after 58-204
-        eigensolves; now each returns ker(s) itself after 5."""
+        eigensolves; now each returns ker(s) itself after 4."""
         infinite = []
         for k, (shape, r, s, eps, (value, test), _) in enumerate(np_oracle_runs):
             w, v = np.linalg.eigh(s)
@@ -431,7 +471,7 @@ class TestNeymanPearsonSolver:
             if weight >= 1.0 - eps:
                 infinite.append(k)
                 assert value == math.inf and test.type2_bound == 0.0
-                assert test.threshold == math.inf and test.iterations == 5
+                assert test.threshold == math.inf and test.iterations == 4
                 assert test.type1_error <= eps
                 assert abs(float(np.trace(test.a @ s).real)) <= 1e-15
             else:

@@ -33,7 +33,9 @@ from qoneshot.qcore import (
     random_density,
     random_projector,
     random_pure_state,
+    spectral,
     tensor_product,
+    whiten,
 )
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -269,6 +271,68 @@ def test_eig_reconstruction_random():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _with_spectrum(rng, w):
+    """U diag(w) U^dag for a Haar U, and U: a matrix of known eigensystem."""
+    u = qcore.haar_unitary(len(w), rng)
+    return (u * w) @ u.conj().T, u
+
+
+def test_spectral_matches_known_eigensystem():
+    """spectral(a, f, cutoff) is U f(w) U^dag with f(w) set to zero at or
+    below the cutoff, on matrices built from a known eigensystem.  With
+    cutoff 0 the square root sees the kernel's rounding noise (about 1e-16)
+    as eigenvalues, so it is exact only to the root of that noise."""
+    rng = np.random.default_rng(41)
+    cases = (
+        (np.sqrt, 0.0, 1e-7),
+        (lambda w: 1.0 / np.sqrt(w), 1e-12, 1e-12),
+        (np.log2, 1e-12, 1e-12),
+        (lambda w: w * w, 0.01, 1e-12),
+    )
+    for _ in range(40):
+        d = int(rng.integers(2, 9))
+        w = rng.random(d) + 0.05  # every support eigenvalue clears the cutoffs
+        w[rng.random(d) < 0.3] = 0.0  # kernel
+        w[0] = -1e-15  # negative rounding noise on a PSD matrix
+        a, u = _with_spectrum(rng, w)
+        for f, cutoff, atol in cases:
+            fw = np.zeros(d)
+            fw[w > cutoff] = f(w[w > cutoff])
+            expect = (u * fw) @ u.conj().T
+            np.testing.assert_allclose(spectral(a, f, cutoff), expect, rtol=0, atol=atol)
+
+
+def test_whiten_splits_support_and_kernel():
+    """W^dag a W = I on the eigenvalues above cutoff times the largest, the
+    kernel columns are orthonormal and complete the basis, and the kernel
+    is the same for every positive multiple of a."""
+    rng = np.random.default_rng(42)
+    for _ in range(40):
+        d = int(rng.integers(2, 9))
+        w = rng.random(d) + 0.05
+        small = rng.random(d) < 0.4
+        small[0] = False  # keep one eigenvalue above the cut
+        w[small] = 1e-14 * np.max(w) * rng.random(int(small.sum()))
+        a, u = _with_spectrum(rng, w)
+        white, ker = whiten(a, 1e-12)
+        assert white.shape == (d, int(np.sum(~small))) and ker.shape == (d, int(small.sum()))
+        np.testing.assert_allclose(white.conj().T @ a @ white, np.eye(white.shape[1]), atol=1e-10)
+        np.testing.assert_allclose(ker.conj().T @ ker, np.eye(ker.shape[1]), atol=1e-12)
+        np.testing.assert_allclose(ker.conj().T @ white, 0.0, atol=1e-12)
+        kernel = ker @ ker.conj().T
+        np.testing.assert_allclose(kernel, (u[:, small]) @ u[:, small].conj().T, atol=1e-10)
+        for c in (1e-9, 0.37, 5.0, 1e9):
+            scaled = whiten(c * a, 1e-12)[1]
+            assert scaled.shape == ker.shape
+            np.testing.assert_allclose(scaled @ scaled.conj().T, kernel, atol=1e-10)
+
+
+def test_whiten_of_zero_is_all_kernel():
+    white, ker = whiten(np.zeros((3, 3)), 1e-12)
+    assert white.shape == (3, 0)
+    np.testing.assert_allclose(ker @ ker.conj().T, np.eye(3), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
