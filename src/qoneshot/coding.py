@@ -16,9 +16,9 @@ s, and its tests are built against the averaged partner marginal, uniform
 over the finite set of possible channel outputs.  Both are simulated on one
 path: each message owns a band of slots (one slot for the uninformed
 sender, s for the informed one), and the decoder sums the merged projector
-over the band.  With one slot per message and a qubit partner the decoder
-works on the spin blocks of the other slots (``qoneshot.schur``), which
-are far smaller than the full register space.
+over the band.  With qubit partners the decoder works on the spin blocks
+of the other bands' slots (``qoneshot.schur``), which are far smaller than
+the full register space.
 
 All decoding-error probabilities are exact traces of explicitly assembled
 operators; nothing is sampled.
@@ -27,6 +27,7 @@ operators; nothing is sampled.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -194,7 +195,10 @@ class SimulationReport:
     smallest eigenvalue kept, so a square-root measurement built from the
     wrong ``T`` shows in both; ``povm_gap_min_eig`` is the smallest
     eigenvalue of ``I - sum_m Omega(m)``, and decoder validity means it is
-    not below ``-atol``.
+    not below ``-atol``.  ``certified_rate`` is the rate the protocol's
+    inequality certifies (the worst test value plus the penalty), and
+    ``trivial_decoder`` flags a merged projector that is the identity on its
+    register: then ``T = n I`` and every error is exactly ``1 - 1/n``.
     """
 
     per_channel_error: tuple[float, ...]
@@ -206,6 +210,8 @@ class SimulationReport:
     povm_gap_min_eig: float
     decoder_rank: int = 0
     decoder_min_kept_eigenvalue: float = 0.0
+    certified_rate: float = 0.0
+    trivial_decoder: bool = False
 
     def __post_init__(self):
         errs = tuple(float(e) for e in self.per_channel_error)
@@ -229,6 +235,8 @@ class SimulationReport:
             "povm_gap_min_eig": self.povm_gap_min_eig,
             "decoder_rank": self.decoder_rank,
             "decoder_min_kept_eigenvalue": self.decoder_min_kept_eigenvalue,
+            "certified_rate": self.certified_rate,
+            "trivial_decoder": self.trivial_decoder,
             "within_bound": [e <= self.bound + ATOL for e in self.per_channel_error],
         }
 
@@ -527,16 +535,17 @@ def _position_code(
     Each message owns a band of ``len(partners)`` slots.  ``solve`` maps a
     joint output-partner state to ``(value, test)``; the tests are lifted
     and merged into one projector, which the decoder applies at every slot
-    on output x slot x ancilla.  A band of one slot with a qubit partner is
-    decoded on the spin blocks of the other slots (``blocks``,
-    ``_block_decoder``), whose largest operator is ``2 d_out 2
-    num_messages`` wide; every other code on the full register space
-    (``_dense_decoder``).  The cap applies to the largest operator the
-    decoder builds and is checked before any solver runs."""
+    on output x slot x ancilla.  A code with qubit partners is decoded on
+    the spin blocks of the other bands' slots (``blocks``,
+    ``_block_decoder``), whose largest operator is ``d_out 2^b
+    num_messages^b 2`` wide for a band of ``b`` slots; every other code on
+    the full register space (``_dense_decoder``).  The cap applies to the
+    largest operator the decoder builds and is checked before any solver
+    runs."""
     band, d_r = len(partners), partners[0].shape[0]
-    blocks = band == 1 and d_r == 2
+    blocks = d_r == 2
     if blocks:
-        dim = 2 * cc.dim_out * 2 * num_messages
+        dim = cc.dim_out * (2 * num_messages) ** band * 2
     else:
         dim = cc.dim_out * 2 * d_r ** min(band * num_messages, DIM_CAP)
     if dim > DIM_CAP:
@@ -668,43 +677,54 @@ def _dense_decoder(code: dict, message: int, indices: tuple[int, ...]):
 
 
 def _block_decoder(code: dict, indices: tuple[int, ...]):
-    """Errors and spectrum of ``T`` on the spin blocks of the other slots.
+    """Errors and spectrum of ``T`` on the spin blocks of the other bands.
 
-    With one slot per message and a qubit partner ``sigma``, ``T``, the
-    sent message's ``Lambda`` (at slot 1, by the symmetry of the slots) and
-    the input state are invariant under permutations of the other ``N = n -
-    1`` slots.  Writing the merged projector as ``Pi = sum_ab A_ab (x)
-    |a><b|_slot``, on (output, slot 1, V_j, ancilla) block ``j`` holds
-    ``T_j = Pi (x) I + sum_ab A_ab (x) I_slot (x) E_ab``, the sent element
-    ``Pi (x) I`` and ``Theta_ij = rho_i (x) det(sigma)^(N/2 - j)
-    Sym^(2j)(sigma) (x) |0><0|``, each with multiplicity ``m_j``
-    (``qoneshot.schur``).  The error is ``1 - sum_j m_j Tr[T_j^(-1/2) (Pi
-    (x) I) T_j^(-1/2) Theta_ij]``."""
-    pi, sigma = code["merged"].a, code["partners"][0]
-    d_out, n = code["dims"][0], len(code["dims"]) - 2
-    det = max(0.0, float(np.linalg.det(sigma).real))
+    With qubit partners ``sigma_p`` (band position ``p = 0..b-1``), ``T``,
+    the sent band's ``Lambda`` (band 1, by the symmetry of the bands) and
+    the input state are invariant under permutations of the ``N = n - 1``
+    other slots at each position, which all hold ``sigma_p``.  Writing the
+    merged projector as ``Pi = sum_ab A_ab (x) |a><b|_slot``, on (output,
+    the b band slots, V_j1 .. V_jb, ancilla) block ``(j_1, .., j_b)`` holds
+    ``T = Lambda + sum_p sum_ab A_ab (x) E_ab^(j_p)`` with ``Lambda = sum_k
+    Pi_(output, k, ancilla)`` over the band, and ``Theta_i = rho_i`` on
+    (output, slot ``i mod b``) (x) ``sigma_p`` on the other band slots (x)
+    ``prod_p det(sigma_p)^(N/2 - j_p) Sym^(2j_p)(sigma_p) (x) |0><0|``, each
+    with multiplicity ``prod_p m_jp`` (``qoneshot.schur``).  The error is
+    ``1 - sum over blocks of prod_p m_jp Tr[T^(-1/2) Lambda T^(-1/2)
+    Theta_i]``."""
+    pi, partners = code["merged"].a, code["partners"]
+    band, d_out = len(partners), code["dims"][0]
+    others = (len(code["dims"]) - 2) // band - 1
+    dets = [max(0.0, float(np.linalg.det(s).real)) for s in partners]
     six = pi.reshape(d_out, 2, 2, d_out, 2, 2)
     errors = [1.0] * len(indices)
     spectrum = []
-    for two_j in schur.spins(n - 1):
-        dims = [d_out, 2, two_j + 1, 2]
-        rest = np.einsum(
-            "oaxpby,st,abvw->osvxptwy", six, np.eye(2), schur.collective(n - 1, two_j)
-        )
-        total = _embed(pi, dims, [0, 1, 3]) + rest.reshape(math.prod(dims), -1)
-        omega, w = _ground_omega(total, lambda x: _apply(pi, x, dims, [0, 1, 3]))
-        sym = schur.block_weight(n - 1, two_j, det) * schur.sym_power(sigma, two_j)
+    for two_js in itertools.product(schur.spins(others), repeat=band):
+        dims = [d_out] + [2] * band + [t + 1 for t in two_js] + [2]
+        last = len(dims) - 1
+        lam = [[0, k, last] for k in range(1, band + 1)]
+        total = sum(_embed(pi, dims, t) for t in lam)
+        syms = []
+        for v, (two_j, sigma, det) in enumerate(zip(two_js, partners, dets), band + 1):
+            rest = np.einsum("oaxpby,abvw->ovxpwy", six, schur.collective(others, two_j))
+            total += _embed(rest.reshape(2 * d_out * (two_j + 1), -1), dims, [0, v, last])
+            weight = schur.block_weight(others, two_j, det)
+            syms.append((weight * schur.sym_power(sigma, two_j), [v]))
+        omega, w = _ground_omega(total, lambda x: sum(_apply(pi, x, dims, t) for t in lam))
         for slot, i in enumerate(indices):
-            theta = np.kron(code["joints"][i].a, sym)
+            star = i % band + 1
+            pieces = [(code["joints"][i].a, [0, star])] + syms
+            pieces += [(partners[k - 1], [k]) for k in range(1, band + 1) if k != star]
+            theta = _arrange(pieces, dims[:-1])
             errors[slot] -= float(np.sum(omega * theta.T).real)
-        spectrum.append((w, schur.multiplicity(n - 1, two_j)))
+        spectrum.append((w, math.prod(schur.multiplicity(others, t) for t in two_js)))
     return errors, spectrum
 
 
 def _decoder(code: dict, message: int, indices: tuple[int, ...]) -> tuple[list[float], dict]:
     """Exact errors of the square-root measurement for the simulated
     channels, and the decoder certificate read from the eigenvalues of
-    ``T`` (each block's counted ``m_j`` times on the block path):
+    ``T`` (each block's counted ``prod_p m_jp`` times on the block path):
 
     * ``decoder_rank``: the rank of ``T`` over ``_KERNEL_CUTOFF``;
     * ``decoder_min_kept_eigenvalue``: the smallest eigenvalue kept;
@@ -758,6 +778,8 @@ def _evaluate(
         channel_indices=indices,
         num_messages=params.num_messages,
         rate_ok=bool(params.rate_bits <= limit + 1e-9),
+        certified_rate=limit,
+        trivial_decoder=code["merged"].rank == code["merged"].dim,
         **certificate,
     )
 

@@ -16,9 +16,11 @@ from qoneshot import cli
 from qoneshot.qcore import (
     ComplexMatrix,
     DensityMatrix,
+    PureState,
     RegisterLayout,
     maximally_entangled,
     random_projector,
+    rng_from,
     save_channel,
     save_matrix,
     unitary_channel,
@@ -138,7 +140,8 @@ class TestExitCodes:
         assert set(rec["results"]) == {
             "channel_indices", "per_channel_error", "bound", "rate_used",
             "num_messages", "rate_ok", "povm_gap_min_eig", "decoder_rank",
-            "decoder_min_kept_eigenvalue", "within_bound",
+            "decoder_min_kept_eigenvalue", "certified_rate", "trivial_decoder",
+            "within_bound",
         }
         # 4096 messages: the largest block would be 32768 wide
         assert run(base + ["--rate", "12", "--out", str(tmp_path / "r12.json")]) == 3
@@ -404,12 +407,22 @@ class TestBlasThreadDeterminism:
         multiplies carried range bases; their records must be
         byte-identical under one and two OpenBLAS threads."""
         channels = f"{files['ident']},{files['flip']}"
+        other = str(tmp_path / "psi2.txt")
+        vec = rng_from(11).normal(size=4) + 1j * rng_from(12).normal(size=4)
+        save_matrix(other, PureState(vec / np.linalg.norm(vec), RegisterLayout.of("a:2 r:2")).density())
         commands = {
             "compound": ["compound-sim", "--channels", channels, "--state", files["psi"],
                          "--rate", "2", "--eps", "0.2", "--eta", "0.05"],
             "informed": ["informed-sim", "--channels", channels,
                          "--states", f"{files['psi']},{files['psi']}", "--rate", "1",
                          "--eps", "0.2", "--eta", "0.05"],
+            # two distinct partners in bands of 2 on the spin-block decoder;
+            # 2 messages keep its one block 64 wide (OpenBLAS 0.3.31's eigh
+            # is bit-identical under one and two threads up to about 96
+            # wide, and not from 112 on)
+            "informed_band": ["informed-sim", "--channels", channels,
+                              "--states", f"{files['psi']},{other}", "--rate", "1",
+                              "--eps", "0.2", "--eta", "0.05"],
             "pauli": ["pauli-example", "--eps", "0.1"],
             "union": ["union-stress", "--s", "8", "--delta", "0.1", "--dim", "64",
                       "--trials", "3", "--seed", "5"],

@@ -568,8 +568,9 @@ class TestDecoderMatchesEveryOmegaOracle:
         params = CodeParams(1.0, EPS, ETA)
         assert params.num_messages == 2
         code = _informed_code(cc, states, EPS, ETA, 2)
-        assert not code["blocks"]
-        omegas = self.check(code, params)
+        assert code["blocks"]
+        self.check(code, params)
+        omegas = self.check({**code, "blocks": False}, params)
         for message in (1, 2):
             # the dense path forms the ancilla-ground block of Omega(message)
             omega, _ = _dense_omega(code, message)
@@ -599,7 +600,7 @@ def random_shared_state(rng):
 def resized(code, n):
     """The same merged projector and joints, decoded with n messages."""
     dims = code["dims"]
-    return {**code, "dims": [dims[0]] + [dims[1]] * n + [dims[-1]]}
+    return {**code, "dims": [dims[0]] + [dims[1]] * (len(code["partners"]) * n) + [dims[-1]]}
 
 
 def oracle_spectrum(code):
@@ -633,14 +634,24 @@ class TestDecoderCertificate:
             code = _uninformed_code(cc, psi, EPS, ETA, n)
             assert code["blocks"]
             self.check(code, CodeParams(0.0, EPS, ETA, psi, num_messages=n))
+        cc = CompoundChannel((haar_member(rng), damped_member(rng)))
+        states = [random_shared_state(rng), random_shared_state(rng)]
+        code = _informed_code(cc, states, EPS, ETA, 2)
+        assert code["blocks"]
+        self.check(code, CodeParams(1.0, EPS, ETA))
 
     def test_dense_path(self):
         rng = rng_from(607)
         cc = CompoundChannel((haar_member(rng), damped_member(rng)))
         states = [random_shared_state(rng), random_shared_state(rng)]
         code = _informed_code(cc, states, EPS, ETA, 2)
+        self.check({**code, "blocks": False}, CodeParams(1.0, EPS, ETA))
+        # a qutrit partner has no qubit spin blocks: the dense path by choice
+        vec = rng.normal(size=6) + 1j * rng.normal(size=6)
+        psi = PureState(vec / np.linalg.norm(vec), RegisterLayout.of("a:2 r:3"))
+        code = _uninformed_code(cc, psi, EPS, ETA, 3)
         assert not code["blocks"]
-        self.check(code, CodeParams(1.0, EPS, ETA))
+        self.check(code, CodeParams(0.0, EPS, ETA, psi, num_messages=3))
 
 
 class TestBlockDecoder:
@@ -701,6 +712,155 @@ class TestBlockDecoder:
             for n in (1, 2, 4, 5):
                 errors = self.agree(resized(code, n), (0, 1))
                 assert all(0.0 <= e <= 1.0 for e in errors)
+
+
+def product_state(partner):
+    """``|0> (x) partner``: its partner marginal has rank 1, so det 0."""
+    partner = np.asarray(partner, dtype=complex)
+    vec = np.kron([1.0, 0.0], partner / np.linalg.norm(partner))
+    return PureState(vec, RegisterLayout.of("a:2 r:2"))
+
+
+class TestInformedBlockDecoder:
+    """The spin-block decoder on bands of s slots, one spin block per band
+    position, against the dense decoder on the same code."""
+
+    def agree(self, code, message, indices):
+        """The raw errors, before the report clips rounding into [0, 1]."""
+        assert code["blocks"]
+        blocks, block_cert = _decoder(code, message, indices)
+        dense, dense_cert = _decoder({**code, "blocks": False}, message, indices)
+        for b, d in zip(blocks, dense):
+            assert abs(b - d) <= 1e-12
+        assert block_cert["decoder_rank"] == dense_cert["decoder_rank"]
+        low, dense_low = (c["decoder_min_kept_eigenvalue"] for c in (block_cert, dense_cert))
+        assert abs(low - dense_low) <= 1e-12
+        return blocks
+
+    def test_haar_and_damped_families_and_message_counts(self):
+        rng = rng_from(515)
+        # the dense decoder at s = 2 and 4 messages is 1024 wide and takes
+        # about two seconds: the pure families go that far
+        for makes, counts in (
+            ((haar_member, haar_member), (1, 2, 3, 4)),
+            ((damped_member, damped_member), (1, 2, 3, 4)),
+            ((haar_member, damped_member), (1, 2, 3)),
+            ((haar_member, haar_member, haar_member), (1, 2)),
+            ((damped_member, haar_member, damped_member), (1, 2)),
+        ):
+            cc = CompoundChannel(tuple(make(rng) for make in makes))
+            states = [random_shared_state(rng) for _ in makes]
+            code = _informed_code(cc, states, EPS, ETA, 1)
+            for n in counts:
+                errors = self.agree(resized(code, n), 1, tuple(range(cc.size)))
+                assert all(-1e-12 <= e <= 1.0 + 1e-12 for e in errors)
+
+    def test_rank_one_and_unequal_rank_partners(self):
+        # det(sigma_p) = 0 leaves only the top spin of position p in Theta,
+        # and partners of different rank weight the positions differently
+        rng = rng_from(516)
+        plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        for states in (
+            [product_state(plus), product_state(rng.normal(size=2) + 1j * rng.normal(size=2))],
+            [product_state(plus), random_shared_state(rng)],
+            [random_shared_state(rng), product_state(plus), maximally_entangled(2, ("a", "r"))],
+        ):
+            makes = [haar_member if k % 2 else damped_member for k in range(len(states))]
+            cc = CompoundChannel(tuple(make(rng) for make in makes))
+            code = _informed_code(cc, states, EPS, ETA, 1)
+            for n in (1, 2, 3) if len(states) == 2 else (1, 2):
+                errors = self.agree(resized(code, n), 1, tuple(range(cc.size)))
+                assert all(-1e-12 <= e <= 1.0 + 1e-12 for e in errors)
+
+    def test_true_channel_and_message_through_the_simulator(self):
+        rng = rng_from(517)
+        for members, rate, requests in (
+            (3, 1.0, ((None, 2), (0, 2), (1, 1), (2, 2))),
+            (2, 1.5, ((None, 3), (1, 2), (0, 4))),
+        ):
+            cc = CompoundChannel(tuple(
+                (haar_member if k % 2 else damped_member)(rng) for k in range(members)
+            ))
+            states = [random_shared_state(rng) for _ in range(members)]
+            params = CodeParams(rate, EPS, ETA)
+            code = _informed_code(cc, states, EPS, ETA, params.num_messages)
+            for true, message in requests:
+                rep = simulate_informed(cc, states, params, true_channel=true, message=message)
+                dense, cert = _decoder({**code, "blocks": False}, message, rep.channel_indices)
+                for b, d in zip(rep.per_channel_error, dense):
+                    assert abs(b - d) <= 1e-12
+                assert rep.decoder_rank == cert["decoder_rank"]
+                assert abs(rep.decoder_min_kept_eigenvalue - cert["decoder_min_kept_eigenvalue"]) <= 1e-12
+
+
+class TestInformedReach:
+    def test_eight_messages_at_band_two_run_on_blocks(self, monkeypatch):
+        import qoneshot.coding as coding
+
+        widths = []
+        ground = coding._ground_omega
+
+        def recording(total, apply_lam):
+            widths.append(total.shape[0])
+            return ground(total, apply_lam)
+
+        monkeypatch.setattr(coding, "_ground_omega", recording)
+        rng = rng_from(518)
+        cc = CompoundChannel((haar_member(rng), damped_member(rng)))
+        states = [random_shared_state(rng), random_shared_state(rng)]
+        rep = simulate_informed(cc, states, CodeParams(3.0, EPS, ETA))
+        assert rep.num_messages == 8
+        # spins 2j in {7, 5, 3, 1} at each of the two positions; the dense
+        # path would need 2 x 2^16 x 2
+        assert len(widths) == 16 and max(widths) == 2 * 4 * 8 * 8 * 2
+        assert all(0.0 <= e <= 1.0 for e in rep.per_channel_error)
+        assert rep.povm_gap_min_eig >= -1e-9
+        assert 0 < rep.decoder_rank <= 2 * 2**16 * 2
+
+    def test_thirty_two_messages_at_band_two_exceed_the_cap(self, monkeypatch):
+        import qoneshot.coding as coding
+
+        def solver(*args, **kwargs):
+            raise AssertionError("a solver ran before the cap was checked")
+
+        monkeypatch.setattr(coding, "i_h_tilde", solver)
+        cc = CompoundChannel((IDENT, XFLIP))
+        psi = maximally_entangled(2, ("a", "r"))
+        # the largest block is 2 x 2^2 x 32^2 x 2 wide
+        with pytest.raises(CapacityError, match="16384"):
+            simulate_informed(cc, [psi, psi], CodeParams(5.0, EPS, ETA))
+
+
+class TestSimulationRecord:
+    def test_certified_rate_is_the_rate_inequality_limit(self):
+        cc = CompoundChannel((IDENT, XFLIP))
+        psi = maximally_entangled(2, ("a", "r"))
+        code = _uninformed_code(cc, psi, EPS, ETA, 4)
+        penalty = -7.5
+        limit = min(code["values"]) + penalty
+        for rate, ok in ((limit, True), (limit - 1.0, True), (limit + 1e-6, False)):
+            params = CodeParams(rate, EPS, ETA, psi, num_messages=4)
+            rec = _evaluate(code, params, (0, 1), 1, penalty).to_record()
+            assert rec["certified_rate"] == limit
+            assert rec["rate_ok"] is ok
+
+    def test_trivial_decoder_flag(self):
+        # a damped pair whose merged projector is the identity on output x
+        # partner x ancilla: T = n I, so every error is 1 - 1/n
+        rng = rng_from(505)
+        cc = CompoundChannel((damped_member(rng), damped_member(rng)))
+        psi = random_shared_state(rng)
+        for n in (2, 3, 5):
+            rep = simulate_uninformed(cc, CodeParams(0.0, EPS, ETA, psi, num_messages=n))
+            assert rep.trivial_decoder
+            assert rep.decoder_rank == 2 * 2**n * 2
+            for e in rep.per_channel_error:
+                assert abs(e - (1.0 - 1.0 / n)) <= 1e-12
+        rep = simulate_uninformed(
+            CompoundChannel((IDENT,)), CodeParams(2.0, EPS, ETA, maximally_entangled(2, ("a", "r")))
+        )
+        assert not rep.trivial_decoder
+        assert rep.decoder_rank < 2 * 2**4 * 2
 
 
 class TestDecoderInequality:
