@@ -70,6 +70,7 @@ from .jordan import (
 )
 from .qcore import (
     ATOL,
+    DIM_CAP,
     CapacityError,
     LayoutError,
     Projector,
@@ -223,8 +224,12 @@ def _run_union_stress(p: dict, seed):
     s, delta, dim, trials, eps = p["s"], p["delta"], p["dim"], p["trials"], p["eps"]
     if dim < 2:
         raise ValueError("dim must be at least 2")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if dim > DIM_CAP:
+        raise CapacityError(f"dimension {dim} exceeds the cap {DIM_CAP}")
     rng = rng_from(seed)
     width = math.log2(2 * s)
     factor = (2.0 / delta ** 2) ** width
@@ -284,7 +289,7 @@ def _run_jordan_inspect(p: dict, seed):
     return results, checks, {"residual_tol": 1e-8}
 
 
-def _simulation_output(report, eps: float, eta: float):
+def _simulation_output(report):
     results = report.to_record()
     checks = {
         "povm_dominated": bool(report.povm_gap_min_eig >= -1e-9),
@@ -292,7 +297,7 @@ def _simulation_output(report, eps: float, eta: float):
             (not report.rate_ok) or all(results["within_bound"])
         ),
     }
-    tolerances = {"povm_tol": 1e-9, "error_bound": eps + 3.0 * eta, "atol": ATOL}
+    tolerances = {"povm_tol": 1e-9, "error_bound": report.bound, "atol": ATOL}
     return results, checks, tolerances
 
 
@@ -303,7 +308,7 @@ def _run_compound_sim(p: dict, seed):
     report = simulate_uninformed(
         cc, params, true_channel=p["true"], message=p["message"]
     )
-    return _simulation_output(report, p["eps"], p["eta"])
+    return _simulation_output(report)
 
 
 def _run_informed_sim(p: dict, seed):
@@ -313,7 +318,7 @@ def _run_informed_sim(p: dict, seed):
     report = simulate_informed(
         cc, states, params, true_channel=p["true"], message=p["message"]
     )
-    return _simulation_output(report, p["eps"], p["eta"])
+    return _simulation_output(report)
 
 
 def _run_rates(p: dict, seed):

@@ -263,15 +263,6 @@ def _arrange(pieces: Sequence[tuple[np.ndarray, Sequence[int]]], dims: Sequence[
     return np.ascontiguousarray(tensor.transpose(perm).reshape(d, d))
 
 
-def _embed(op: np.ndarray, dims: Sequence[int], targets: Sequence[int]) -> np.ndarray:
-    """Act with ``op`` on the target registers and the identity elsewhere."""
-    rest = [i for i in range(len(dims)) if i not in targets]
-    if not rest:
-        return _arrange([(op, list(targets))], dims)
-    d_rest = math.prod(dims[i] for i in rest)
-    return _arrange([(op, list(targets)), (np.eye(d_rest), rest)], dims)
-
-
 # ---------------------------------------------------------------------------
 # dilation and the square-root-decoder operator inequality
 # ---------------------------------------------------------------------------
@@ -291,13 +282,8 @@ def neumark_dilate(m: TestOperator) -> DilatedProjector:
     accept = (v * wc) @ vh
     cross = (v * np.sqrt(wc * (1.0 - wc))) @ vh
     reject = (v * (1.0 - wc)) @ vh
-    e00, e01, e10, e11 = (
-        np.array([[1, 0], [0, 0]], dtype=float),
-        np.array([[0, 1], [0, 0]], dtype=float),
-        np.array([[0, 0], [1, 0]], dtype=float),
-        np.array([[0, 0], [0, 1]], dtype=float),
-    )
-    pi = np.kron(accept, e00) + np.kron(cross, e01 + e10) + np.kron(reject, e11)
+    blocks = np.array([[accept, cross], [cross, reject]])  # axes: ancilla i, j; system i, j
+    pi = blocks.transpose(2, 0, 3, 1).reshape(2 * w.size, 2 * w.size)
     return DilatedProjector(Projector(ComplexMatrix(pi)), 2, m)
 
 
@@ -566,16 +552,6 @@ def _position_code(
     }
 
 
-def _band_operator(code: dict, message: int) -> np.ndarray:
-    """``Lambda(message)``: the merged projector on output x slot x ancilla,
-    summed over the slots of the message's band."""
-    dims, band = code["dims"], len(code["partners"])
-    return sum(
-        _embed(code["merged"].a, dims, [0, k, len(dims) - 1])
-        for k in range(band * (message - 1) + 1, band * message + 1)
-    )
-
-
 def _uninformed_code(
     cc: CompoundChannel, psi: PureState, eps: float, eta: float, num_messages: int
 ) -> dict:
@@ -623,56 +599,58 @@ def _apply(op: np.ndarray, x: np.ndarray, dims: Sequence[int], targets: Sequence
 
 
 def _ground_omega(
-    total: np.ndarray, apply_lam: Callable[[np.ndarray], np.ndarray]
+    pi: np.ndarray, dims: Sequence[int], band: Sequence[int], terms: Sequence[tuple]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ancilla-ground block of ``T^(-1/2) Lambda T^(-1/2)`` and the
-    eigenvalues of ``T``, from one eigensolve of ``T``.
+    """The ancilla-ground block of ``Omega = T^(-1/2) Lambda T^(-1/2)`` and
+    the eigenvalues of ``T``, on one register space ``dims`` (output, slots,
+    ancilla), from one eigensolve of ``T``.
 
-    The ancilla is the last register, so its ground rows are the even ones;
-    every input state has the ancilla in ``|0>``, so only that block is
-    read.  ``apply_lam(x)`` returns ``Lambda @ x``.  ``T^(-1/2)`` is taken
-    on the support (eigenvalues above ``_KERNEL_CUTOFF``) and formed only on
-    its ground columns."""
+    ``Lambda`` is ``pi`` on (output, slot ``k``, ancilla) summed over the
+    slots ``k`` in ``band``, and ``T = Lambda + sum_t op_t``, each term an
+    ``(op, targets)`` pair added in the order given; every operator acts
+    through ``_apply``.  The ancilla is the last register, so its ground
+    rows are the even ones; every input state has the ancilla in ``|0>``,
+    so only that block is read.  ``T^(-1/2)`` is taken on the support
+    (eigenvalues above ``_KERNEL_CUTOFF``) and formed only on its ground
+    columns."""
+    last = len(dims) - 1
+    eye = np.eye(math.prod(dims))
+
+    def lam(x: np.ndarray) -> np.ndarray:
+        return sum(_apply(pi, x, dims, [0, k, last]) for k in band)
+
+    total = lam(eye)
+    for op, targets in terms:
+        total += _apply(op, eye, dims, targets)
     w, v = np.linalg.eigh(total)
     inv = np.where(w > _KERNEL_CUTOFF, 1.0 / np.sqrt(np.clip(w, _KERNEL_CUTOFF, None)), 0.0)
     root = (v * inv) @ v[::2].conj().T
-    return root.conj().T @ apply_lam(root), w
+    return root.conj().T @ lam(root), w
 
 
-def _dense_omega(code: dict, message: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_ground_omega`` on the full register space: ``T = sum_m
-    Lambda(m)`` accumulated in message order in one buffer, and
-    ``Lambda(message)`` applied slot by slot as a local operator."""
-    dims, band = code["dims"], len(code["partners"])
-    last = len(dims) - 1
-    total = _band_operator(code, 1)
-    for m in range(2, (last - 1) // band + 1):
-        total += _band_operator(code, m)
-    slots = range(band * (message - 1) + 1, band * message + 1)
-    return _ground_omega(
-        total,
-        lambda x: sum(_apply(code["merged"].a, x, dims, [0, k, last]) for k in slots),
-    )
+def _accepted(omega: np.ndarray, pieces, dims: Sequence[int]) -> float:
+    """``Tr[Omega Theta]``, an elementwise sum over the ancilla-ground block,
+    for the product state ``Theta = _arrange(pieces)`` (ancilla in ``|0>``)."""
+    return float(np.sum(omega * _arrange(pieces, dims[:-1]).T).real)
 
 
 def _dense_decoder(code: dict, message: int, indices: tuple[int, ...]):
-    """Errors and spectrum of ``T`` on the full register space.
-
+    """Errors and spectrum of ``T`` on the full register space, where ``T``
+    adds the merged projector at every slot outside the message's band.
     Channel ``i`` sends in slot ``band (message - 1) + i mod band + 1``;
-    every other slot ``k`` holds ``partners[(k - 1) mod band]``, and the
-    ancilla is in ``|0>``.  The error is ``1 - Tr[Omega(message) Theta]``,
-    an elementwise sum over the ancilla-ground block."""
-    omega, w = _dense_omega(code, message)
-    dims, partners = code["dims"][:-1], code["partners"]
-    band = len(partners)
+    every other slot ``k`` holds ``partners[(k - 1) mod band]``.  The error
+    is ``1 - Tr[Omega(message) Theta]``."""
+    pi, dims, partners = code["merged"].a, code["dims"], code["partners"]
+    band, last = len(partners), len(dims) - 1
+    sent = range(band * (message - 1) + 1, band * message + 1)
+    terms = [(pi, [0, k, last]) for k in range(1, last) if k not in sent]
+    omega, w = _ground_omega(pi, dims, sent, terms)
     errors = []
     for i in indices:
-        star = band * (message - 1) + i % band + 1
+        star = sent[i % band]
         pieces = [(code["joints"][i].a, [0, star])]
-        pieces += [
-            (partners[(k - 1) % band], [k]) for k in range(1, len(dims)) if k != star
-        ]
-        errors.append(1.0 - float(np.sum(omega * _arrange(pieces, dims).T).real))
+        pieces += [(partners[(k - 1) % band], [k]) for k in range(1, last) if k != star]
+        errors.append(1.0 - _accepted(omega, pieces, dims))
     return errors, [(w, 1)]
 
 
@@ -701,22 +679,18 @@ def _block_decoder(code: dict, indices: tuple[int, ...]):
     spectrum = []
     for two_js in itertools.product(schur.spins(others), repeat=band):
         dims = [d_out] + [2] * band + [t + 1 for t in two_js] + [2]
-        last = len(dims) - 1
-        lam = [[0, k, last] for k in range(1, band + 1)]
-        total = sum(_embed(pi, dims, t) for t in lam)
-        syms = []
+        terms, syms = [], []
         for v, (two_j, sigma, det) in enumerate(zip(two_js, partners, dets), band + 1):
             rest = np.einsum("oaxpby,abvw->ovxpwy", six, schur.collective(others, two_j))
-            total += _embed(rest.reshape(2 * d_out * (two_j + 1), -1), dims, [0, v, last])
+            terms.append((rest.reshape(2 * d_out * (two_j + 1), -1), [0, v, len(dims) - 1]))
             weight = schur.block_weight(others, two_j, det)
             syms.append((weight * schur.sym_power(sigma, two_j), [v]))
-        omega, w = _ground_omega(total, lambda x: sum(_apply(pi, x, dims, t) for t in lam))
+        omega, w = _ground_omega(pi, dims, range(1, band + 1), terms)
         for slot, i in enumerate(indices):
             star = i % band + 1
             pieces = [(code["joints"][i].a, [0, star])] + syms
             pieces += [(partners[k - 1], [k]) for k in range(1, band + 1) if k != star]
-            theta = _arrange(pieces, dims[:-1])
-            errors[slot] -= float(np.sum(omega * theta.T).real)
+            errors[slot] -= _accepted(omega, pieces, dims)
         spectrum.append((w, math.prod(schur.multiplicity(others, t) for t in two_js)))
     return errors, spectrum
 

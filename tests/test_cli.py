@@ -146,6 +146,23 @@ class TestExitCodes:
         # 4096 messages: the largest block would be 32768 wide
         assert run(base + ["--rate", "12", "--out", str(tmp_path / "r12.json")]) == 3
 
+    def test_union_stress_without_trials_is_config_error(self, tmp_path, capsys):
+        # no trial would leave an infinite margin and vacuous checks
+        for trials in ("0", "-3"):
+            out = tmp_path / f"t{trials}.json"
+            assert run(["union-stress", "--s", "2", "--delta", "0.3", "--dim", "4",
+                        "--trials", trials, "--seed", "7", "--out", str(out)]) == 2
+            assert "trials" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_union_stress_dimension_cap_is_three(self, tmp_path, capsys):
+        # checked before the dim x dim projectors are drawn
+        out = tmp_path / "d.json"
+        assert run(["union-stress", "--s", "2", "--delta", "0.3", "--dim", "1000000",
+                    "--trials", "1", "--seed", "7", "--out", str(out)]) == 3
+        assert "capacity error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_check_is_four_and_file_still_written(self, tmp_path, monkeypatch, capsys):
         out = str(tmp_path / "f.json")
 
@@ -410,6 +427,9 @@ class TestBlasThreadDeterminism:
         other = str(tmp_path / "psi2.txt")
         vec = rng_from(11).normal(size=4) + 1j * rng_from(12).normal(size=4)
         save_matrix(other, PureState(vec / np.linalg.norm(vec), RegisterLayout.of("a:2 r:2")).density())
+        qutrit = str(tmp_path / "psi3.txt")
+        vec = rng_from(13).normal(size=6) + 1j * rng_from(14).normal(size=6)
+        save_matrix(qutrit, PureState(vec / np.linalg.norm(vec), RegisterLayout.of("a:2 r:3")).density())
         commands = {
             "compound": ["compound-sim", "--channels", channels, "--state", files["psi"],
                          "--rate", "2", "--eps", "0.2", "--eta", "0.05"],
@@ -423,6 +443,12 @@ class TestBlasThreadDeterminism:
             "informed_band": ["informed-sim", "--channels", channels,
                               "--states", f"{files['psi']},{other}", "--rate", "1",
                               "--eps", "0.2", "--eta", "0.05"],
+            # a qutrit partner keeps the decoder on the full register space,
+            # 2 x 3^2 x 2 = 36 wide; at --rate 2 it would be 324 wide, where
+            # decoder_min_kept_eigenvalue changes in its last digits between
+            # one and two threads
+            "dense": ["compound-sim", "--channels", channels, "--state", qutrit,
+                      "--rate", "1", "--eps", "0.2", "--eta", "0.05"],
             "pauli": ["pauli-example", "--eps", "0.1"],
             "union": ["union-stress", "--s", "8", "--delta", "0.1", "--dim", "64",
                       "--trials", "3", "--seed", "5"],

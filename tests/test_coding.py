@@ -18,13 +18,12 @@ from qoneshot.coding import (
     CompoundChannel,
     DilatedProjector,
     SimulationReport,
+    _apply,
     _arrange,
-    _band_operator,
     _channel_outputs,
     _decoder,
-    _dense_omega,
-    _embed,
     _evaluate,
+    _ground_omega,
     _informed_code,
     _informed_family,
     _uninformed_code,
@@ -235,15 +234,29 @@ class TestOperatorAssembly:
         out = _arrange([(x, [1]), (y, [0])], [2, 3])
         assert np.allclose(out, np.kron(y, x))
 
-    def test_embed_matches_index_loop(self):
+    TARGETS = ([0, 2], [1, 3], [3, 1], [2, 0])
+
+    def test_apply_to_identity_matches_index_loop(self):
         rng = rng_from(31)
         dims = [2, 3, 2, 2]
-        for targets in ([0, 2], [1, 3], [3, 1], [2, 0]):
+        for targets in self.TARGETS:
             d = math.prod(dims[t] for t in targets)
             op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            fast = _embed(op, dims, list(targets))
-            slow = slow_embed(op, dims, list(targets))
+            fast = _apply(op, np.eye(math.prod(dims)), dims, targets)
+            slow = slow_embed(op, dims, targets)
             assert np.max(np.abs(fast - slow)) < 1e-13
+
+    def test_apply_matches_index_loop_product(self):
+        rng = rng_from(32)
+        dims = [2, 3, 2, 2]
+        for targets in self.TARGETS:
+            d = math.prod(dims[t] for t in targets)
+            op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            x = rng.normal(size=(math.prod(dims), 5)) + 1j * rng.normal(size=(math.prod(dims), 5))
+            fast = _apply(op, x, dims, targets)
+            slow = slow_embed(op, dims, targets) @ x
+            assert fast.shape == x.shape
+            assert np.max(np.abs(fast - slow)) < 1e-12
 
     def test_arrange_requires_full_cover(self):
         with pytest.raises(ValueError, match="cover"):
@@ -571,9 +584,13 @@ class TestDecoderMatchesEveryOmegaOracle:
         assert code["blocks"]
         self.check(code, params)
         omegas = self.check({**code, "blocks": False}, params)
+        dims, pi = code["dims"], code["merged"].a
         for message in (1, 2):
-            # the dense path forms the ancilla-ground block of Omega(message)
-            omega, _ = _dense_omega(code, message)
+            # the dense space: Lambda on the message's band, Pi at every
+            # other slot; the step forms the ancilla-ground block of Omega
+            sent = range(2 * message - 1, 2 * message + 1)
+            terms = [(pi, [0, k, 5]) for k in range(1, 5) if k not in sent]
+            omega, _ = _ground_omega(pi, dims, sent, terms)
             assert np.max(np.abs(omega - omegas[message - 1][::2, ::2])) < 1e-12
 
 
@@ -800,9 +817,9 @@ class TestInformedReach:
         widths = []
         ground = coding._ground_omega
 
-        def recording(total, apply_lam):
-            widths.append(total.shape[0])
-            return ground(total, apply_lam)
+        def recording(pi, dims, band, terms):
+            widths.append(math.prod(dims))
+            return ground(pi, dims, band, terms)
 
         monkeypatch.setattr(coding, "_ground_omega", recording)
         rng = rng_from(518)
@@ -876,9 +893,8 @@ class TestDecoderInequality:
         cc = CompoundChannel((IDENT, ZPHASE))
         psi = maximally_entangled(2, ("a", "r"))
         code = _uninformed_code(cc, psi, EPS, ETA, 2)
-        cert = hayashi_nagaoka_check(
-            _band_operator(code, 1), _band_operator(code, 2), ETA / (EPS + ETA)
-        )
+        lam = [slow_embed(code["merged"].a, code["dims"], [0, m, 3]) for m in (1, 2)]
+        cert = hayashi_nagaoka_check(lam[0], lam[1], ETA / (EPS + ETA))
         assert cert["min_gap_eigenvalue"] >= -ATOL
 
 
