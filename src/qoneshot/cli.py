@@ -35,13 +35,12 @@ import numpy as np
 from .coding import (
     CodeParams,
     CompoundChannel,
-    achievable_rate_uninformed,
-    converse_rate,
     pauli_compound_example,
     rate_informed,
     shared_state_sweep,
     simulate_informed,
     simulate_uninformed,
+    uninformed_rates,
 )
 from .composite import (
     CompositeInstance,
@@ -143,20 +142,12 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _pyify(x):
-    if isinstance(x, dict):
-        return {str(k): _pyify(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_pyify(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_pyify(v) for v in x.tolist()]
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    return x
+def _json_default(x):
+    """numpy values as Python ones; ``np.float64`` needs no hook, being a
+    ``float`` subclass that json writes with float's repr."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _load_pure(path: str) -> PureState:
@@ -222,6 +213,10 @@ _SUPPORT_CUTOFF = 1e-10
 
 def _run_union_stress(p: dict, seed):
     s, delta, dim, trials, eps = p["s"], p["delta"], p["dim"], p["trials"], p["eps"]
+    if not 1 <= s <= 64:
+        raise ValueError(f"s must lie in 1..64, got {s}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if dim < 2:
         raise ValueError("dim must be at least 2")
     if trials < 1:
@@ -334,8 +329,7 @@ def _run_rates(p: dict, seed):
     points = []
     dominated = True
     for label, psi in entries:
-        ach = achievable_rate_uninformed(cc, psi, eps, eta, gap_tol=gap_tol)
-        con = converse_rate(cc, psi, eps, gap_tol=gap_tol)
+        ach, con = uninformed_rates(cc, psi, eps, eta, gap_tol=gap_tol)
         dominated = dominated and con >= ach
         points.append({"point": label, "achievable": ach, "converse": con})
     results = {"points": points}
@@ -359,6 +353,8 @@ def _run_pauli_example(p: dict, seed):
 
 
 def _run_composite(p: dict, seed):
+    if p["net_deficit"] is not None and p["delta"] is None:
+        raise ValueError("--net-deficit needs --delta")
     s1 = StateEnsemble(tuple(load_state(f) for f in p["s1"]))
     s2 = StateEnsemble(tuple(load_state(f) for f in p["s2"]))
     inst = CompositeInstance(s1, s2, p["n"], p["eps"])
@@ -629,7 +625,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     path = _output_path(config)
     with open(path, "w") as fh:
-        fh.write(json.dumps(_pyify(record), sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(record, sort_keys=True, indent=2, default=_json_default) + "\n")
     failing = sorted(name for name, passed in checks.items() if not passed)
     if failing:
         print(f"{config.command}: FAIL {failing} -> {path}")

@@ -46,7 +46,6 @@ from .qcore import (
     RegisterLayout,
     apply_channel,
     as_array,
-    content_hash,
     maximally_entangled,
     pauli_channel_family,
     random_density,
@@ -73,6 +72,7 @@ __all__ = [
     "SimulationReport",
     "neumark_dilate",
     "hayashi_nagaoka_check",
+    "uninformed_rates",
     "achievable_rate_uninformed",
     "converse_rate",
     "rate_informed",
@@ -226,17 +226,7 @@ class SimulationReport:
 
     def to_record(self) -> dict:
         return {
-            "channel_indices": list(self.channel_indices),
-            "per_channel_error": list(self.per_channel_error),
-            "bound": self.bound,
-            "rate_used": self.rate_used,
-            "num_messages": self.num_messages,
-            "rate_ok": self.rate_ok,
-            "povm_gap_min_eig": self.povm_gap_min_eig,
-            "decoder_rank": self.decoder_rank,
-            "decoder_min_kept_eigenvalue": self.decoder_min_kept_eigenvalue,
-            "certified_rate": self.certified_rate,
-            "trivial_decoder": self.trivial_decoder,
+            **dataclasses.asdict(self),
             "within_bound": [e <= self.bound + ATOL for e in self.per_channel_error],
         }
 
@@ -392,27 +382,10 @@ def _output_marginal(ch: Channel, psi: PureState) -> DensityMatrix:
 # rate formulas
 # ---------------------------------------------------------------------------
 
-_MIN_IH_CACHE: dict[tuple, tuple[float, ...]] = {}
-
-
-def _compound_key(cc: CompoundChannel, psi: PureState) -> tuple:
-    parts = []
-    for ch in cc.channels:
-        parts.extend(content_hash(k) for k in ch.kraus)
-        parts.append(ch.in_layout.header())
-        parts.append(ch.out_layout.header())
-    return tuple(parts), content_hash(psi)
-
-
 def _per_channel_ih(
     cc: CompoundChannel, psi: PureState, eps: float, gap_tol: float
-) -> tuple[float, ...]:
-    key = (*_compound_key(cc, psi), eps, gap_tol)
-    hit = _MIN_IH_CACHE.get(key)
-    if hit is None:
-        hit = tuple(v for v, _ in (i_h(r, eps, gap_tol=gap_tol) for r in _channel_outputs(cc, psi)))
-        _MIN_IH_CACHE[key] = hit
-    return hit
+) -> list[float]:
+    return [i_h(r, eps, gap_tol=gap_tol)[0] for r in _channel_outputs(cc, psi)]
 
 
 def _uninformed_penalty(s: int, eps: float, eta: float) -> float:
@@ -425,23 +398,25 @@ def _informed_penalty(s: int, eps: float, eta: float) -> float:
     return width * math.log2(eta / (6.0 * width)) + math.log2(eps / (4.0 * s * s))
 
 
-def achievable_rate_uninformed(
-    cc: CompoundChannel,
-    psi: PureState,
-    eps: float,
-    eta: float,
-    *,
-    gap_tol: float = 1e-6,
-) -> float:
-    """Largest rate the uninformed protocol certifies for this shared state:
-    the worst member channel's divergence value plus the (negative) merge and
-    confusion penalties.  The caller supplies the shared state; sweeping
-    candidates is the caller's (or the command-line driver's) job.
-    """
+def uninformed_rates(
+    cc: CompoundChannel, psi: PureState, eps: float, eta: float, *, gap_tol: float = 1e-6
+) -> tuple[float, float]:
+    """``(achievable, converse)`` at this shared state, from one divergence
+    solve per member channel: the converse is the worst member's value, and
+    the achievable rate adds the (negative) merge and confusion penalties.
+    Sweeping candidate shared states is the caller's job."""
     if not 0.0 < eps < 1.0 or not 0.0 < eta < 1.0:
         raise ValueError("eps and eta must be in (0, 1)")
-    vals = _per_channel_ih(cc, psi, eps, gap_tol)
-    return min(vals) + _uninformed_penalty(cc.size, eps, eta)
+    worst = min(_per_channel_ih(cc, psi, eps, gap_tol))
+    return worst + _uninformed_penalty(cc.size, eps, eta), worst
+
+
+def achievable_rate_uninformed(
+    cc: CompoundChannel, psi: PureState, eps: float, eta: float, *, gap_tol: float = 1e-6
+) -> float:
+    """Largest rate the uninformed protocol certifies for this shared state:
+    the first entry of ``uninformed_rates``."""
+    return uninformed_rates(cc, psi, eps, eta, gap_tol=gap_tol)[0]
 
 
 def converse_rate(
@@ -485,12 +460,7 @@ def _informed_family(
 
 
 def rate_informed(
-    cc: CompoundChannel,
-    states: Sequence[PureState],
-    eps: float,
-    eta: float,
-    *,
-    grid: float = 0.02,
+    cc: CompoundChannel, states: Sequence[PureState], eps: float, eta: float
 ) -> float:
     """Largest rate the informed protocol certifies for the given
     per-channel shared states: the worst channel's doubly restricted
@@ -500,7 +470,7 @@ def rate_informed(
     if not 0.0 < eps < 1.0 or not 0.0 < eta < 1.0:
         raise ValueError("eps and eta must be in (0, 1)")
     joints, outputs, partners, _ = _informed_family(cc, states)
-    vals = [i_h_hat(rho, outputs, partners, eps, grid=grid)[0] for rho in joints]
+    vals = [i_h_hat(rho, outputs, partners, eps)[0] for rho in joints]
     return min(vals) + _informed_penalty(cc.size, eps, eta)
 
 

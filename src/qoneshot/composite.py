@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
 
 import numpy as np
 import scipy.optimize
@@ -36,7 +35,6 @@ from .coding import neumark_dilate
 from .divergences import StateEnsemble, TestOperator, bits, bloch_density
 from .jordan import union_many
 from .qcore import (
-    ATOL,
     PAULIS,
     CapacityError,
     ComplexMatrix,
@@ -52,7 +50,6 @@ from .qcore import (
 MAX_VERTICES = 4
 MAX_COPIES = 3
 MAX_TOTAL_DIM = 64
-TOL_OPT = 1e-4
 
 QUBIT = RegisterLayout.of("a:2")
 
@@ -62,7 +59,6 @@ __all__ = [
     "UniversalTest",
     "beta_exact",
     "build_universal_test",
-    "classical_composite_value",
     "composite_record",
     "epsilon_net",
     "net_covering_report",
@@ -309,34 +305,6 @@ def beta_exact(inst: CompositeInstance) -> tuple[float, TestOperator]:
     return value, test
 
 
-def classical_composite_value(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray],
-                              eps: float) -> float:
-    """Exact program value when every state is diagonal, by linear
-    programming over the diagonal acceptance weights (independent of the
-    operator solver; used as its commuting-case reference)."""
-    ps = [np.asarray(p, dtype=float) for p in ps]
-    qs = [np.asarray(q, dtype=float) for q in qs]
-    dim = ps[0].size
-    c_obj = np.concatenate([np.zeros(dim), [1.0]])
-    a_ub = np.block(
-        [
-            [np.stack(qs), -np.ones((len(qs), 1))],
-            [-np.stack(ps), np.zeros((len(ps), 1))],
-        ]
-    )
-    b_ub = np.concatenate([np.zeros(len(qs)), -np.full(len(ps), 1.0 - eps)])
-    lp = scipy.optimize.linprog(
-        c_obj,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(0.0, 1.0)] * dim + [(0.0, None)],
-        method="highs",
-    )
-    if not lp.success:
-        raise ArithmeticError(f"classical program failed: {lp.message}")
-    return bits(lp.x[-1])
-
-
 # ---------------------------------------------------------------------------
 # universal test for the whole family
 # ---------------------------------------------------------------------------
@@ -495,6 +463,8 @@ def epsilon_net(dim: int, deficit: float) -> EpsilonNet:
 def net_covering_report(net: EpsilonNet, num_samples: int = 10_000,
                         seed=7) -> dict:
     """Measure the net's worst fidelity deficit over sampled qubit states."""
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be at least 1, got {num_samples}")
     rng = rng_from(seed)
     samples = (random_density(2, rng, layout=QUBIT) for _ in range(num_samples))
     bloch = np.stack([_bloch_vector(q) for q in samples])

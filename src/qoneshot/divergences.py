@@ -5,9 +5,9 @@ Neyman-Pearson routine for the plain hypothesis-testing divergence, and a
 column-generation saddle solver for the mutual-information-like variants
 that minimize over one marginal.  Every solver reports a value that is a
 *certified* bound realized by the returned test operator, together with the
-bracket between its lower and upper estimates; independent grid and linear
-programming oracles live alongside for cross-checking and never share the
-optimization path.
+bracket between its lower and upper estimates.  The classical linear
+programming value ``classical_np_value`` is an independent cross-check that
+never shares the optimization path.
 
 All logarithms are base 2; values are in bits.  A support violation in
 ``relative_entropy``, ``relative_entropy_variance``, or ``d_max`` yields
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.optimize
@@ -38,10 +38,10 @@ from .qcore import (
 
 #: eigenvalues within this band of zero count as the threshold boundary block
 EDGE = 1e-12
-#: relative tolerance for certified saddle values
-TOL_SADDLE = 1e-4
 #: tolerance for plain Neyman-Pearson values
 TOL_NP = 1e-8
+#: column-generation rounds ``i_h`` runs at most
+_MAX_ROUNDS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +459,7 @@ def _best_mixture(r, fixed_b, atoms, eps, w0=None):
 
 
 def i_h(
-    rho: DensityMatrix,
-    eps: float,
-    *,
-    gap_tol: float = 1e-9,
-    max_rounds: int = 40,
+    rho: DensityMatrix, eps: float, *, gap_tol: float = 1e-9
 ) -> tuple[float, TestOperator]:
     """Hypothesis-testing mutual information: minimize the divergence over
     states on the first register, with the second register's marginal fixed.
@@ -486,7 +482,7 @@ def i_h(
     m_best = None
     beta_best = 0.0
     stale = 0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         w, beta, m, per, solves = _best_mixture(r, rho_b, atoms, eps, w0)
         total_solves += solves
         beta_best = max(beta_best, beta)
@@ -626,164 +622,10 @@ def i_h_hat(
 
 
 # ---------------------------------------------------------------------------
-# independent oracles
+# qubit states from Bloch vectors
 # ---------------------------------------------------------------------------
 
 def bloch_density(x: float, y: float, z: float) -> np.ndarray:
     """Qubit state ``(I + x X + y Y + z Z) / 2`` with Bloch vector
     ``(x, y, z)``, ``|r| <= 1``."""
     return 0.5 * sum(c * p for c, p in zip((1.0, x, y, z), PAULIS))
-
-
-def _ball_lattice(res: float) -> np.ndarray:
-    n = int(round(2.0 / res))
-    coords = np.arange(n + 1) * (2.0 / n) - 1.0
-    pts = np.array(np.meshgrid(coords, coords, coords)).reshape(3, -1).T
-    return pts[np.einsum("ij,ij->i", pts, pts) <= 1.0 + 1e-12]
-
-def min_dh_over_bloch_grid(
-    rho: DensityMatrix,
-    eps: float,
-    *,
-    fine: float = 0.02,
-    coarse: float = 0.1,
-) -> tuple[float, np.ndarray]:
-    """Grid oracle for the first-register minimization (qubit first register).
-
-    Minimizes the divergence against sigma (x) rho_B over a Bloch-ball
-    lattice: a full pass at the coarse resolution, then a full
-    fine-resolution box (two coarse cells wide) around the coarse winner.
-    The minimized map is convex on the ball, so the refinement is sound.
-    This path shares no optimization state with the saddle solver.
-    """
-    d_a, d_b, _, rho_b = _split_bipartite(rho)
-    if d_a != 2:
-        raise LayoutError("grid oracle needs a qubit first register")
-    r = rho.a
-
-    def value_at(pt) -> float:
-        beta, _, _, _ = _np_solve(r, np.kron(bloch_density(*pt), rho_b), eps)
-        return bits(beta)
-
-    best_v, best_p = math.inf, None
-    for pt in _ball_lattice(coarse):
-        v = value_at(pt)
-        if v < best_v:
-            best_v, best_p = v, pt
-
-    def refine(center, half, step):
-        nonlocal best_v, best_p
-        n = int(round(half / step))
-        offs = (np.arange(2 * n + 1) - n) * step
-        for dx in offs:
-            for dy in offs:
-                for dz in offs:
-                    pt = center + np.array([dx, dy, dz])
-                    if pt @ pt > 1.0 + 1e-12:
-                        continue
-                    v = value_at(pt)
-                    if v < best_v:
-                        best_v, best_p = v, pt
-
-    refine(best_p, coarse + 2 * fine, fine)
-    refine(best_p, 1.5 * fine, fine / 4.0)
-    return best_v, best_p
-
-
-def min_dh_over_weight_grids(
-    rho: DensityMatrix,
-    s_a: StateEnsemble,
-    s_b: StateEnsemble,
-    eps: float,
-    step: float = 0.02,
-) -> float:
-    """Nested-grid oracle for the doubly restricted divergence: a direct scan
-    over weight grids on both vertex simplices, one plain Neyman-Pearson
-    solve per pair.  Supports two-vertex ensembles (one weight each)."""
-    if len(s_a.vertices) > 2 or len(s_b.vertices) > 2:
-        raise ValueError("weight-grid oracle supports up to two vertices per set")
-
-    def mixtures(ens: StateEnsemble):
-        if len(ens.vertices) == 1:
-            return [ens.vertices[0].a]
-        n = int(round(1.0 / step))
-        return [ens.mix([i / n, 1.0 - i / n]) for i in range(n + 1)]
-
-    best = math.inf
-    r = rho.a
-    for ta in mixtures(s_a):
-        for sb in mixtures(s_b):
-            beta, _, _, _ = _np_solve(r, np.kron(ta, sb), eps)
-            best = min(best, bits(beta))
-    return best
-
-
-def best_qubit_two_level_test(
-    rho, sigma, eps: float, num_directions: int = 10000
-) -> float:
-    """Best value over a family of qubit tests diagonal in a scanned basis.
-
-    For each measurement direction on a two-stage Fibonacci sphere (coarse
-    scan, then a refined cap around the winner), the optimal two-level
-    weights solve a closed-form two-variable linear program.  The family
-    contains the optimal test's eigenbasis in the limit, so its best value
-    is an independent lower bound that approaches the true optimum.
-    """
-    r, s = as_array(rho), as_array(sigma)
-    if r.shape != (2, 2):
-        raise ValueError("test family is defined for qubits")
-    target = 1.0 - eps
-
-    def fib_sphere(n: int) -> np.ndarray:
-        i = np.arange(n) + 0.5
-        phi = np.arccos(1.0 - 2.0 * i / n)
-        theta = np.pi * (1.0 + 5.0**0.5) * i
-        return np.stack(
-            [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)], axis=1
-        )
-
-    def best_for_directions(dirs: np.ndarray) -> tuple[float, np.ndarray]:
-        best_beta, best_dir = math.inf, dirs[0]
-        for u in dirs:
-            proj = bloch_density(*u)
-            p1 = float(np.trace(proj @ r).real)
-            p2 = float(np.trace(r).real) - p1
-            q1 = float(np.trace(proj @ s).real)
-            q2 = float(np.trace(s).real) - q1
-            # minimize a q1 + b q2 over 0 <= a, b <= 1 with a p1 + b p2 >= target
-            cands = []
-            for a, b in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0)):
-                if a * p1 + b * p2 >= target - 1e-12:
-                    cands.append(a * q1 + b * q2)
-            for a in (0.0, 1.0):  # boundary a p1 + b p2 = target
-                if p2 > 1e-15:
-                    b = (target - a * p1) / p2
-                    if -1e-12 <= b <= 1.0 + 1e-12:
-                        cands.append(a * q1 + min(1.0, max(0.0, b)) * q2)
-            for b in (0.0, 1.0):
-                if p1 > 1e-15:
-                    a = (target - b * p2) / p1
-                    if -1e-12 <= a <= 1.0 + 1e-12:
-                        cands.append(min(1.0, max(0.0, a)) * q1 + b * q2)
-            if cands and min(cands) < best_beta:
-                best_beta, best_dir = min(cands), u
-        return best_beta, best_dir
-
-    n_coarse = max(1000, int(num_directions * 0.5))
-    beta, u0 = best_for_directions(fib_sphere(n_coarse))
-    # refine in shrinking caps around the running winner
-    cap = 4.0 * math.sqrt(4.0 / n_coarse)
-    k = 40
-    for _ in range(3):
-        basis = np.linalg.svd(u0.reshape(1, 3))[2][1:]  # two tangent directions
-        ts = np.linspace(-cap, cap, k)
-        local = []
-        for a in ts:
-            for b in ts:
-                v = u0 + a * basis[0] + b * basis[1]
-                local.append(v / np.linalg.norm(v))
-        beta2, u2 = best_for_directions(np.array(local))
-        if beta2 < beta:
-            beta, u0 = beta2, u2
-        cap = 4.0 * (2.0 * cap / (k - 1))
-    return bits(beta)

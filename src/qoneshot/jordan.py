@@ -18,7 +18,7 @@ import dataclasses
 
 import numpy as np
 
-from .qcore import ATOL, LayoutError, Projector, as_array
+from .qcore import LayoutError, Projector
 
 FAR = "far"
 NEAR = "near"

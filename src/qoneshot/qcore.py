@@ -23,8 +23,6 @@ import numpy as np
 
 #: absolute tolerance for structural checks (Hermiticity, traces, idempotence)
 ATOL = 1e-9
-#: relative tolerance for spectral reconstructions
-RTOL = 1e-10
 #: largest total Hilbert-space dimension any operation will accept
 DIM_CAP = 4096
 

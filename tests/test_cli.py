@@ -155,6 +155,39 @@ class TestExitCodes:
             assert "trials" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_union_stress_ranges_checked_before_any_draw(self, tmp_path, capsys):
+        cases = {
+            ("--s", "0"): "s must lie in 1..64",
+            ("--s", "-1"): "s must lie in 1..64",
+            ("--s", "65"): "s must lie in 1..64",
+            ("--delta", "0"): "delta must lie in (0, 1)",
+            ("--delta", "1"): "delta must lie in (0, 1)",
+        }
+        for (flag, value), message in cases.items():
+            args = {"--s": "2", "--delta": "0.3", flag: value}
+            out = tmp_path / f"u{flag[2:]}{value}.json"
+            assert run(["union-stress", *(x for kv in args.items() for x in kv),
+                        "--dim", "4", "--trials", "1", "--seed", "7",
+                        "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_net_validate_without_samples_is_config_error(self, tmp_path, capsys):
+        for samples in ("0", "-4"):
+            out = tmp_path / f"n{samples}.json"
+            assert run(["net-validate", "--deficit", "0.3", "--samples", samples,
+                        "--seed", "7", "--out", str(out)]) == 2
+            assert "num_samples must be at least 1" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_composite_net_deficit_needs_delta(self, tmp_path, files, capsys):
+        out = tmp_path / "c.json"
+        assert run(["composite", "--s1", files["ground"], "--s2", files["mixed"],
+                    "--n", "1", "--eps", "0.2", "--net-deficit", "0.05",
+                    "--out", str(out)]) == 2
+        assert "--net-deficit needs --delta" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_union_stress_dimension_cap_is_three(self, tmp_path, capsys):
         # checked before the dim x dim projectors are drawn
         out = tmp_path / "d.json"
@@ -320,6 +353,24 @@ class TestSubcommands:
         point = rec["results"]["points"][0]
         assert rec["checks"]["converse_dominates"]
         assert point["converse"] >= point["achievable"]
+
+    def test_rates_sweep_solves_each_member_once_per_point(self, tmp_path, files, monkeypatch):
+        from qoneshot import coding
+
+        calls = []
+        solve = coding.i_h
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(coding, "i_h", counted)
+        out = str(tmp_path / "r.json")
+        assert run(["rates", "--channels", f"{files['ident']},{files['flip']}",
+                    "--sweep-step", "0.1", "--eps", "0.2", "--eta", "0.05",
+                    "--gap-tol", "1e-4", "--out", out]) == 0
+        assert len(read(out)["results"]["points"]) == 9
+        assert len(calls) == 2 * 9
 
     def test_rates_requires_exactly_one_input_mode(self, files):
         assert run(["rates", "--channels", files["ident"], "--eps", "0.2",

@@ -38,14 +38,15 @@ from qoneshot.coding import (
     shared_state_sweep,
     simulate_informed,
     simulate_uninformed,
+    uninformed_rates,
 )
 from qoneshot.divergences import (
     StateEnsemble,
     TestOperator,
     hypothesis_test_divergence,
     i_h,
-    min_dh_over_weight_grids,
 )
+from oracles import min_dh_over_weight_grids
 from qoneshot.qcore import (
     ATOL,
     CapacityError,
@@ -294,6 +295,18 @@ class TestRateFormulas:
         assert r_small < r_mid < r_big
         assert achievable_rate_uninformed(cc, psi, EPS, 1e-6) < -35.0
 
+    def test_uninformed_rates_are_the_two_public_bounds(self):
+        rng = rng_from(1717)
+        for members in (2, 3):
+            cc = CompoundChannel(
+                tuple(haar_member(rng) for _ in range(members - 1)) + (damped_member(rng),)
+            )
+            psi = random_shared_state(rng)
+            assert uninformed_rates(cc, psi, EPS, ETA) == (
+                achievable_rate_uninformed(cc, psi, EPS, ETA),
+                converse_rate(cc, psi, EPS),
+            )
+
     def test_parameter_validation(self):
         cc = CompoundChannel((IDENT,))
         psi = maximally_entangled(2, ("a", "r"))
@@ -301,6 +314,8 @@ class TestRateFormulas:
             achievable_rate_uninformed(cc, psi, 0.0, ETA)
         with pytest.raises(ValueError, match="eps"):
             converse_rate(cc, psi, 1.0)
+        with pytest.raises(ValueError, match="eta"):
+            uninformed_rates(cc, psi, EPS, 1.0)
 
     def test_informed_single_channel_is_plain_divergence(self):
         cc = CompoundChannel((IDENT,))

@@ -19,7 +19,6 @@ from qoneshot.composite import (
     EpsilonNet,
     beta_exact,
     build_universal_test,
-    classical_composite_value,
     composite_record,
     epsilon_net,
     net_covering_report,
@@ -29,6 +28,7 @@ from qoneshot.divergences import (
     classical_np_value,
     hypothesis_test_divergence,
 )
+from oracles import classical_composite_value
 from qoneshot.qcore import (
     CapacityError,
     ComplexMatrix,

@@ -19,7 +19,6 @@ from qoneshot.divergences import (
     TOL_NP,
     StateEnsemble,
     TestOperator,
-    best_qubit_two_level_test,
     bloch_density,
     classical_np_value,
     _jump_points,
@@ -30,10 +29,13 @@ from qoneshot.divergences import (
     i_h_hat,
     i_h_tilde,
     i_max,
-    min_dh_over_bloch_grid,
-    min_dh_over_weight_grids,
     relative_entropy,
     relative_entropy_variance,
+)
+from oracles import (
+    best_qubit_two_level_test,
+    min_dh_over_bloch_grid,
+    min_dh_over_weight_grids,
 )
 from qoneshot.qcore import (
     ComplexMatrix,
