@@ -78,6 +78,7 @@ from .qcore import (
     load_channel,
     load_matrix,
     load_state,
+    random_pure_state,
     rng_from,
     whiten,
 )
@@ -158,11 +159,6 @@ def _load_pure(path: str) -> PureState:
     return PureState(vecs[:, 0], dm.layout)
 
 
-def _random_unit(rng, dim: int) -> np.ndarray:
-    g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return g / np.linalg.norm(g)
-
-
 # ---------------------------------------------------------------------------
 # runners: each returns (results, checks, tolerances)
 # ---------------------------------------------------------------------------
@@ -235,7 +231,7 @@ def _run_union_stress(p: dict, seed):
     for _ in range(trials):
         projs, planted = [], []
         for _ in range(s):
-            psi = _random_unit(rng, dim)
+            psi = random_pure_state(dim, rng).vector
             g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             g = g - (psi.conj() @ g) * psi
             orth = g / np.linalg.norm(g)
@@ -601,7 +597,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         config = _resolve(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     spec = COMMANDS[config.command]

@@ -68,7 +68,6 @@ from . import schur
 __all__ = [
     "CompoundChannel",
     "CodeParams",
-    "DilatedProjector",
     "SimulationReport",
     "neumark_dilate",
     "hayashi_nagaoka_check",
@@ -123,7 +122,9 @@ class CodeParams:
     """Rate and error-budget parameters of one code instance.
 
     ``num_messages`` is derived as ``2^ceil(rate_bits)`` clamped below at one
-    message; rate checks always use the unrounded ``rate_bits``.
+    message; rate checks always use the unrounded ``rate_bits``.  More than
+    ``DIM_CAP`` messages raise ``CapacityError`` (checked on the exponent,
+    before ``2^e`` is formed).
     ``shared_state`` is the single shared entangled state of the uninformed
     protocol; informed simulations receive their per-channel states
     separately and ignore it.
@@ -140,45 +141,19 @@ class CodeParams:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must be in (0, 1), got {self.eta}")
+        if not math.isfinite(self.rate_bits):
+            raise ValueError(f"rate must be finite, got {self.rate_bits}")
         if self.num_messages == 0:
             e = math.ceil(self.rate_bits)
+            if e > math.log2(DIM_CAP):
+                raise CapacityError(f"rate {self.rate_bits} needs 2^{e} > {DIM_CAP} messages")
             object.__setattr__(self, "num_messages", 2**e if e > 0 else 1)
         if self.num_messages < 1:
             raise ValueError("need at least one message")
+        if self.num_messages > DIM_CAP:
+            raise CapacityError(f"{self.num_messages} messages exceed the cap {DIM_CAP}")
         if self.shared_state is not None and len(self.shared_state.layout.factors) != 2:
             raise LayoutError("shared state must live on exactly two registers")
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class DilatedProjector:
-    """A binary test lifted to a projector on system tensor qubit ancilla.
-
-    The defining property: accepting the projector on ``rho (x) |0><0|``
-    has the same probability as accepting the source test on ``rho``.  The
-    ancilla-ground block of the projector is checked against the source
-    operator at construction, which is equivalent to that trace identity
-    holding for every input state.
-    """
-
-    projector: Projector
-    ancilla_dim: int
-    source: TestOperator
-
-    def __post_init__(self):
-        d = self.source.matrix.dim
-        if self.projector.dim != d * self.ancilla_dim:
-            raise LayoutError(
-                f"projector dimension {self.projector.dim} != "
-                f"{d} x ancilla {self.ancilla_dim}"
-            )
-        block = self.projector.a.reshape(d, self.ancilla_dim, d, self.ancilla_dim)[
-            :, 0, :, 0
-        ]
-        err = float(np.max(np.abs(block - self.source.a)))
-        if err > 4.0 * ATOL:
-            raise ValueError(
-                f"ancilla-ground block deviates from the source test by {err:.3e}"
-            )
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -257,10 +232,13 @@ def _arrange(pieces: Sequence[tuple[np.ndarray, Sequence[int]]], dims: Sequence[
 # dilation and the square-root-decoder operator inequality
 # ---------------------------------------------------------------------------
 
-def neumark_dilate(m: TestOperator) -> DilatedProjector:
+def neumark_dilate(m: TestOperator) -> Projector:
     """Lift a binary test to a projector on system tensor qubit ancilla.
 
-    With ``A = sqrt(I - M)`` and ``B = sqrt(M)`` the block rotation
+    Accepting the projector on ``rho (x) |0><0|`` has the same probability
+    as accepting the test on ``rho``: the projector's ancilla-ground block
+    is checked against ``M``, which is that trace identity for every input
+    state.  With ``A = sqrt(I - M)`` and ``B = sqrt(M)`` the block rotation
     ``[[A, -B], [B, A]]`` is unitary, and conjugating the ancilla-excited
     projector by it gives ``Pi = M (x) |0><0| + BA (x) (|0><1| + |1><0|)
     + (I - M) (x) |1><1|``.  All blocks are assembled from one spectral
@@ -272,9 +250,12 @@ def neumark_dilate(m: TestOperator) -> DilatedProjector:
     accept = (v * wc) @ vh
     cross = (v * np.sqrt(wc * (1.0 - wc))) @ vh
     reject = (v * (1.0 - wc)) @ vh
+    err = float(np.max(np.abs(accept - m.a)))
+    if err > 4.0 * ATOL:
+        raise ValueError(f"ancilla-ground block deviates from the test by {err:.3e}")
     blocks = np.array([[accept, cross], [cross, reject]])  # axes: ancilla i, j; system i, j
     pi = blocks.transpose(2, 0, 3, 1).reshape(2 * w.size, 2 * w.size)
-    return DilatedProjector(Projector(ComplexMatrix(pi)), 2, m)
+    return Projector(ComplexMatrix(pi))
 
 
 def hayashi_nagaoka_check(s, t, c: float) -> dict:
@@ -478,6 +459,31 @@ def rate_informed(
 # exact simulation
 # ---------------------------------------------------------------------------
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Code:
+    """A position-based code.  Each of the ``num_messages`` messages owns a
+    band of ``len(partners)`` slots, and the decoder applies the ``merged``
+    projector at every slot on output x slot x ancilla.  ``joints[i]`` is
+    channel ``i``'s joint output-partner state, ``values[i]`` the value of
+    its test, and band position ``p`` holds ``partners[p]`` unless sent."""
+
+    merged: Projector
+    joints: tuple[np.ndarray, ...]
+    partners: tuple[np.ndarray, ...]
+    values: tuple[float, ...]
+    num_messages: int
+
+    @property
+    def band(self) -> int:
+        return len(self.partners)
+
+    @property
+    def dims(self) -> list[int]:
+        """Register dimensions: output, the ``band num_messages`` slots, ancilla."""
+        d_r = self.partners[0].shape[0]
+        return [self.merged.dim // (2 * d_r)] + [d_r] * (self.band * self.num_messages) + [2]
+
+
 def _position_code(
     cc: CompoundChannel,
     joints: Sequence[DensityMatrix],
@@ -485,46 +491,37 @@ def _position_code(
     partners: Sequence[np.ndarray],
     eta: float,
     num_messages: int,
-) -> dict:
+) -> _Code:
     """Assemble a position-based code shared by both senders.
 
     Each message owns a band of ``len(partners)`` slots.  ``solve`` maps a
     joint output-partner state to ``(value, test)``; the tests are lifted
-    and merged into one projector, which the decoder applies at every slot
-    on output x slot x ancilla.  A code with qubit partners is decoded on
-    the spin blocks of the other bands' slots (``blocks``,
-    ``_block_decoder``), whose largest operator is ``d_out 2^b
-    num_messages^b 2`` wide for a band of ``b`` slots; every other code on
-    the full register space (``_dense_decoder``).  The cap applies to the
-    largest operator the decoder builds and is checked before any solver
-    runs."""
+    and merged into one projector.  A code with qubit partners is decoded
+    on the spin blocks of the other bands' slots (``_block_decoder``),
+    whose largest operator is ``d_out 2^b num_messages^b 2`` wide for a
+    band of ``b`` slots; every other code on the full register space
+    (``_dense_decoder``).  The cap applies to the largest operator the
+    decoder builds and is checked before any solver runs."""
     band, d_r = len(partners), partners[0].shape[0]
-    blocks = d_r == 2
-    if blocks:
+    if d_r == 2:
         dim = cc.dim_out * (2 * num_messages) ** band * 2
     else:
-        dim = cc.dim_out * 2 * d_r ** min(band * num_messages, DIM_CAP)
+        dim = cc.dim_out * 2 * d_r ** (band * num_messages)
     if dim > DIM_CAP:
         raise CapacityError(f"simulated dimension {dim} exceeds the cap {DIM_CAP}")
     tested = [solve(rho) for rho in joints]
     merged = union_many(
-        [neumark_dilate(t).projector for _, t in tested],
-        eta / (3.0 * math.log2(2 * cc.size)),
+        [neumark_dilate(t) for _, t in tested], eta / (3.0 * math.log2(2 * cc.size))
     )
-    return {
-        "dims": [cc.dim_out] + [d_r] * (band * num_messages) + [2],
-        "blocks": blocks,
-        "joints": joints,
-        "values": tuple(v for v, _ in tested),
-        "tests": tuple(t for _, t in tested),
-        "merged": merged,
-        "partners": partners,
-    }
+    return _Code(
+        merged, tuple(r.a for r in joints), tuple(partners),
+        tuple(v for v, _ in tested), num_messages,
+    )
 
 
 def _uninformed_code(
     cc: CompoundChannel, psi: PureState, eps: float, eta: float, num_messages: int
-) -> dict:
+) -> _Code:
     """The uninformed code: one slot per message, tests from ``i_h``, and the
     shared state's partner marginal in every slot."""
     joints = _channel_outputs(cc, psi)
@@ -540,7 +537,7 @@ def _informed_code(
     eps: float,
     eta: float,
     num_messages: int,
-) -> dict:
+) -> _Code:
     """The informed code: a band of ``s`` slots per message, tests against
     the averaged partner marginal (uniform over the family's outputs), and
     the ``i``-th state's partner marginal in the ``i``-th slot of each band."""
@@ -604,27 +601,27 @@ def _accepted(omega: np.ndarray, pieces, dims: Sequence[int]) -> float:
     return float(np.sum(omega * _arrange(pieces, dims[:-1]).T).real)
 
 
-def _dense_decoder(code: dict, message: int, indices: tuple[int, ...]):
+def _dense_decoder(code: _Code, message: int, indices: tuple[int, ...]):
     """Errors and spectrum of ``T`` on the full register space, where ``T``
     adds the merged projector at every slot outside the message's band.
     Channel ``i`` sends in slot ``band (message - 1) + i mod band + 1``;
     every other slot ``k`` holds ``partners[(k - 1) mod band]``.  The error
     is ``1 - Tr[Omega(message) Theta]``."""
-    pi, dims, partners = code["merged"].a, code["dims"], code["partners"]
-    band, last = len(partners), len(dims) - 1
+    pi, dims, partners, band = code.merged.a, code.dims, code.partners, code.band
+    last = len(dims) - 1
     sent = range(band * (message - 1) + 1, band * message + 1)
     terms = [(pi, [0, k, last]) for k in range(1, last) if k not in sent]
     omega, w = _ground_omega(pi, dims, sent, terms)
     errors = []
     for i in indices:
         star = sent[i % band]
-        pieces = [(code["joints"][i].a, [0, star])]
+        pieces = [(code.joints[i], [0, star])]
         pieces += [(partners[(k - 1) % band], [k]) for k in range(1, last) if k != star]
         errors.append(1.0 - _accepted(omega, pieces, dims))
     return errors, [(w, 1)]
 
 
-def _block_decoder(code: dict, indices: tuple[int, ...]):
+def _block_decoder(code: _Code, indices: tuple[int, ...]):
     """Errors and spectrum of ``T`` on the spin blocks of the other bands.
 
     With qubit partners ``sigma_p`` (band position ``p = 0..b-1``), ``T``,
@@ -640,9 +637,8 @@ def _block_decoder(code: dict, indices: tuple[int, ...]):
     with multiplicity ``prod_p m_jp`` (``qoneshot.schur``).  The error is
     ``1 - sum over blocks of prod_p m_jp Tr[T^(-1/2) Lambda T^(-1/2)
     Theta_i]``."""
-    pi, partners = code["merged"].a, code["partners"]
-    band, d_out = len(partners), code["dims"][0]
-    others = (len(code["dims"]) - 2) // band - 1
+    pi, partners, band = code.merged.a, code.partners, code.band
+    d_out, others = code.dims[0], code.num_messages - 1
     dets = [max(0.0, float(np.linalg.det(s).real)) for s in partners]
     six = pi.reshape(d_out, 2, 2, d_out, 2, 2)
     errors = [1.0] * len(indices)
@@ -658,17 +654,17 @@ def _block_decoder(code: dict, indices: tuple[int, ...]):
         omega, w = _ground_omega(pi, dims, range(1, band + 1), terms)
         for slot, i in enumerate(indices):
             star = i % band + 1
-            pieces = [(code["joints"][i].a, [0, star])] + syms
+            pieces = [(code.joints[i], [0, star])] + syms
             pieces += [(partners[k - 1], [k]) for k in range(1, band + 1) if k != star]
             errors[slot] -= _accepted(omega, pieces, dims)
         spectrum.append((w, math.prod(schur.multiplicity(others, t) for t in two_js)))
     return errors, spectrum
 
 
-def _decoder(code: dict, message: int, indices: tuple[int, ...]) -> tuple[list[float], dict]:
-    """Exact errors of the square-root measurement for the simulated
-    channels, and the decoder certificate read from the eigenvalues of
-    ``T`` (each block's counted ``prod_p m_jp`` times on the block path):
+def _certificate(spectrum: Sequence[tuple[np.ndarray, int]]) -> dict:
+    """The decoder certificate read from the eigenvalues ``w`` of ``T``,
+    each ``(w, m)`` pair counted ``m`` times (``prod_p m_jp`` for a spin
+    block):
 
     * ``decoder_rank``: the rank of ``T`` over ``_KERNEL_CUTOFF``;
     * ``decoder_min_kept_eigenvalue``: the smallest eigenvalue kept;
@@ -676,12 +672,8 @@ def _decoder(code: dict, message: int, indices: tuple[int, ...]) -> tuple[list[f
       = I - T^(-1/2) T T^(-1/2)``, which is ``1 - w w^(-1)`` on the support
       and 1 on the kernel.
     """
-    if code["blocks"]:
-        errors, spectrum = _block_decoder(code, indices)
-    else:
-        errors, spectrum = _dense_decoder(code, message, indices)
     kept = [(w[w > _KERNEL_CUTOFF], m) for w, m in spectrum if w[-1] > _KERNEL_CUTOFF]
-    return errors, {
+    return {
         "decoder_rank": sum(m * k.size for k, m in kept),
         "decoder_min_kept_eigenvalue": min((float(k[0]) for k, _ in kept), default=0.0),
         "povm_gap_min_eig": min(
@@ -705,16 +697,20 @@ def _indices(
 
 
 def _evaluate(
-    code: dict,
+    code: _Code,
     params: CodeParams,
     indices: tuple[int, ...],
     message: int,
     penalty: float,
 ) -> SimulationReport:
-    """Exact error of the code for each simulated true channel, with the
-    decoder certificate (``_decoder``)."""
-    errors, certificate = _decoder(code, message, indices)
-    limit = min(code["values"]) + penalty
+    """Exact error of the square-root measurement for each simulated true
+    channel, with the decoder certificate (``_certificate``).  Every partner
+    a qubit takes the spin blocks, any other code the full register space."""
+    if code.dims[1] == 2:
+        errors, spectrum = _block_decoder(code, indices)
+    else:
+        errors, spectrum = _dense_decoder(code, message, indices)
+    limit = min(code.values) + penalty
     return SimulationReport(
         per_channel_error=tuple(errors),
         bound=params.epsilon + 3.0 * params.eta,
@@ -723,8 +719,8 @@ def _evaluate(
         num_messages=params.num_messages,
         rate_ok=bool(params.rate_bits <= limit + 1e-9),
         certified_rate=limit,
-        trivial_decoder=code["merged"].rank == code["merged"].dim,
-        **certificate,
+        trivial_decoder=code.merged.rank == code.merged.dim,
+        **_certificate(spectrum),
     )
 
 
@@ -791,10 +787,12 @@ def pauli_compound_example(num_qubits: int, eps: float) -> dict:
     uniform average of the family sends five fixed random inputs to the
     maximally mixed state.
     """
-    if num_qubits != 1:
-        raise CapacityError("only num_qubits = 1 is supported")
+    if num_qubits < 1:
+        raise ValueError(f"num_qubits must be positive, got {num_qubits}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
+    if num_qubits != 1:
+        raise CapacityError("only num_qubits = 1 is supported")
     cc = CompoundChannel(tuple(pauli_channel_family(1, "a", "b")))
     psi = maximally_entangled(2, ("a", "r"))
     values = _per_channel_ih(cc, psi, eps, 1e-9)

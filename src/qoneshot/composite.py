@@ -372,7 +372,7 @@ def build_universal_test(inst: CompositeInstance, delta: float,
     floor_bits = min(v for v, _ in per_prototype)
 
     merged = union_many(
-        [neumark_dilate(t).projector for _, t in per_prototype],
+        [neumark_dilate(t) for _, t in per_prototype],
         delta / math.log2(2 * len(unique)),
     )
 

@@ -472,6 +472,8 @@ def i_h(
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
+    if not 0.0 <= gap_tol < math.inf:
+        raise ValueError(f"gap_tol must be finite and non-negative, got {gap_tol}")
     d_a, d_b, rho_a, rho_b = _split_bipartite(rho)
     r = rho.a
     sq_b = spectral(rho_b, np.sqrt)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -120,7 +121,7 @@ class RegisterLayout:
             raise LayoutError(f"duplicate register labels in {labels}")
         if any(d < 1 for _, d in factors):
             raise LayoutError("register dimensions must be >= 1")
-        if int(np.prod([d for _, d in factors])) > DIM_CAP:
+        if math.prod(d for _, d in factors) > DIM_CAP:
             raise CapacityError(
                 f"total layout dimension exceeds the cap {DIM_CAP}"
             )
@@ -139,7 +140,7 @@ class RegisterLayout:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -449,7 +450,7 @@ def apply_channel(
         targets = channel.in_layout.labels
     targets = list(targets)
     layout = rho.layout
-    d_t = int(np.prod([layout.dim_of(l) for l in targets]))
+    d_t = math.prod(layout.dim_of(l) for l in targets)
     if d_t != channel.dim_in:
         raise LayoutError(
             f"target dimension {d_t} != channel input dimension {channel.dim_in}"

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,55 @@ class TestExitCodes:
                     "--out", str(out)]) == 2
         assert "--net-deficit needs --delta" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_value_its_converter_rejects_is_config_error(self, tmp_path, capsys):
+        # the same value on the command line is refused by argparse, also 2
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("channels ,\n")
+        out = tmp_path / "r.json"
+        assert run(["rates", "--config", str(cfg), "--eps", "0.2", "--eta", "0.05",
+                    "--sweep-step", "0.1", "--out", str(out)]) == 2
+        assert "config error: expected a comma-separated file list" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_rate_is_three_before_any_work(self, tmp_path, files, capsys):
+        # over DIM_CAP messages, refused on the exponent before 2^ceil(rate)
+        base = ["compound-sim", "--channels", files["ident"], "--state", files["psi"],
+                "--eps", "0.2", "--eta", "0.05"]
+        for rate in ("13", "1e9", "1e18"):
+            out = tmp_path / f"r{rate}.json"
+            start = time.perf_counter()
+            assert run(base + ["--rate", rate, "--out", str(out)]) == 3
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert "capacity error" in err and len(err) < 200
+            assert not out.exists()
+
+    def test_pauli_example_configuration_errors_are_two(self, tmp_path, capsys):
+        # a bad eps is a configuration error even at an unsupported size
+        for qubits, eps, message in (("0", "0.1", "num_qubits must be positive"),
+                                     ("-1", "0.1", "num_qubits must be positive"),
+                                     ("2", "7", "eps must be in (0, 1)")):
+            out = tmp_path / f"p{qubits}.json"
+            assert run(["pauli-example", "--qubits", qubits, "--eps", eps,
+                        "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_rates_gap_tol_checked_before_any_solve(self, tmp_path, files, capsys, monkeypatch):
+        import qoneshot.divergences as divergences
+
+        def solver(*args, **kwargs):
+            raise AssertionError("a solver ran before gap_tol was validated")
+
+        monkeypatch.setattr(divergences, "_np_solve", solver)
+        for gap_tol in ("-1", "nan", "inf"):
+            out = tmp_path / f"g{gap_tol}.json"
+            assert run(["rates", "--channels", files["ident"], "--state", files["psi"],
+                        "--eps", "0.2", "--eta", "0.05", "--gap-tol", gap_tol,
+                        "--out", str(out)]) == 2
+            assert "gap_tol must be finite and non-negative" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_union_stress_dimension_cap_is_three(self, tmp_path, capsys):
         # checked before the dim x dim projectors are drawn

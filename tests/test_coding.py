@@ -8,6 +8,7 @@ nested weight-grid scan.  Operator inequalities are certified by explicit
 eigenvalue computations.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,12 +17,13 @@ import pytest
 from qoneshot.coding import (
     CodeParams,
     CompoundChannel,
-    DilatedProjector,
     SimulationReport,
     _apply,
     _arrange,
+    _block_decoder,
+    _certificate,
     _channel_outputs,
-    _decoder,
+    _dense_decoder,
     _evaluate,
     _ground_omega,
     _informed_code,
@@ -127,6 +129,18 @@ class TestDomainTypes:
     def test_explicit_num_messages_preserved(self):
         assert CodeParams(0.3, EPS, ETA, num_messages=4).num_messages == 4
 
+    def test_message_count_capped_before_it_is_formed(self):
+        with pytest.raises(CapacityError, match="2\\^13"):
+            CodeParams(12.5, EPS, ETA)
+        with pytest.raises(CapacityError, match="2\\^1000000000000000000 > 4096"):
+            CodeParams(1e18, EPS, ETA)
+        with pytest.raises(CapacityError, match="4097 messages"):
+            CodeParams(0.0, EPS, ETA, num_messages=4097)
+        assert CodeParams(12.0, EPS, ETA).num_messages == 4096
+        for rate in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                CodeParams(rate, EPS, ETA)
+
     def test_parameter_ranges(self):
         with pytest.raises(ValueError, match="epsilon"):
             CodeParams(1.0, 0.0, ETA)
@@ -141,41 +155,39 @@ class TestDomainTypes:
         rec = rep.to_record()
         assert rec["within_bound"] == [True, True]
 
-    def test_dilated_projector_rejects_tampered_block(self):
-        rng = rng_from(3)
-        m = random_test_operator(2, rng)
-        dil = neumark_dilate(m)
-        other = random_test_operator(2, rng)
-        with pytest.raises(ValueError, match="block"):
-            DilatedProjector(dil.projector, 2, other)
-
 
 class TestNeumarkDilate:
     def test_identity_test_dilates_to_ground_block(self):
         m = TestOperator(matrix=ComplexMatrix(np.eye(3)), type1_error=0.0, type2_bound=1.0)
-        dil = neumark_dilate(m)
+        pi = neumark_dilate(m)
         expect = np.kron(np.eye(3), np.diag([1.0, 0.0]))
-        assert np.max(np.abs(dil.projector.a - expect)) < 1e-12
-        assert dil.ancilla_dim == 2
+        assert np.max(np.abs(pi.a - expect)) < 1e-12
+
+    def test_rejects_a_test_its_ground_block_cannot_reproduce(self):
+        # eigenvalues outside [0, 1] are clipped, so the ground block differs
+        m = TestOperator(matrix=ComplexMatrix(np.eye(2)), type1_error=0.0, type2_bound=1.0)
+        object.__setattr__(m, "matrix", ComplexMatrix(np.diag([1.5, -0.5])))
+        with pytest.raises(ValueError, match="block"):
+            neumark_dilate(m)
 
     def test_half_identity_accepts_with_probability_half(self):
         m = TestOperator(matrix=ComplexMatrix(0.5 * np.eye(2)), type1_error=0.5, type2_bound=0.5)
-        dil = neumark_dilate(m)
+        pi = neumark_dilate(m)
         ground = np.diag([1.0, 0.0])
         rng = rng_from(11)
         for _ in range(100):
             rho = random_density(2, rng).a
-            p = np.trace(dil.projector.a @ np.kron(rho, ground)).real
+            p = np.trace(pi.a @ np.kron(rho, ground)).real
             assert abs(p - 0.5) < 1e-12
 
     def test_basis_projector_accepts_with_overlap(self):
         m = TestOperator(matrix=ComplexMatrix(np.diag([1.0, 0.0])), type1_error=0.0, type2_bound=1.0)
-        dil = neumark_dilate(m)
+        pi = neumark_dilate(m)
         ground = np.diag([1.0, 0.0])
         rng = rng_from(12)
         for _ in range(50):
             rho = random_density(2, rng).a
-            p = np.trace(dil.projector.a @ np.kron(rho, ground)).real
+            p = np.trace(pi.a @ np.kron(rho, ground)).real
             assert abs(p - rho[0, 0].real) < 1e-12
 
     def test_trace_identity_for_random_tests(self):
@@ -183,11 +195,11 @@ class TestNeumarkDilate:
         ground = np.diag([1.0, 0.0])
         for dim in (2, 3, 4):
             m = random_test_operator(dim, rng)
-            dil = neumark_dilate(m)
-            assert dil.projector.rank == dim
+            pi = neumark_dilate(m)
+            assert pi.rank == dim
             for _ in range(100):
                 rho = random_density(dim, rng).a
-                lifted = np.trace(dil.projector.a @ np.kron(rho, ground)).real
+                lifted = np.trace(pi.a @ np.kron(rho, ground)).real
                 direct = np.trace(m.a @ rho).real
                 assert abs(lifted - direct) < 1e-11
 
@@ -365,8 +377,8 @@ class TestSimulateUninformed:
         rep = simulate_uninformed(cc, params)
         # one message, one member: the decoder is the lifted test itself,
         # so the exact error equals its acceptance deficit
-        code = _uninformed_code(cc, psi, EPS, ETA, 1)
-        assert abs(rep.per_channel_error[0] - code["tests"][0].type1_error) < 1e-12
+        joint = _channel_outputs(cc, psi)[0]
+        assert abs(rep.per_channel_error[0] - i_h(joint, EPS)[1].type1_error) < 1e-12
         assert rep.per_channel_error[0] <= EPS + 3.0 * ETA
         assert rep.rate_ok is False or params.rate_bits <= 0
         assert rep.povm_gap_min_eig >= -1e-9
@@ -388,13 +400,13 @@ class TestSimulateUninformed:
         rep = simulate_uninformed(cc, params, true_channel=0)
         code = _uninformed_code(cc, psi, EPS, ETA, 2)
         dims = [2, 2, 2, 2]
-        lams = [slow_embed(code["merged"].a, dims, [0, m, 3]) for m in (1, 2)]
+        lams = [slow_embed(code.merged.a, dims, [0, m, 3]) for m in (1, 2)]
         total = lams[0] + lams[1]
         w, v = np.linalg.eigh(total)
         inv = (v * np.where(w > 1e-12, 1.0 / np.sqrt(np.maximum(w, 1e-12)), 0.0)) @ v.conj().T
         omega = inv @ lams[0] @ inv
-        joint = code["joints"][0].a
-        partner = code["partners"][0]
+        joint = code.joints[0]
+        partner = code.partners[0]
         ground = np.diag([1.0, 0.0])
         theta = np.zeros((16, 16), dtype=complex)
         for r in range(16):
@@ -462,7 +474,7 @@ class TestSimulateInformed:
         joints, outputs, partners, avg = _informed_family(cc, states)
         tests = [i_h_tilde(r, avg, outputs, EPS)[1] for r in joints]
         merged = union_many(
-            [neumark_dilate(t).projector for t in tests], ETA / (3.0 * math.log2(4.0))
+            [neumark_dilate(t) for t in tests], ETA / (3.0 * math.log2(4.0))
         )
         dims = [2, 2, 2, 2]
         lams = [slow_embed(merged.a, dims, [0, k, 3]) for k in (1, 2)]
@@ -560,19 +572,20 @@ class TestDecoderMatchesEveryOmegaOracle:
     """The decoder never forms every ``Omega(m)``; its errors and its POVM
     certificate must agree with the full construction on both paths."""
 
-    def check(self, code, params):
-        dims, partners = code["dims"], code["partners"]
-        band = len(partners)
-        omegas, gap = every_omega_oracle(code["merged"].a, dims, band, params.num_messages)
-        indices = tuple(range(len(code["joints"])))
+    def check(self, code, params, dense=False):
+        """``dense`` runs the dense decoder on a qubit code, beside the
+        spin-block path that ``_evaluate`` takes."""
+        dims, partners, band = code.dims, code.partners, code.band
+        omegas, gap = every_omega_oracle(code.merged.a, dims, band, params.num_messages)
+        indices = tuple(range(len(code.joints)))
         for message in range(1, params.num_messages + 1):
-            errors, certificate = _decoder(code, message, indices)
+            errors, certificate = decoded(code, message, indices, dense)
             assert abs(certificate["povm_gap_min_eig"] - gap) < 1e-12
             rep = _evaluate(code, params, indices, message, 0.0)
             assert abs(rep.povm_gap_min_eig - gap) < 1e-12
             for i, err, reported in zip(indices, errors, rep.per_channel_error):
                 star = band * (message - 1) + i % band + 1
-                theta = slow_theta(code["joints"][i].a, partners, star, dims)
+                theta = slow_theta(code.joints[i], partners, star, dims)
                 oracle = 1.0 - np.trace(omegas[message - 1] @ theta).real
                 assert abs(err - oracle) < 1e-12
                 assert abs(reported - oracle) < 1e-12
@@ -584,7 +597,7 @@ class TestDecoderMatchesEveryOmegaOracle:
         params = CodeParams(2.0, EPS, ETA, psi)
         assert params.num_messages == 4
         code = _uninformed_code(cc, psi, EPS, ETA, 4)
-        assert code["blocks"]
+        assert code.dims[1] == 2
         self.check(code, params)
 
     def test_informed_band_two_two_messages(self):
@@ -596,10 +609,10 @@ class TestDecoderMatchesEveryOmegaOracle:
         params = CodeParams(1.0, EPS, ETA)
         assert params.num_messages == 2
         code = _informed_code(cc, states, EPS, ETA, 2)
-        assert code["blocks"]
+        assert code.dims[1] == 2
         self.check(code, params)
-        omegas = self.check({**code, "blocks": False}, params)
-        dims, pi = code["dims"], code["merged"].a
+        omegas = self.check(code, params, dense=True)
+        dims, pi = code.dims, code.merged.a
         for message in (1, 2):
             # the dense space: Lambda on the message's band, Pi at every
             # other slot; the step forms the ancilla-ground block of Omega
@@ -629,18 +642,22 @@ def random_shared_state(rng):
     return PureState(vec / np.linalg.norm(vec), RegisterLayout.of("a:2 r:2"))
 
 
-def resized(code, n):
-    """The same merged projector and joints, decoded with n messages."""
-    dims = code["dims"]
-    return {**code, "dims": [dims[0]] + [dims[1]] * (len(code["partners"]) * n) + [dims[-1]]}
+def decoded(code, message, indices, dense=False):
+    """Errors and certificate from the spin-block decoder, or from the
+    dense decoder when ``dense``: the dense oracle on a qubit code."""
+    if dense:
+        errors, spectrum = _dense_decoder(code, message, indices)
+    else:
+        errors, spectrum = _block_decoder(code, indices)
+    return errors, _certificate(spectrum)
 
 
 def oracle_spectrum(code):
     """Rank of the index-loop ``T = sum_k Pi_(0, k, ancilla)`` over 1e-12
     and its smallest eigenvalue kept."""
-    dims = code["dims"]
+    dims = code.dims
     last = len(dims) - 1
-    total = sum(slow_embed(code["merged"].a, dims, [0, k, last]) for k in range(1, last))
+    total = sum(slow_embed(code.merged.a, dims, [0, k, last]) for k in range(1, last))
     w = np.linalg.eigvalsh(total)
     kept = w[w > 1e-12]
     return kept.size, float(kept[0])
@@ -651,10 +668,13 @@ class TestDecoderCertificate:
     decoder's own eigensolves of T; both must match an index-loop T with
     every message in it, on the block path and on the dense path."""
 
-    def check(self, code, params):
+    def check(self, code, params, dense=False):
         rank, low = oracle_spectrum(code)
-        indices = tuple(range(len(code["joints"])))
-        rec = _evaluate(code, params, indices, 1, 0.0).to_record()
+        indices = tuple(range(len(code.joints)))
+        if dense:
+            _, rec = decoded(code, 1, indices, dense)
+        else:
+            rec = _evaluate(code, params, indices, 1, 0.0).to_record()
         assert rec["decoder_rank"] == rank
         assert abs(rec["decoder_min_kept_eigenvalue"] - low) <= 1e-12 * max(1.0, low)
 
@@ -664,12 +684,12 @@ class TestDecoderCertificate:
             cc = CompoundChannel(tuple(haar_member(rng) for _ in range(members)))
             psi = random_shared_state(rng)
             code = _uninformed_code(cc, psi, EPS, ETA, n)
-            assert code["blocks"]
+            assert code.dims[1] == 2
             self.check(code, CodeParams(0.0, EPS, ETA, psi, num_messages=n))
         cc = CompoundChannel((haar_member(rng), damped_member(rng)))
         states = [random_shared_state(rng), random_shared_state(rng)]
         code = _informed_code(cc, states, EPS, ETA, 2)
-        assert code["blocks"]
+        assert code.dims[1] == 2
         self.check(code, CodeParams(1.0, EPS, ETA))
 
     def test_dense_path(self):
@@ -677,12 +697,12 @@ class TestDecoderCertificate:
         cc = CompoundChannel((haar_member(rng), damped_member(rng)))
         states = [random_shared_state(rng), random_shared_state(rng)]
         code = _informed_code(cc, states, EPS, ETA, 2)
-        self.check({**code, "blocks": False}, CodeParams(1.0, EPS, ETA))
+        self.check(code, CodeParams(1.0, EPS, ETA), dense=True)
         # a qutrit partner has no qubit spin blocks: the dense path by choice
         vec = rng.normal(size=6) + 1j * rng.normal(size=6)
         psi = PureState(vec / np.linalg.norm(vec), RegisterLayout.of("a:2 r:3"))
         code = _uninformed_code(cc, psi, EPS, ETA, 3)
-        assert not code["blocks"]
+        assert code.dims[1] == 3
         self.check(code, CodeParams(0.0, EPS, ETA, psi, num_messages=3))
 
 
@@ -690,9 +710,9 @@ class TestBlockDecoder:
     """The spin-block decoder against the dense decoder on the same code."""
 
     def agree(self, code, indices):
-        assert code["blocks"]
-        blocks, block_cert = _decoder(code, 1, indices)
-        dense, dense_cert = _decoder({**code, "blocks": False}, 1, indices)
+        assert code.dims[1] == 2
+        blocks, block_cert = decoded(code, 1, indices)
+        dense, dense_cert = decoded(code, 1, indices, dense=True)
         for b, d in zip(blocks, dense):
             assert abs(b - d) <= 1e-12
         assert block_cert["decoder_rank"] == dense_cert["decoder_rank"]
@@ -718,7 +738,7 @@ class TestBlockDecoder:
             # the dense decoder at 8 messages takes about a second: one
             # family of each size goes that far
             for n in (1, 2, 3, 4, 5, 8) if trial < 3 else (1, 2, 3, 4, 5):
-                self.agree(resized(code, n), indices)
+                self.agree(dataclasses.replace(code, num_messages=n), indices)
 
     def test_explicit_message_counts_through_the_simulator(self):
         cc = CompoundChannel((IDENT, ZPHASE))
@@ -727,7 +747,7 @@ class TestBlockDecoder:
             rep = simulate_uninformed(cc, CodeParams(0.0, EPS, ETA, psi, num_messages=n))
             assert rep.num_messages == n
             code = _uninformed_code(cc, psi, EPS, ETA, n)
-            dense, _ = _decoder({**code, "blocks": False}, 1, (0, 1))
+            dense, _ = _dense_decoder(code, 1, (0, 1))
             for b, d in zip(rep.per_channel_error, dense):
                 assert abs(b - d) <= 1e-12
 
@@ -742,7 +762,7 @@ class TestBlockDecoder:
             cc = CompoundChannel((haar_member(rng), damped_member(rng)))
             code = _uninformed_code(cc, psi, EPS, ETA, 1)
             for n in (1, 2, 4, 5):
-                errors = self.agree(resized(code, n), (0, 1))
+                errors = self.agree(dataclasses.replace(code, num_messages=n), (0, 1))
                 assert all(0.0 <= e <= 1.0 for e in errors)
 
 
@@ -759,9 +779,9 @@ class TestInformedBlockDecoder:
 
     def agree(self, code, message, indices):
         """The raw errors, before the report clips rounding into [0, 1]."""
-        assert code["blocks"]
-        blocks, block_cert = _decoder(code, message, indices)
-        dense, dense_cert = _decoder({**code, "blocks": False}, message, indices)
+        assert code.dims[1] == 2
+        blocks, block_cert = decoded(code, message, indices)
+        dense, dense_cert = decoded(code, message, indices, dense=True)
         for b, d in zip(blocks, dense):
             assert abs(b - d) <= 1e-12
         assert block_cert["decoder_rank"] == dense_cert["decoder_rank"]
@@ -784,7 +804,9 @@ class TestInformedBlockDecoder:
             states = [random_shared_state(rng) for _ in makes]
             code = _informed_code(cc, states, EPS, ETA, 1)
             for n in counts:
-                errors = self.agree(resized(code, n), 1, tuple(range(cc.size)))
+                errors = self.agree(
+                    dataclasses.replace(code, num_messages=n), 1, tuple(range(cc.size))
+                )
                 assert all(-1e-12 <= e <= 1.0 + 1e-12 for e in errors)
 
     def test_rank_one_and_unequal_rank_partners(self):
@@ -801,7 +823,9 @@ class TestInformedBlockDecoder:
             cc = CompoundChannel(tuple(make(rng) for make in makes))
             code = _informed_code(cc, states, EPS, ETA, 1)
             for n in (1, 2, 3) if len(states) == 2 else (1, 2):
-                errors = self.agree(resized(code, n), 1, tuple(range(cc.size)))
+                errors = self.agree(
+                    dataclasses.replace(code, num_messages=n), 1, tuple(range(cc.size))
+                )
                 assert all(-1e-12 <= e <= 1.0 + 1e-12 for e in errors)
 
     def test_true_channel_and_message_through_the_simulator(self):
@@ -818,7 +842,7 @@ class TestInformedBlockDecoder:
             code = _informed_code(cc, states, EPS, ETA, params.num_messages)
             for true, message in requests:
                 rep = simulate_informed(cc, states, params, true_channel=true, message=message)
-                dense, cert = _decoder({**code, "blocks": False}, message, rep.channel_indices)
+                dense, cert = decoded(code, message, rep.channel_indices, dense=True)
                 for b, d in zip(rep.per_channel_error, dense):
                     assert abs(b - d) <= 1e-12
                 assert rep.decoder_rank == cert["decoder_rank"]
@@ -869,7 +893,7 @@ class TestSimulationRecord:
         psi = maximally_entangled(2, ("a", "r"))
         code = _uninformed_code(cc, psi, EPS, ETA, 4)
         penalty = -7.5
-        limit = min(code["values"]) + penalty
+        limit = min(code.values) + penalty
         for rate, ok in ((limit, True), (limit - 1.0, True), (limit + 1e-6, False)):
             params = CodeParams(rate, EPS, ETA, psi, num_messages=4)
             rec = _evaluate(code, params, (0, 1), 1, penalty).to_record()
@@ -908,7 +932,7 @@ class TestDecoderInequality:
         cc = CompoundChannel((IDENT, ZPHASE))
         psi = maximally_entangled(2, ("a", "r"))
         code = _uninformed_code(cc, psi, EPS, ETA, 2)
-        lam = [slow_embed(code["merged"].a, code["dims"], [0, m, 3]) for m in (1, 2)]
+        lam = [slow_embed(code.merged.a, code.dims, [0, m, 3]) for m in (1, 2)]
         cert = hayashi_nagaoka_check(lam[0], lam[1], ETA / (EPS + ETA))
         assert cert["min_gap_eigenvalue"] >= -ATOL
 

@@ -74,6 +74,9 @@ def test_layout_rejects_duplicates_and_bad_dims():
 def test_layout_capacity_cap():
     with pytest.raises(CapacityError):
         RegisterLayout.of("a:4096 b:2")
+    with pytest.raises(CapacityError):
+        # 2^64 qubit dimensions: an int64 product would wrap to 0
+        RegisterLayout.of(" ".join(f"q{i}:2" for i in range(64)))
     # exactly at the cap is fine
     assert RegisterLayout.of("a:4096").dim == 4096
 
