@@ -74,6 +74,7 @@ from .qcore import (
     LayoutError,
     Projector,
     PureState,
+    RegisterLayout,
     hermitian_eig,
     load_channel,
     load_matrix,
@@ -222,6 +223,7 @@ def _run_union_stress(p: dict, seed):
     if dim > DIM_CAP:
         raise CapacityError(f"dimension {dim} exceeds the cap {DIM_CAP}")
     rng = rng_from(seed)
+    layout = RegisterLayout((("r", dim),))
     width = math.log2(2 * s)
     factor = (2.0 / delta ** 2) ** width
     floor = 1.0 - eps - delta * width
@@ -231,7 +233,7 @@ def _run_union_stress(p: dict, seed):
     for _ in range(trials):
         projs, planted = [], []
         for _ in range(s):
-            psi = random_pure_state(dim, rng).vector
+            psi = random_pure_state(dim, rng, layout).vector
             g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             g = g - (psi.conj() @ g) * psi
             orth = g / np.linalg.norm(g)

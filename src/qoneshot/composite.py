@@ -10,10 +10,15 @@ at least ``1 - epsilon``:
             of  -log2 Tr[sigma_n L].
 
 ``beta_exact`` solves this program at desk scale through its Lagrangian
-dual — a jointly concave maximization over mixture weights on the
-alternative hull and multipliers on the acceptance constraints — and then
-rebuilds an explicit optimal test by a linear program in the eigenbasis of
-the dual's threshold operator.  ``build_universal_test`` assembles a
+dual, a jointly concave maximization over mixture weights w on the
+alternative hull and multipliers lam on the acceptance constraints.  Along
+each ray lam = tau mu the best tau gives the Neyman-Pearson value of the
+null mixture mu against the alternative mixture w, so the dual is the
+largest beta_NP over both mixtures: the same maximization, on the same
+exact Neyman-Pearson solver, that ``i_h`` and ``i_h_tilde`` run with a
+single null (``divergences._best_mixture``).  An explicit optimal test is
+then rebuilt by a linear program in the eigenbasis of the dual's threshold
+operator.  ``build_universal_test`` assembles a
 single test for the whole family by the dilate/union/compress route: one
 near-optimal test per prototype state, each lifted to a projector with a
 shared ancilla qubit, merged by the projector-union construction, and
@@ -32,7 +37,7 @@ import numpy as np
 import scipy.optimize
 
 from .coding import neumark_dilate
-from .divergences import StateEnsemble, TestOperator, bits, bloch_density
+from .divergences import StateEnsemble, TestOperator, _best_mixture, bits, bloch_density
 from .jordan import union_many
 from .qcore import (
     PAULIS,
@@ -43,7 +48,6 @@ from .qcore import (
     content_hash,
     random_density,
     rng_from,
-    root_fidelity,
     tensor_power,
 )
 
@@ -160,63 +164,6 @@ def _check_caps(inst: CompositeInstance) -> None:
         )
 
 
-def _dual_ascent(rmats: list[np.ndarray], qmats: list[np.ndarray], eps: float):
-    """Maximize the jointly concave dual
-
-        g(w, lam) = (1-eps)*sum(lam) - Tr[(sum_i lam_i R_i - sum_j w_j Q_j)_+]
-
-    over mixture weights w on the alternative vertices and multipliers
-    lam >= 0 on the acceptance constraints.  Its optimum equals the
-    smallest achievable worst-case Type-2 probability."""
-    ni, nj = len(rmats), len(qmats)
-    evals = 0
-
-    def split(x):
-        return x[:nj], x[nj:]
-
-    def neg_value_and_grad(x):
-        nonlocal evals
-        evals += 1
-        w, lam = split(x)
-        d = sum(l * r for l, r in zip(lam, rmats))
-        d = d - sum(wj * q for wj, q in zip(w, qmats))
-        vals, vecs = np.linalg.eigh(d)
-        keep = vals > 0.0
-        vp = vecs[:, keep]
-        g = (1.0 - eps) * float(np.sum(lam)) - float(np.sum(vals[keep]))
-        grad_w = np.array([np.sum((vp.conj().T @ q) * vp.T).real for q in qmats])
-        grad_l = np.array(
-            [(1.0 - eps) - np.sum((vp.conj().T @ r) * vp.T).real for r in rmats]
-        )
-        return -g, -np.concatenate([grad_w, grad_l])
-
-    cap = 2.0 / eps
-    bounds = [(0.0, 1.0)] * nj + [(0.0, cap)] * ni
-    simplex = {
-        "type": "eq",
-        "fun": lambda x: float(np.sum(x[:nj]) - 1.0),
-        "jac": lambda x: np.concatenate([np.ones(nj), np.zeros(ni)]),
-    }
-    best = None
-    for scale in (0.5, 1.0, min(2.0, 0.5 / eps)):
-        x0 = np.concatenate([np.full(nj, 1.0 / nj), np.full(ni, scale)])
-        res = scipy.optimize.minimize(
-            neg_value_and_grad,
-            x0,
-            jac=True,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=[simplex],
-            options={"maxiter": 400, "ftol": 1e-14},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    w, lam = split(best.x)
-    w = np.clip(w, 0.0, None)
-    w = w / w.sum()
-    return max(-best.fun, 0.0), w, np.clip(lam, 0.0, cap), evals
-
-
 def _lift_acceptance(p: np.ndarray, c: np.ndarray, floor: float) -> np.ndarray:
     """Smallest move of the acceptance weights ``c`` toward all-ones that
     puts every row ``p_i . c`` at or above ``floor``.
@@ -276,6 +223,12 @@ def beta_exact(inst: CompositeInstance) -> tuple[float, TestOperator]:
     """Best Type-2 exponent of a common test for the instance, with an
     explicit optimal test.
 
+    The dual optimum is max over mixtures mu of the nulls and w of the
+    alternatives of beta_NP(sum_i mu_i R_i || sum_j w_j Q_j), found by
+    ``_best_mixture`` with one Neyman-Pearson solve per evaluation; the
+    test's ``iterations`` counts those solves.  The solver's threshold t
+    turns the best mu into the multipliers lam = mu / t (lam = 0 when
+    t = inf) of the threshold operator sum_i lam_i R_i - sum_j w_j Q_j.
     The returned value is the one achieved by the returned test; the gap
     to the dual estimate is recorded on the test's certificate field.  The
     test meets every acceptance constraint exactly, with no LP tolerance:
@@ -288,7 +241,8 @@ def beta_exact(inst: CompositeInstance) -> tuple[float, TestOperator]:
     _check_caps(inst)
     rmats = [tensor_power(v.a, inst.n) for v in inst.s1.vertices]
     qmats = [tensor_power(v.a, inst.n) for v in inst.s2.vertices]
-    g_star, w, lam, evals = _dual_ascent(rmats, qmats, inst.epsilon)
+    mu, w, g_star, _, thr, _, solves = _best_mixture(rmats, qmats, inst.epsilon)
+    lam = mu * (0.0 if math.isinf(thr) else 1.0 / thr)
     mat, level = _eigenbasis_test(rmats, qmats, inst.epsilon, w, lam)
     value = bits(level)
     dual_bits = bits(g_star)
@@ -297,7 +251,7 @@ def beta_exact(inst: CompositeInstance) -> tuple[float, TestOperator]:
         matrix=ComplexMatrix(mat),
         type1_error=type1,
         type2_bound=level,
-        iterations=evals,
+        iterations=solves,
         certificate_gap_bits=max(0.0, dual_bits - value)
         if math.isfinite(dual_bits) and math.isfinite(value)
         else 0.0,
@@ -308,15 +262,6 @@ def beta_exact(inst: CompositeInstance) -> tuple[float, TestOperator]:
 # ---------------------------------------------------------------------------
 # universal test for the whole family
 # ---------------------------------------------------------------------------
-
-def _nearest_point(state: DensityMatrix, net: EpsilonNet) -> DensityMatrix:
-    best, best_f = None, -1.0
-    for point in net.points:
-        f = root_fidelity(state.a, point.a) ** 2
-        if f > best_f:
-            best, best_f = point, f
-    return best
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class UniversalTest(TestOperator):
@@ -352,7 +297,9 @@ def build_universal_test(inst: CompositeInstance, delta: float,
             )
         if net.points[0].dim != inst.dim:
             raise CapacityError("net lives on a different space than the instance")
-        prototypes = [_nearest_point(v, net) for v in inst.s1.vertices]
+        # each vertex's closest net point, the first of equally close ones
+        fid = _bloch_fidelity(_bloch_vectors(inst.s1.vertices), _bloch_vectors(net.points))
+        prototypes = [net.points[i] for i in np.argmax(fid, axis=1)]
     # deduplicate prototypes that collide
     unique: list[DensityMatrix] = []
     seen = set()
@@ -363,12 +310,9 @@ def build_universal_test(inst: CompositeInstance, delta: float,
             unique.append(p)
 
     per_prototype = []
-    evals = 0
     for p in unique:
         single = CompositeInstance(StateEnsemble((p,)), inst.s2, inst.n, inst.epsilon)
-        value, test = beta_exact(single)
-        per_prototype.append((value, test))
-        evals += test.iterations
+        per_prototype.append(beta_exact(single))
     floor_bits = min(v for v, _ in per_prototype)
 
     merged = union_many(
@@ -409,8 +353,17 @@ def _bloch_state(r: np.ndarray) -> DensityMatrix:
     return DensityMatrix(ComplexMatrix(bloch_density(*r)), QUBIT)
 
 
-def _bloch_vector(rho: DensityMatrix) -> np.ndarray:
-    return np.array([np.trace(rho.a @ p).real for p in PAULIS[1:]])
+def _bloch_vectors(states) -> np.ndarray:
+    """Rows ``(Tr[rho X], Tr[rho Y], Tr[rho Z])`` of qubit states."""
+    return np.einsum("nij,kji->nk", np.stack([s.a for s in states]), np.stack(PAULIS[1:])).real
+
+
+def _bloch_fidelity(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Squared fidelities between qubit states given by the Bloch-vector
+    rows of ``r`` and of ``s``: (1 + r.s + sqrt((1 - |r|^2)(1 - |s|^2))) / 2."""
+    r2 = np.clip(1.0 - np.sum(r ** 2, axis=1), 0.0, None)
+    s2 = np.clip(1.0 - np.sum(s ** 2, axis=1), 0.0, None)
+    return 0.5 * (1.0 + r @ s.T + np.sqrt(np.outer(r2, s2)))
 
 
 def _sphere_layer(count: int) -> np.ndarray:
@@ -467,12 +420,7 @@ def net_covering_report(net: EpsilonNet, num_samples: int = 10_000,
         raise ValueError(f"num_samples must be at least 1, got {num_samples}")
     rng = rng_from(seed)
     samples = (random_density(2, rng, layout=QUBIT) for _ in range(num_samples))
-    bloch = np.stack([_bloch_vector(q) for q in samples])
-    pts = np.stack([_bloch_vector(p) for p in net.points])
-    r2 = np.clip(1.0 - np.sum(bloch ** 2, axis=1), 0.0, None)
-    s2 = np.clip(1.0 - np.sum(pts ** 2, axis=1), 0.0, None)
-    # squared fidelity between qubit states in Bloch form
-    fid = 0.5 * (1.0 + bloch @ pts.T + np.sqrt(np.outer(r2, s2)))
+    fid = _bloch_fidelity(_bloch_vectors(samples), _bloch_vectors(net.points))
     deficit = 1.0 - np.max(fid, axis=1)
     budget = int((2.0 / net.resolution) ** 2)
     return {

@@ -409,53 +409,90 @@ def _conditional_operator(m: np.ndarray, sq_b: np.ndarray, d_a: int, d_b: int) -
     return 0.5 * (out + out.conj().T)
 
 
-def _best_mixture(r, fixed_b, atoms, eps, w0=None):
-    """Maximize the concave map w -> beta(mix_w (x) fixed_b) over the simplex.
+def _best_mixture(nulls, alts, eps, w0=None):
+    """Maximize beta(mu, w) = beta_NP(mix_mu(nulls) || mix_w(alts)) over
+    both simplices, one ``_np_solve`` per evaluation.
 
-    beta(sigma) is the optimal Type-2 error against sigma (x) fixed_b at
-    Type-1 level eps; it is concave in the mixture, and the optimal test's
-    per-atom traces form a supergradient, so a local sequential solve from
-    any start converges to the global maximum.  Evaluations are memoized
-    because value and gradient are requested at the same points.
-    Returns (w, beta, M, per_atom, solves).
+    beta_NP(r || s) is the least Type-2 error against s of a test accepting
+    r with probability at least 1 - eps.  In w it is concave (a minimum of
+    maps linear in w), and the optimal test's per-alternative traces form
+    a supergradient.  In mu it is the Lagrangian dual of the composite
+    program (one test accepting every null, bounding every alternative),
+
+        g(w, lam) = (1-eps) sum_i lam_i - Tr[(sum_i lam_i R_i - sum_j w_j Q_j)_+],
+
+    maximized along the ray lam = tau mu: by Neyman-Pearson strong duality
+    the best tau is 1/t, t the solver's threshold, and the maximum is
+    beta_NP.  g is jointly concave, so the best points of two rays mix into
+    a point of an intermediate ray that is at least as good: beta is
+    quasi-concave in mu.  A local maximum (mu, w) of beta at a finite t
+    gives a local, hence global, maximum (w, mu / t) of g, since every
+    point near it has its weights near w and lies on a ray near mu, where
+    g is at most beta.  By the envelope theorem the
+    mu-gradient is -Tr[M R_i] / t, up to a constant that the simplex
+    constraint absorbs, with 1/t taken as 0 when t = inf (then beta = 0).
+    So one sequential solve from the uniform start (or ``w0`` for the
+    alternatives) finds the maximum.  Only a family of two or more
+    operators carries weights.  Evaluations are memoized because value
+    and gradient are requested at the same points.
+
+    Returns (mu, w, beta, M, threshold, per_alternative, solves).
     """
-    k = len(atoms)
-    prods = [np.kron(a, fixed_b) for a in atoms]
+    kn, ka = len(nulls), len(alts)
+    cut = kn if kn >= 2 else 0  # x[:cut] weighs the nulls
+    size = cut + (ka if ka >= 2 else 0)  # x[cut:] weighs the alternatives
     solves = 0
-    best = None  # (beta, w, m, per)
+    best = None  # (beta, x, mu, w, m, threshold, per)
     memo: dict[bytes, tuple] = {}
+    one = np.ones(1)  # the mixture weights of a one-operator family
 
-    def evaluate(w):
+    def simplex(v, k):
+        v = np.clip(np.asarray(v, dtype=float), 0.0, None)
+        tot = v.sum()
+        return np.ones(k) / k if tot <= 0 else v / tot
+
+    def evaluate(x):
         nonlocal solves, best
-        w = np.clip(np.asarray(w, dtype=float), 0.0, None)
-        tot = w.sum()
-        w = np.ones(k) / k if tot <= 0 else w / tot
-        key = np.round(w, 13).tobytes()
+        mu = simplex(x[:cut], kn) if cut else one
+        w = simplex(x[cut:], ka) if size > cut else one
+        key = np.round(np.concatenate([mu, w]), 13).tobytes()
         if key not in memo:
-            sigma = sum(wi * p for wi, p in zip(w, prods))
-            beta, m, _, _ = _np_solve(r, sigma, eps)
+            r = nulls[0] if kn == 1 else sum(mi * q for mi, q in zip(mu, nulls))
+            sigma = sum(wi * p for wi, p in zip(w, alts))
+            beta, m, thr, _ = _np_solve(r, sigma, eps)
             solves += 1
-            per = np.array([float(np.trace(m @ p).real) for p in prods])
-            memo[key] = (beta, m, per)
+            per = np.array([float(np.trace(m @ p).real) for p in alts])
+            grad = per[: size - cut]
+            if cut:
+                inv_t = 0.0 if math.isinf(thr) else 1.0 / thr
+                acc = np.array([float(np.trace(m @ q).real) for q in nulls])
+                grad = np.concatenate([-inv_t * acc, grad])
+            memo[key] = (beta, grad)
             if best is None or beta > best[0]:
-                best = (beta, w, m, per)
+                best = (beta, np.concatenate([mu[:cut], w[: size - cut]]), mu, w, m, thr, per)
         return memo[key]
 
-    start = np.ones(k) / k if w0 is None else np.asarray(w0, dtype=float)
-    evaluate(start)
-    if k >= 2:
+    w_start = np.ones(size - cut) / ka if w0 is None else np.asarray(w0, dtype=float)
+    evaluate(np.concatenate([np.ones(cut) / kn, w_start]))
+    if size:
+        constraints = []
+        for part in (slice(0, cut), slice(cut, size)):
+            if part.stop > part.start:
+                indicator = np.zeros(size)
+                indicator[part] = 1.0
+                constraints.append({"type": "eq", "fun": lambda x, p=part: np.sum(x[p]) - 1.0,
+                                    "jac": lambda x, g=indicator: g})
         scipy.optimize.minimize(
-            lambda w: -evaluate(w)[0],
+            lambda x: -evaluate(x)[0],
             best[1],
-            jac=lambda w: -evaluate(w)[2],
+            jac=lambda x: -evaluate(x)[1],
             method="SLSQP",
-            bounds=[(0.0, 1.0)] * k,
-            constraints=[{"type": "eq", "fun": lambda w: np.sum(w) - 1.0,
-                          "jac": lambda w: np.ones(k)}],
+            bounds=[(0.0, 1.0)] * size,
+            constraints=constraints,
             options={"maxiter": 40, "ftol": 1e-13},
         )
-    beta, w, m, per = best
-    return w, beta, m, per, solves
+    beta, _, mu, w, m, thr, per = best
+    return mu, w, beta, m, thr, per, solves
 
 
 def i_h(
@@ -477,7 +514,7 @@ def i_h(
     d_a, d_b, rho_a, rho_b = _split_bipartite(rho)
     r = rho.a
     sq_b = spectral(rho_b, np.sqrt)
-    atoms = [rho_a]
+    prods = [np.kron(rho_a, rho_b)]
     w0 = None
     total_solves = 0
     lam_best = math.inf
@@ -485,7 +522,7 @@ def i_h(
     beta_best = 0.0
     stale = 0
     for _ in range(_MAX_ROUNDS):
-        w, beta, m, per, solves = _best_mixture(r, rho_b, atoms, eps, w0)
+        _, w, beta, m, _, _, solves = _best_mixture([r], prods, eps, w0)
         total_solves += solves
         beta_best = max(beta_best, beta)
         g = _conditional_operator(m, sq_b, d_a, d_b)
@@ -498,7 +535,7 @@ def i_h(
         if lam_best <= beta_best * (1.0 + gap_tol) + 1e-15 or stale >= 4:
             break
         top = vecs[:, -1:]
-        atoms.append(top @ top.conj().T)
+        prods.append(np.kron(top @ top.conj().T, rho_b))
         w0 = np.append(w * (1.0 - 1e-3), 1e-3)
     value = bits(lam_best)
     upper = bits(beta_best)
@@ -533,8 +570,8 @@ def i_h_tilde(
         raise LayoutError(f"ensemble dimension {s_a.dim} != first register {d_a}")
     if sigma_b.dim != d_b:
         raise LayoutError(f"fixed state dimension {sigma_b.dim} != second register {d_b}")
-    atoms = [v.a for v in s_a.vertices]
-    w, beta, m, per, solves = _best_mixture(rho.a, sigma_b.a, atoms, eps)
+    prods = [np.kron(v.a, sigma_b.a) for v in s_a.vertices]
+    _, _, beta, m, _, per, solves = _best_mixture([rho.a], prods, eps)
     worst = float(np.max(per))
     value = bits(worst)
     upper = bits(beta)

@@ -17,6 +17,8 @@ import pytest
 from qoneshot.composite import (
     CompositeInstance,
     EpsilonNet,
+    _bloch_fidelity,
+    _bloch_vectors,
     beta_exact,
     build_universal_test,
     composite_record,
@@ -36,6 +38,7 @@ from qoneshot.qcore import (
     RegisterLayout,
     random_density,
     rng_from,
+    root_fidelity,
     tensor_power,
 )
 
@@ -50,6 +53,18 @@ GROUND = qubit(np.diag([1.0, 0.0]))
 EXCITED = qubit(np.diag([0.0, 1.0]))
 PLUS = qubit(np.full((2, 2), 0.5))
 MIXED = qubit(np.eye(2) / 2)
+
+
+def random_families():
+    """The 300 seeded random qubit families of the feasibility sweep."""
+    rng = rng_from(2024)
+    for _ in range(300):
+        n1, n2 = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+        n = int(rng.integers(1, 4))
+        eps = float(rng.uniform(0.05, 0.4))
+        s1 = StateEnsemble(tuple(random_density(2, rng, layout=QUBIT) for _ in range(n1)))
+        s2 = StateEnsemble(tuple(random_density(2, rng, layout=QUBIT) for _ in range(n2)))
+        yield CompositeInstance(s1, s2, n, eps)
 
 
 class TestInstanceType:
@@ -175,20 +190,31 @@ class TestBetaExact:
         # The LP behind the test meets its acceptance rows only to the
         # solver's feasibility tolerance (about 1e-7); the returned test
         # must meet them up to rounding, over many random families.
-        rng = rng_from(2024)
-        for _ in range(300):
-            n1, n2 = int(rng.integers(1, 5)), int(rng.integers(1, 3))
-            n = int(rng.integers(1, 4))
-            eps = float(rng.uniform(0.05, 0.4))
-            s1 = StateEnsemble(
-                tuple(random_density(2, rng, layout=QUBIT) for _ in range(n1))
-            )
-            s2 = StateEnsemble(
-                tuple(random_density(2, rng, layout=QUBIT) for _ in range(n2))
-            )
-            value, test = beta_exact(CompositeInstance(s1, s2, n, eps))
-            assert test.type1_error <= eps + 1e-12
+        for inst in random_families():
+            value, test = beta_exact(inst)
+            assert test.type1_error <= inst.epsilon + 1e-12
             assert abs(value + math.log2(test.type2_bound)) < 1e-12
+
+    def test_single_null_certificate_gap_closes(self):
+        # With one null the eigenbasis test meets the dual bound to the
+        # optimizer's tolerance; several nulls can leave a near-kernel of
+        # the threshold operator whose basis the eigenbasis LP cannot rotate.
+        singles = [inst for inst in random_families() if len(inst.s1.vertices) == 1]
+        assert len(singles) == 79
+        for inst in singles:
+            assert beta_exact(inst)[1].certificate_gap_bits <= 1e-6
+
+    def test_pinned_work_on_fixed_two_null_instance(self):
+        # iterations counts Neyman-Pearson solves over the weights on both
+        # families; a change here is a change of the optimizer's path
+        tilt = qubit(np.diag([0.7, 0.3]))
+        inst = CompositeInstance(
+            StateEnsemble((GROUND, PLUS)), StateEnsemble((MIXED, tilt)), 2, 0.2
+        )
+        value, test = beta_exact(inst)
+        assert test.iterations == 8
+        assert abs(value - 1.137845013) < 1e-8
+        assert test.certificate_gap_bits <= 1e-6
 
     def test_value_nondecreasing_in_epsilon(self):
         rng = rng_from(88)
@@ -349,6 +375,19 @@ class TestEpsilonNet:
             report = net_covering_report(net, 10_000, seed=7)
             assert report["covered"], (deficit, report["max_deficit"])
             assert report["within_budget"], (deficit, report["size"], report["budget"])
+
+    def test_nearest_point_matches_root_fidelity_scan(self):
+        # the closed-form Bloch fidelity against the spectral reference
+        # (whose square roots of pure surface points carry about 1e-8 of
+        # rounding), and its argmax against the first maximum of the scan
+        net = epsilon_net(2, 0.08)
+        rng = rng_from(31)
+        states = [random_density(2, rng, layout=QUBIT) for _ in range(8)]
+        fid = _bloch_fidelity(_bloch_vectors(states), _bloch_vectors(net.points))
+        for row, state in zip(fid, states):
+            scan = [root_fidelity(state.a, p.a) ** 2 for p in net.points]
+            assert np.max(np.abs(row - scan)) < 1e-7
+            assert int(np.argmax(row)) == int(np.argmax(scan))
 
     def test_rejects_unsupported_requests(self):
         with pytest.raises(CapacityError, match="dimension 2"):
