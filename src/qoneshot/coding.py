@@ -321,12 +321,12 @@ def schmidt_state(p: float, labels: tuple[str, str] = ("a", "r")) -> PureState:
 
 def shared_state_sweep(step: float = 0.05, labels: tuple[str, str] = ("a", "r")) -> list[PureState]:
     """The documented family of candidate shared states: a Schmidt-weight
-    grid ``p in {step, 2 step, ...}`` (the balanced point is the maximally
-    entangled state)."""
+    grid ``p in {step, 2 step, ...}``, every multiple of ``step`` below 1
+    (the balanced point is the maximally entangled state)."""
     if not 0.0 < step < 0.5:
         raise ValueError(f"step must be in (0, 0.5), got {step}")
-    n = int(round(1.0 / step))
-    points = [i * step for i in range(1, n) if 0.0 < i * step < 1.0]
+    n = math.ceil(1.0 / step)
+    points = [i * step for i in range(1, n + 1) if i * step < 1.0]
     return [schmidt_state(p, labels) for p in points]
 
 

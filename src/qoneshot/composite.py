@@ -37,13 +37,15 @@ import numpy as np
 import scipy.optimize
 
 from .coding import neumark_dilate
-from .divergences import StateEnsemble, TestOperator, _best_mixture, bits, bloch_density
+from .divergences import (StateEnsemble, TestOperator, _best_mixture, _certified, bits,
+                          bloch_density)
 from .jordan import union_many
 from .qcore import (
     PAULIS,
     CapacityError,
     ComplexMatrix,
     DensityMatrix,
+    LayoutError,
     RegisterLayout,
     content_hash,
     random_density,
@@ -76,12 +78,18 @@ __all__ = [
 @dataclasses.dataclass(frozen=True, eq=False)
 class CompositeInstance:
     """A finite composite discrimination problem: accept every n-fold
-    product of an ``s1`` member, reject mixtures of n-fold ``s2`` products."""
+    product of an ``s1`` member, reject mixtures of n-fold ``s2`` products.
+
+    The size caps are checked when the instance is built, and the n-fold
+    products are built once: ``nulls`` of the ``s1`` vertices and ``alts``
+    of the ``s2`` vertices."""
 
     s1: StateEnsemble
     s2: StateEnsemble
     n: int
     epsilon: float
+    nulls: tuple[np.ndarray, ...] = dataclasses.field(init=False, repr=False)
+    alts: tuple[np.ndarray, ...] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -89,9 +97,23 @@ class CompositeInstance:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.s1.dim != self.s2.dim:
-            raise CapacityError(
+            raise LayoutError(
                 f"families live on different spaces ({self.s1.dim} vs {self.s2.dim})"
             )
+        k1, k2 = len(self.s1.vertices), len(self.s2.vertices)
+        if k1 > MAX_VERTICES or k2 > MAX_VERTICES:
+            raise CapacityError(
+                f"at most {MAX_VERTICES} vertices per family (got {k1} and {k2})"
+            )
+        if self.n > MAX_COPIES:
+            raise CapacityError(f"at most {MAX_COPIES} copies, got {self.n}")
+        if self.total_dim > MAX_TOTAL_DIM:
+            raise CapacityError(
+                f"total dimension {self.total_dim} exceeds cap {MAX_TOTAL_DIM}"
+            )
+        for name, family in (("nulls", self.s1), ("alts", self.s2)):
+            powers = tuple(tensor_power(v.a, self.n) for v in family.vertices)
+            object.__setattr__(self, name, powers)
 
     @property
     def dim(self) -> int:
@@ -124,8 +146,6 @@ class EpsilonNet:
 def composite_record(inst: CompositeInstance, value: float, test: TestOperator,
                      delta: float | None = None) -> dict:
     """Structured, JSON-ready record of a composite-testing computation."""
-    powers1 = [tensor_power(v.a, inst.n) for v in inst.s1.vertices]
-    powers2 = [tensor_power(v.a, inst.n) for v in inst.s2.vertices]
     rec = {
         "s1_hashes": [content_hash(v) for v in inst.s1.vertices],
         "s2_hashes": [content_hash(v) for v in inst.s2.vertices],
@@ -133,10 +153,10 @@ def composite_record(inst: CompositeInstance, value: float, test: TestOperator,
         "epsilon": inst.epsilon,
         "value_bits": value,
         "type1_residuals": [
-            1.0 - float(np.trace(test.a @ r).real) for r in powers1
+            1.0 - float(np.trace(test.a @ r).real) for r in inst.nulls
         ],
         "type2_per_vertex": [
-            float(np.trace(test.a @ q).real) for q in powers2
+            float(np.trace(test.a @ q).real) for q in inst.alts
         ],
         "iterations": test.iterations,
         "certificate_gap_bits": test.certificate_gap_bits,
@@ -149,20 +169,6 @@ def composite_record(inst: CompositeInstance, value: float, test: TestOperator,
 # ---------------------------------------------------------------------------
 # exact program
 # ---------------------------------------------------------------------------
-
-def _check_caps(inst: CompositeInstance) -> None:
-    if len(inst.s1.vertices) > MAX_VERTICES or len(inst.s2.vertices) > MAX_VERTICES:
-        raise CapacityError(
-            f"at most {MAX_VERTICES} vertices per family "
-            f"(got {len(inst.s1.vertices)} and {len(inst.s2.vertices)})"
-        )
-    if inst.n > MAX_COPIES:
-        raise CapacityError(f"at most {MAX_COPIES} copies, got {inst.n}")
-    if inst.total_dim > MAX_TOTAL_DIM:
-        raise CapacityError(
-            f"total dimension {inst.total_dim} exceeds cap {MAX_TOTAL_DIM}"
-        )
-
 
 def _lift_acceptance(p: np.ndarray, c: np.ndarray, floor: float) -> np.ndarray:
     """Smallest move of the acceptance weights ``c`` toward all-ones that
@@ -230,7 +236,8 @@ def beta_exact(inst: CompositeInstance) -> tuple[float, TestOperator]:
     turns the best mu into the multipliers lam = mu / t (lam = 0 when
     t = inf) of the threshold operator sum_i lam_i R_i - sum_j w_j Q_j.
     The returned value is the one achieved by the returned test; the gap
-    to the dual estimate is recorded on the test's certificate field.  The
+    to the dual estimate is recorded on the test's certificate field by
+    ``divergences._certified``, the constructor every solver shares.  The
     test meets every acceptance constraint exactly, with no LP tolerance:
     the linear program's weights are lifted toward the accept-everything
     test by the smallest step that restores ``Tr[M rho_i] >= 1 - eps`` on
@@ -238,25 +245,10 @@ def beta_exact(inst: CompositeInstance) -> tuple[float, TestOperator]:
     error exceeds ``eps`` by at most the rounding of the final matrix
     products (about 1e-15).
     """
-    _check_caps(inst)
-    rmats = [tensor_power(v.a, inst.n) for v in inst.s1.vertices]
-    qmats = [tensor_power(v.a, inst.n) for v in inst.s2.vertices]
-    mu, w, g_star, _, thr, _, solves = _best_mixture(rmats, qmats, inst.epsilon)
+    mu, w, g_star, _, thr, _, solves = _best_mixture(inst.nulls, inst.alts, inst.epsilon)
     lam = mu * (0.0 if math.isinf(thr) else 1.0 / thr)
-    mat, level = _eigenbasis_test(rmats, qmats, inst.epsilon, w, lam)
-    value = bits(level)
-    dual_bits = bits(g_star)
-    type1 = max(1.0 - float(np.trace(mat @ r).real) for r in rmats)
-    test = TestOperator(
-        matrix=ComplexMatrix(mat),
-        type1_error=type1,
-        type2_bound=level,
-        iterations=solves,
-        certificate_gap_bits=max(0.0, dual_bits - value)
-        if math.isfinite(dual_bits) and math.isfinite(value)
-        else 0.0,
-    )
-    return value, test
+    mat, level = _eigenbasis_test(inst.nulls, inst.alts, inst.epsilon, w, lam)
+    return _certified(mat, inst.nulls, level, g_star, solves)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +276,6 @@ def build_universal_test(inst: CompositeInstance, delta: float,
     resolution must be at most ``delta**2 / n`` so that the n-fold
     approximation costs at most ``delta`` of acceptance).
     """
-    _check_caps(inst)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if net is None:
@@ -296,7 +287,7 @@ def build_universal_test(inst: CompositeInstance, delta: float,
                 f"delta**2/n = {delta ** 2 / inst.n:.6g}"
             )
         if net.points[0].dim != inst.dim:
-            raise CapacityError("net lives on a different space than the instance")
+            raise LayoutError("net lives on a different space than the instance")
         # each vertex's closest net point, the first of equally close ones
         fid = _bloch_fidelity(_bloch_vectors(inst.s1.vertices), _bloch_vectors(net.points))
         prototypes = [net.points[i] for i in np.argmax(fid, axis=1)]
@@ -325,10 +316,8 @@ def build_universal_test(inst: CompositeInstance, delta: float,
         merged.a.reshape(dim_n, 2, dim_n, 2)[:, 0, :, 0]
     )
     block = 0.5 * (block + block.conj().T)
-    rmats = [tensor_power(v.a, inst.n) for v in inst.s1.vertices]
-    qmats = [tensor_power(v.a, inst.n) for v in inst.s2.vertices]
-    type1 = max(1.0 - float(np.trace(block @ r).real) for r in rmats)
-    level = max(float(np.trace(block @ q).real) for q in qmats)
+    type1 = max(1.0 - float(np.trace(block @ r).real) for r in inst.nulls)
+    level = max(float(np.trace(block @ q).real) for q in inst.alts)
     value = bits(level)
     size = len(unique)
     penalty = (
@@ -385,24 +374,21 @@ def epsilon_net(dim: int, deficit: float) -> EpsilonNet:
         raise ValueError(f"deficit must lie in (0, 0.5), got {deficit}")
     budget = int((2.0 / deficit) ** 2)
 
-    def lattice(k: int) -> list[np.ndarray]:
-        pts = []
-        for i in range(-k, k + 1):
-            for j in range(-k, k + 1):
-                for l in range(-k, k + 1):
-                    r = np.array([i, j, l], dtype=float) / k
-                    if np.dot(r, r) <= 1.0 + 1e-12:
-                        pts.append(r)
-        return pts
+    def lattice(k: int) -> np.ndarray:
+        g = np.arange(-k, k + 1, dtype=float)
+        r = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3) / k
+        return r[np.einsum("ij,ij->i", r, r) <= 1.0 + 1e-12]
 
     surface = max(8, math.ceil(6.0 / deficit))
     k = max(1, round(math.sqrt(1.0 / deficit)))
-    while k > 1 and len(lattice(k)) + surface > budget:
+    ball = lattice(k)
+    while k > 1 and len(ball) + surface > budget:
         k -= 1
-    while len(lattice(k)) + surface > budget and surface > 8:
+        ball = lattice(k)
+    while len(ball) + surface > budget and surface > 8:
         surface = max(8, surface // 2)
 
-    vectors = lattice(k) + list(_sphere_layer(surface))
+    vectors = list(ball) + list(_sphere_layer(surface))
     seen = set()
     points = []
     for r in vectors:

@@ -42,6 +42,8 @@ EDGE = 1e-12
 TOL_NP = 1e-8
 #: column-generation rounds ``i_h`` runs at most
 _MAX_ROUNDS = 40
+#: weight step of ``i_h_hat``'s scan over two second-register vertices
+_HAT_GRID = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +131,27 @@ def divergence_record(quantity: str, inputs: dict, value: float, test: TestOpera
     return rec
 
 
+def _certified(m: np.ndarray, nulls, level: float, dual: float, iterations: int,
+               threshold: float | None = None) -> tuple[float, TestOperator]:
+    """``(value, test)`` for a test ``m`` that attains the Type-2 level
+    ``level``, certified against the solver's dual estimate ``dual`` of the
+    same level.
+
+    The value is ``bits(level)``; the Type-1 error is the worst
+    ``1 - Tr[m R]`` over ``nulls``; the gap is ``bits(dual) - value``,
+    clipped at 0, and 0 when both ends are infinite (+inf when only the
+    dual end is)."""
+    value, upper = bits(level), bits(dual)
+    return value, TestOperator(
+        matrix=ComplexMatrix(m),
+        type1_error=max(1.0 - float(np.trace(m @ r).real) for r in nulls),
+        type2_bound=level,
+        threshold=threshold,
+        iterations=iterations,
+        certificate_gap_bits=0.0 if upper == value else max(0.0, upper - value),
+    )
+
+
 # ---------------------------------------------------------------------------
 # entropic quantities
 # ---------------------------------------------------------------------------
@@ -188,11 +211,8 @@ def d_max(rho, sigma) -> float:
 
 def i_max(rho: DensityMatrix) -> float:
     """Max-divergence of a bipartite state from the product of its marginals."""
-    if len(rho.layout.factors) != 2:
-        raise LayoutError("need a state on exactly two registers")
-    a_lbl, b_lbl = rho.layout.labels
-    prod = np.kron(partial_trace(rho, {a_lbl}).a, partial_trace(rho, {b_lbl}).a)
-    return d_max(rho.a, prod)
+    _, _, rho_a, rho_b = _split_bipartite(rho)
+    return d_max(rho.a, np.kron(rho_a, rho_b))
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +374,7 @@ def hypothesis_test_divergence(rho, sigma, eps: float) -> tuple[float, TestOpera
     if r.shape != s.shape:
         raise LayoutError(f"dimension mismatch {r.shape} vs {s.shape}")
     beta, m, thr, iters = _np_solve(r, s, eps)
-    value = bits(beta)
-    test = TestOperator(
-        matrix=ComplexMatrix(m),
-        type1_error=1.0 - float(np.trace(m @ r).real),
-        type2_bound=beta,
-        threshold=thr,
-        iterations=iters,
-    )
-    return value, test
+    return _certified(m, [r], beta, beta, iters, thr)
 
 
 def classical_np_value(p: np.ndarray, q: np.ndarray, eps: float) -> float:
@@ -537,16 +549,7 @@ def i_h(
         top = vecs[:, -1:]
         prods.append(np.kron(top @ top.conj().T, rho_b))
         w0 = np.append(w * (1.0 - 1e-3), 1e-3)
-    value = bits(lam_best)
-    upper = bits(beta_best)
-    test = TestOperator(
-        matrix=ComplexMatrix(m_best),
-        type1_error=1.0 - float(np.trace(m_best @ r).real),
-        type2_bound=lam_best,
-        iterations=total_solves,
-        certificate_gap_bits=max(0.0, upper - value),
-    )
-    return value, test
+    return _certified(m_best, [r], lam_best, beta_best, total_solves)
 
 
 def i_h_tilde(
@@ -572,17 +575,7 @@ def i_h_tilde(
         raise LayoutError(f"fixed state dimension {sigma_b.dim} != second register {d_b}")
     prods = [np.kron(v.a, sigma_b.a) for v in s_a.vertices]
     _, _, beta, m, _, per, solves = _best_mixture([rho.a], prods, eps)
-    worst = float(np.max(per))
-    value = bits(worst)
-    upper = bits(beta)
-    test = TestOperator(
-        matrix=ComplexMatrix(m),
-        type1_error=1.0 - float(np.trace(m @ rho.a).real),
-        type2_bound=worst,
-        iterations=solves,
-        certificate_gap_bits=max(0.0, upper - value),
-    )
-    return value, test
+    return _certified(m, [rho.a], float(np.max(per)), beta, solves)
 
 
 def i_h_hat(
@@ -590,15 +583,13 @@ def i_h_hat(
     s_a: StateEnsemble,
     s_b: StateEnsemble,
     eps: float,
-    *,
-    grid: float = 0.02,
 ) -> tuple[float, TestOperator]:
     """Divergence minimized over restricted sets on both registers.
 
     The outer minimization over second-register mixtures is a plain scan
-    (the outer objective need not be convex): vertex points plus a weight
-    grid at the given resolution, followed by a local golden-section polish
-    for two-vertex ensembles.
+    (the outer objective need not be convex): two vertices are scanned on a
+    weight grid of step ``_HAT_GRID`` followed by a local golden-section
+    polish, three or more on a simplex lattice of step 0.1.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
@@ -615,14 +606,14 @@ def i_h_hat(
     if k == 1:
         return at_weights([1.0])
 
-    def simplex_grid(k: int, step: float):
-        n = max(1, int(round(1.0 / step)))
+    def simplex_grid(k: int):
         if k == 2:
+            n = round(1.0 / _HAT_GRID)
             for i in range(n + 1):
                 yield np.array([i / n, 1.0 - i / n])
         else:
             # coarse lattice on the simplex for small vertex counts
-            m = max(1, int(round(1.0 / max(step, 0.1))))
+            m = 10
             def rec(prefix, left, slots):
                 if slots == 1:
                     yield prefix + [left]
@@ -632,14 +623,14 @@ def i_h_hat(
             for combo in rec([], m, k):
                 yield np.array(combo, dtype=float) / m
     best_w, best = None, None
-    for wb in simplex_grid(k, grid):
+    for wb in simplex_grid(k):
         val, test = at_weights(wb)
         if best is None or val < best[0]:
             best, best_w = (val, test), wb
     if k == 2:
         # golden-section polish around the best grid weight
-        lo = max(0.0, best_w[0] - grid)
-        hi = min(1.0, best_w[0] + grid)
+        lo = max(0.0, best_w[0] - _HAT_GRID)
+        hi = min(1.0, best_w[0] + _HAT_GRID)
         phi = (math.sqrt(5.0) - 1.0) / 2.0
         x1 = hi - phi * (hi - lo)
         x2 = lo + phi * (hi - lo)

@@ -189,6 +189,17 @@ class TestExitCodes:
         assert "--net-deficit needs --delta" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_composite_families_on_different_spaces_are_config_error(self, tmp_path, files,
+                                                                    capsys):
+        qutrit = str(tmp_path / "qutrit.txt")
+        save_matrix(qutrit, DensityMatrix(ComplexMatrix(np.eye(3, dtype=complex) / 3),
+                                          RegisterLayout.of("a:3")))
+        out = tmp_path / "c.json"
+        assert run(["composite", "--s1", files["ground"], "--s2", qutrit, "--n", "1",
+                    "--eps", "0.2", "--out", str(out)]) == 2
+        assert "config error: families live on different spaces (2 vs 3)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_value_its_converter_rejects_is_config_error(self, tmp_path, capsys):
         # the same value on the command line is refused by argparse, also 2
         cfg = tmp_path / "c.txt"

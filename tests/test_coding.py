@@ -1033,6 +1033,14 @@ class TestSharedStateFamily:
         gaps = [np.max(np.abs(psi.a - balanced.a)) for psi in sweep]
         assert min(gaps) < 1e-12
 
+    def test_sweep_keeps_every_multiple_below_one(self):
+        # 1/step with a fractional part below one half must not drop the
+        # last multiples: 0.9 at step 0.3, 0.8 at 0.4, 0.9 at 0.45, 0.98 at 0.07
+        for step, count in ((0.3, 3), (0.4, 2), (0.45, 2), (0.07, 14)):
+            weights = [abs(psi.vector[0]) ** 2 for psi in shared_state_sweep(step)]
+            assert len(weights) == count
+            assert weights[-1] == pytest.approx(count * step)
+
     def test_schmidt_state_range(self):
         with pytest.raises(ValueError, match="Schmidt"):
             schmidt_state(0.0)

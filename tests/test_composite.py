@@ -35,6 +35,7 @@ from qoneshot.qcore import (
     CapacityError,
     ComplexMatrix,
     DensityMatrix,
+    LayoutError,
     RegisterLayout,
     random_density,
     rng_from,
@@ -77,8 +78,29 @@ class TestInstanceType:
     def test_rejects_dimension_mismatch(self):
         lay = RegisterLayout.of("a:3")
         big = DensityMatrix(ComplexMatrix(np.eye(3) / 3), lay)
-        with pytest.raises(CapacityError, match="different spaces"):
+        with pytest.raises(LayoutError, match="different spaces"):
             CompositeInstance(StateEnsemble((GROUND,)), StateEnsemble((big,)), 1, 0.2)
+
+    def test_caps_are_checked_at_construction(self):
+        five = StateEnsemble(tuple(qubit(np.eye(2) / 2) for _ in range(5)))
+        with pytest.raises(CapacityError, match=r"^at most 4 vertices per family \(got 5 and 1\)$"):
+            CompositeInstance(five, StateEnsemble((MIXED,)), 1, 0.2)
+        with pytest.raises(CapacityError, match=r"^at most 4 vertices per family \(got 1 and 5\)$"):
+            CompositeInstance(StateEnsemble((MIXED,)), five, 1, 0.2)
+        with pytest.raises(CapacityError, match=r"^at most 3 copies, got 4$"):
+            CompositeInstance(StateEnsemble((GROUND,)), StateEnsemble((MIXED,)), 4, 0.2)
+        oct_ = DensityMatrix(ComplexMatrix(np.eye(8) / 8), RegisterLayout.of("a:8"))
+        with pytest.raises(CapacityError, match=r"^total dimension 512 exceeds cap 64$"):
+            CompositeInstance(StateEnsemble((oct_,)), StateEnsemble((oct_,)), 3, 0.2)
+
+    def test_holds_its_n_fold_products(self):
+        inst = CompositeInstance(
+            StateEnsemble((GROUND, PLUS)), StateEnsemble((MIXED, EXCITED, PLUS)), 3, 0.2
+        )
+        assert len(inst.nulls) == 2 and len(inst.alts) == 3
+        for powers, family in ((inst.nulls, inst.s1), (inst.alts, inst.s2)):
+            for power, v in zip(powers, family.vertices):
+                np.testing.assert_array_equal(power, tensor_power(v.a, 3))
 
     def test_size_caps(self):
         five = StateEnsemble(tuple(qubit(np.eye(2) / 2) for _ in range(5)))

@@ -21,6 +21,7 @@ from qoneshot.divergences import (
     TestOperator,
     bloch_density,
     classical_np_value,
+    _certified,
     _jump_points,
     d_max,
     divergence_record,
@@ -646,7 +647,7 @@ class TestIHHat:
         mk = lambda lbl: random_density(2, rng, layout=RegisterLayout.of(lbl))
         s_a = StateEnsemble((mk("s:2"), mk("s:2")))
         s_b = StateEnsemble((mk("t:2"), mk("t:2")))
-        hat, _ = i_h_hat(rho, s_a, s_b, 0.2, grid=0.05)
+        hat, _ = i_h_hat(rho, s_a, s_b, 0.2)
         oracle = min_dh_over_weight_grids(rho, s_a, s_b, 0.2, step=0.05)
         assert oracle >= hat - 1e-6  # the oracle scans a subset of mixtures
         assert oracle - hat <= 5e-3
@@ -676,6 +677,28 @@ class TestResultTypes:
             StateEnsemble((v1, random_density(3, rng_from(0), layout=RegisterLayout.of("u:3"))))
         with pytest.raises(ValueError):
             ens.mix([0.5])
+
+    def test_certified_takes_the_worst_null(self):
+        m = np.diag([1.0, 0.5])
+        nulls = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2) / 2]
+        value, test = _certified(m, nulls, 0.25, 0.125, 7, threshold=3.0)
+        assert value == 2.0
+        assert test.type1_error == 0.5
+        assert test.type2_bound == 0.25
+        assert test.certificate_gap_bits == 1.0
+        assert test.iterations == 7 and test.threshold == 3.0
+
+    def test_certified_gap_rule(self):
+        m = np.diag([1.0, 0.0])
+        null = [np.diag([1.0, 0.0])]
+        # both ends infinite: closed
+        assert _certified(m, null, 0.0, 0.0, 1)[1].certificate_gap_bits == 0.0
+        # only the dual end infinite: open without bound
+        value, test = _certified(m, null, 0.5, 0.0, 1)
+        assert value == 1.0 and test.certificate_gap_bits == math.inf
+        # a dual end below the value is clipped
+        assert _certified(m, null, 0.25, 0.5, 1)[1].certificate_gap_bits == 0.0
+        assert _certified(m, null, 0.5, 0.5, 1)[1].certificate_gap_bits == 0.0
 
     def test_divergence_record_shape(self):
         rng = rng_from(81)
