@@ -47,15 +47,18 @@ from .qcore import (
     DensityMatrix,
     LayoutError,
     RegisterLayout,
+    _check_states,
+    _freeze,
+    _gaussian_states,
     content_hash,
-    random_density,
-    rng_from,
     tensor_power,
 )
 
 MAX_VERTICES = 4
 MAX_COPIES = 3
 MAX_TOTAL_DIM = 64
+#: most sample-by-net-point fidelities ``net_covering_report`` will hold
+MAX_FIDELITY_ENTRIES = 2 ** 26
 
 QUBIT = RegisterLayout.of("a:2")
 
@@ -126,21 +129,24 @@ class CompositeInstance:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class EpsilonNet:
-    """A finite set of states meant to approximate every state of the
-    space to within the recorded fidelity deficit.
+    """A read-only ``(size, d, d)`` stack of states meant to approximate
+    every state of the space to within the recorded fidelity deficit.
 
     The covering quality is an empirical calibration, not a theorem: use
     ``net_covering_report`` to measure it on sampled states.
     """
 
-    points: tuple[DensityMatrix, ...]
+    states: np.ndarray
     resolution: float
 
     def __post_init__(self):
-        if not self.points:
-            raise ValueError("net needs at least one point")
+        states = np.array(self.states, dtype=np.complex128)
+        if states.ndim != 3 or not len(states):
+            raise ValueError(f"net needs at least one point, got shape {states.shape}")
         if not 0.0 < self.resolution < 1.0:
             raise ValueError(f"resolution must lie in (0, 1), got {self.resolution}")
+        _check_states(states)
+        object.__setattr__(self, "states", _freeze(states))
 
 
 def composite_record(inst: CompositeInstance, value: float, test: TestOperator,
@@ -286,11 +292,12 @@ def build_universal_test(inst: CompositeInstance, delta: float,
                 f"net resolution {net.resolution} too coarse for "
                 f"delta**2/n = {delta ** 2 / inst.n:.6g}"
             )
-        if net.points[0].dim != inst.dim:
+        if net.states.shape[-1] != inst.dim:
             raise LayoutError("net lives on a different space than the instance")
         # each vertex's closest net point, the first of equally close ones
-        fid = _bloch_fidelity(_bloch_vectors(inst.s1.vertices), _bloch_vectors(net.points))
-        prototypes = [net.points[i] for i in np.argmax(fid, axis=1)]
+        vertices = np.stack([v.a for v in inst.s1.vertices])
+        fid = _bloch_fidelity(_bloch_vectors(vertices), _bloch_vectors(net.states))
+        prototypes = [DensityMatrix(ComplexMatrix(net.states[i]), QUBIT) for i in fid.argmax(1)]
     # deduplicate prototypes that collide
     unique: list[DensityMatrix] = []
     seen = set()
@@ -338,13 +345,9 @@ def build_universal_test(inst: CompositeInstance, delta: float,
 # qubit nets
 # ---------------------------------------------------------------------------
 
-def _bloch_state(r: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(ComplexMatrix(bloch_density(*r)), QUBIT)
-
-
-def _bloch_vectors(states) -> np.ndarray:
-    """Rows ``(Tr[rho X], Tr[rho Y], Tr[rho Z])`` of qubit states."""
-    return np.einsum("nij,kji->nk", np.stack([s.a for s in states]), np.stack(PAULIS[1:])).real
+def _bloch_vectors(states: np.ndarray) -> np.ndarray:
+    """Rows ``(Tr[rho X], Tr[rho Y], Tr[rho Z])`` of a stack of qubit states."""
+    return np.einsum("nij,kji->nk", states, np.stack(PAULIS[1:])).real
 
 
 def _bloch_fidelity(r: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -388,15 +391,13 @@ def epsilon_net(dim: int, deficit: float) -> EpsilonNet:
     while len(ball) + surface > budget and surface > 8:
         surface = max(8, surface // 2)
 
-    vectors = list(ball) + list(_sphere_layer(surface))
-    seen = set()
-    points = []
-    for r in vectors:
-        key = tuple(np.round(r, 10))
-        if key not in seen:
-            seen.add(key)
-            points.append(_bloch_state(r))
-    return EpsilonNet(points=tuple(points), resolution=deficit)
+    vectors = np.concatenate([ball, _sphere_layer(surface)])
+    # the first row of each 10-digit class, as Python floats (-0.0 == 0.0)
+    first = {}
+    for i, key in enumerate(map(tuple, np.round(vectors, 10).tolist())):
+        first.setdefault(key, i)
+    x, y, z = vectors[list(first.values())].T[:, :, None, None]
+    return EpsilonNet(states=bloch_density(x, y, z), resolution=deficit)
 
 
 def net_covering_report(net: EpsilonNet, num_samples: int = 10_000,
@@ -404,15 +405,21 @@ def net_covering_report(net: EpsilonNet, num_samples: int = 10_000,
     """Measure the net's worst fidelity deficit over sampled qubit states."""
     if num_samples < 1:
         raise ValueError(f"num_samples must be at least 1, got {num_samples}")
-    rng = rng_from(seed)
-    samples = (random_density(2, rng, layout=QUBIT) for _ in range(num_samples))
-    fid = _bloch_fidelity(_bloch_vectors(samples), _bloch_vectors(net.points))
+    size = len(net.states)
+    if num_samples * size > MAX_FIDELITY_ENTRIES:
+        raise CapacityError(
+            f"{num_samples} samples x {size} net points exceed the cap of "
+            f"{MAX_FIDELITY_ENTRIES} fidelities"
+        )
+    samples = _gaussian_states(2, num_samples, seed)
+    _check_states(samples)
+    fid = _bloch_fidelity(_bloch_vectors(samples), _bloch_vectors(net.states))
     deficit = 1.0 - np.max(fid, axis=1)
     budget = int((2.0 / net.resolution) ** 2)
     return {
-        "size": len(net.points),
+        "size": size,
         "budget": budget,
-        "within_budget": len(net.points) <= budget,
+        "within_budget": size <= budget,
         "resolution": net.resolution,
         "samples": num_samples,
         "max_deficit": float(np.max(deficit)),

@@ -657,5 +657,5 @@ def i_h_hat(
 
 def bloch_density(x: float, y: float, z: float) -> np.ndarray:
     """Qubit state ``(I + x X + y Y + z Z) / 2`` with Bloch vector
-    ``(x, y, z)``, ``|r| <= 1``."""
+    ``(x, y, z)``, ``|r| <= 1``; components of shape ``(n, 1, 1)`` give an ``(n, 2, 2)`` stack."""
     return 0.5 * sum(c * p for c, p in zip((1.0, x, y, z), PAULIS))

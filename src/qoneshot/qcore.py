@@ -2,8 +2,8 @@
 
 Operators live on explicitly tracked tensor-product registers: every state
 carries a :class:`RegisterLayout` naming its factors, and structural
-operations (tensor product, partial trace, register permutation, channel
-application on a register subset) keep that bookkeeping consistent.
+operations (partial trace, register permutation, channel application on a
+register subset) keep that bookkeeping consistent.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share across threads.  Basis ordering is
@@ -46,6 +46,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+def _hermitian_error(a: np.ndarray) -> np.ndarray:
+    """``max |A - A^dag|`` of each matrix of a ``(..., d, d)`` stack."""
+    return abs(a - a.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
 
 
 def as_array(x) -> np.ndarray:
@@ -97,7 +102,7 @@ class ComplexMatrix:
         return self.entries
 
     def is_hermitian(self, atol: float = ATOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= atol)
+        return bool(_hermitian_error(self.entries) <= atol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,6 +179,19 @@ class RegisterLayout:
         return " ".join(f"{l}:{d}" for l, d in self.factors)
 
 
+def _check_states(a: np.ndarray) -> None:
+    """Raise ``ValueError`` unless each matrix of the ``(..., d, d)`` stack is a state."""
+    if not (_hermitian_error(a) <= ATOL).all():
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    tr = a.trace(axis1=-2, axis2=-1).reshape(-1)
+    bad = (abs(tr.real - 1.0) > ATOL) | (abs(tr.imag) > ATOL)
+    if bad.any():
+        raise ValueError(f"density matrix trace {tr[bad][0]} != 1")
+    wmin = np.linalg.eigvalsh(a)[..., 0].reshape(-1)
+    if (wmin < -ATOL).any():
+        raise ValueError(f"density matrix has negative eigenvalue {float(wmin[wmin < -ATOL][0])}")
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated quantum state: Hermitian, positive semidefinite, trace one.
@@ -194,18 +212,11 @@ class DensityMatrix:
     layout: RegisterLayout
 
     def __post_init__(self):
-        a = self.matrix.entries
         if self.layout.dim != self.matrix.dim:
             raise LayoutError(
                 f"layout dimension {self.layout.dim} != matrix dimension {self.matrix.dim}"
             )
-        if not self.matrix.is_hermitian():
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(a).real - 1.0) > ATOL or abs(np.trace(a).imag) > ATOL:
-            raise ValueError(f"density matrix trace {np.trace(a)} != 1")
-        wmin = float(np.linalg.eigvalsh(a)[0])
-        if wmin < -ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {wmin}")
+        _check_states(self.matrix.entries)
 
     @classmethod
     def of(cls, entries, layout: RegisterLayout | str) -> "DensityMatrix":
@@ -329,28 +340,6 @@ class Channel:
 # structural operations
 # ---------------------------------------------------------------------------
 
-def tensor_product(a, b):
-    """Kronecker product with concatenated layouts.
-
-    Accepts two values of the same kind (DensityMatrix, PureState,
-    Projector, or ComplexMatrix) and returns that kind.  For layout-carrying
-    values the factor labels must be disjoint.
-    """
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(
-            ComplexMatrix(np.kron(a.a, b.a)), a.layout.concat(b.layout)
-        )
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.vector, b.vector), a.layout.concat(b.layout))
-    if isinstance(a, Projector) and isinstance(b, Projector):
-        return Projector(ComplexMatrix(np.kron(a.a, b.a)))
-    if isinstance(a, ComplexMatrix) and isinstance(b, ComplexMatrix):
-        return ComplexMatrix(np.kron(a.a, b.a))
-    raise TypeError(
-        f"cannot tensor {type(a).__name__} with {type(b).__name__}"
-    )
-
-
 def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
     """The ``n``-fold Kronecker power of an array (``n >= 1``)."""
     out = a
@@ -428,7 +417,7 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
         If the input is not Hermitian within tolerance.
     """
     m = as_array(a)
-    herm_err = float(np.max(np.abs(m - m.conj().T)))
+    herm_err = float(_hermitian_error(m))
     if herm_err > ATOL:
         raise ValueError(f"input is not Hermitian (|A - A^dag| = {herm_err:.3e})")
     w, v = np.linalg.eigh(m)
@@ -515,12 +504,6 @@ def root_fidelity(rho, sigma) -> float:
     return float(np.sum(sv))
 
 
-def purified_distance(rho, sigma) -> float:
-    """sqrt(1 - F^2) where F is the root fidelity; symmetric, in [0, 1]."""
-    f = min(root_fidelity(rho, sigma), 1.0)
-    return float(np.sqrt(max(0.0, 1.0 - f * f)))
-
-
 def maximally_entangled(d: int, labels: tuple[str, str] = ("a", "b")) -> PureState:
     """The maximally entangled pure state sum_i |ii> / sqrt(d) on two registers."""
     if d < 2:
@@ -599,15 +582,20 @@ def random_density(
     rank: int | None = None,
     layout: RegisterLayout | None = None,
 ) -> DensityMatrix:
-    """Random full-rank (or fixed-rank) state from a Gaussian square root."""
-    rng = rng_from(seed)
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
+    """Random full-rank (or fixed-rank) state: the first of ``_gaussian_states``."""
     if layout is None:
         layout = RegisterLayout((("r", dim),))
-    return DensityMatrix(ComplexMatrix(m), layout)
+    return DensityMatrix(ComplexMatrix(_gaussian_states(dim, 1, seed, rank)[0]), layout)
+
+
+def _gaussian_states(dim: int, count: int, seed: int | np.random.Generator,
+                     rank: int | None = None) -> np.ndarray:
+    """``count`` unchecked states ``g g^dag / Tr[g g^dag]``, ``g`` complex Gaussian ``dim x rank``,
+    from one draw holding each ``g``'s real then imaginary part: ``count`` single draws' stream."""
+    g = rng_from(seed).normal(size=(count, 2, dim, dim if rank is None else rank))
+    g = g[:, 0] + 1j * g[:, 1]
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
 
 
 def random_projector(dim: int, rank: int, seed: int | np.random.Generator) -> Projector:
@@ -616,12 +604,6 @@ def random_projector(dim: int, rank: int, seed: int | np.random.Generator) -> Pr
         raise ValueError(f"rank {rank} out of range for dimension {dim}")
     q = haar_unitary(dim, seed)[:, :rank]
     return Projector(ComplexMatrix(q @ q.conj().T))
-
-
-def random_hermitian(dim: int, seed: int | np.random.Generator) -> ComplexMatrix:
-    rng = rng_from(seed)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return ComplexMatrix((g + g.conj().T) / 2)
 
 
 def random_channel(

@@ -1,8 +1,10 @@
-"""Independent oracles for cross-checking the solvers.
+"""Independent oracles for cross-checking the solvers, and test helpers.
 
 Brute-force grids, restricted measurement families and linear programs that
-share no optimization path with the solvers in ``qoneshot``; only the tests
-use them.
+share no optimization path with the solvers in ``qoneshot``; per-state
+references for the stacked state sampler and qubit nets; and the structural
+helpers (``tensor_product``, ``purified_distance``, ``random_hermitian``)
+that only the tests use.
 """
 
 import math
@@ -18,7 +20,91 @@ from qoneshot.divergences import (
     bits,
     bloch_density,
 )
-from qoneshot.qcore import DensityMatrix, LayoutError, as_array
+from qoneshot.composite import _sphere_layer
+from qoneshot.qcore import (
+    ComplexMatrix,
+    DensityMatrix,
+    LayoutError,
+    Projector,
+    PureState,
+    as_array,
+    rng_from,
+    root_fidelity,
+)
+
+
+def tensor_product(a, b):
+    """Kronecker product with concatenated layouts.
+
+    Accepts two values of the same kind (DensityMatrix, PureState,
+    Projector, or ComplexMatrix) and returns that kind.  For layout-carrying
+    values the factor labels must be disjoint.
+    """
+    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
+        return DensityMatrix(
+            ComplexMatrix(np.kron(a.a, b.a)), a.layout.concat(b.layout)
+        )
+    if isinstance(a, PureState) and isinstance(b, PureState):
+        return PureState(np.kron(a.vector, b.vector), a.layout.concat(b.layout))
+    if isinstance(a, Projector) and isinstance(b, Projector):
+        return Projector(ComplexMatrix(np.kron(a.a, b.a)))
+    if isinstance(a, ComplexMatrix) and isinstance(b, ComplexMatrix):
+        return ComplexMatrix(np.kron(a.a, b.a))
+    raise TypeError(
+        f"cannot tensor {type(a).__name__} with {type(b).__name__}"
+    )
+
+
+def purified_distance(rho, sigma) -> float:
+    """sqrt(1 - F^2) where F is the root fidelity; symmetric, in [0, 1]."""
+    f = min(root_fidelity(rho, sigma), 1.0)
+    return float(np.sqrt(max(0.0, 1.0 - f * f)))
+
+
+def random_hermitian(dim: int, seed) -> ComplexMatrix:
+    rng = rng_from(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return ComplexMatrix((g + g.conj().T) / 2)
+
+
+def gaussian_states_by_state(dim: int, count: int, seed, rank=None) -> np.ndarray:
+    """Per-state reference for ``qcore._gaussian_states``: ``count`` draws
+    of ``g g^dag / Tr[g g^dag]`` in turn, each ``g`` from two draws."""
+    rng = rng_from(seed)
+    rank = dim if rank is None else rank
+    out = []
+    for _ in range(count):
+        g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        m = g @ g.conj().T
+        m /= np.trace(m).real
+        out.append(m)
+    return np.stack(out)
+
+
+def net_states_by_point(deficit: float) -> np.ndarray:
+    """Per-point reference for ``composite.epsilon_net``'s states: the same
+    lattice and surface sizing, then ``bloch_density`` of each row whose
+    10-digit rounding has not been seen before."""
+    budget = int((2.0 / deficit) ** 2)
+
+    def lattice(k: int) -> np.ndarray:
+        g = np.arange(-k, k + 1, dtype=float)
+        r = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3) / k
+        return r[np.einsum("ij,ij->i", r, r) <= 1.0 + 1e-12]
+
+    surface = max(8, math.ceil(6.0 / deficit))
+    k = max(1, round(math.sqrt(1.0 / deficit)))
+    while k > 1 and len(lattice(k)) + surface > budget:
+        k -= 1
+    while len(lattice(k)) + surface > budget and surface > 8:
+        surface = max(8, surface // 2)
+    seen, points = set(), []
+    for r in list(lattice(k)) + list(_sphere_layer(surface)):
+        key = tuple(np.round(r, 10))
+        if key not in seen:
+            seen.add(key)
+            points.append(bloch_density(*r))
+    return np.stack(points)
 
 
 def _ball_lattice(res: float) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qoneshot import cli
+from qoneshot import cli, composite
 from qoneshot.qcore import (
     ComplexMatrix,
     DensityMatrix,
@@ -254,6 +254,19 @@ class TestExitCodes:
         out = tmp_path / "d.json"
         assert run(["union-stress", "--s", "2", "--delta", "0.3", "--dim", "1000000",
                     "--trials", "1", "--seed", "7", "--out", str(out)]) == 3
+        assert "capacity error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_net_validate_fidelity_cap_is_three(self, tmp_path, monkeypatch, capsys):
+        # --deficit 0.005 gives 12,713 net points: with the default
+        # 10,000 samples that is over 2^26 fidelities, refused before any draw
+        def no_draw(*args, **kwargs):
+            raise AssertionError("samples drawn past the cap")
+
+        monkeypatch.setattr(composite, "_gaussian_states", no_draw)
+        out = tmp_path / "n.json"
+        assert run(["net-validate", "--deficit", "0.005", "--seed", "1",
+                    "--out", str(out)]) == 3
         assert "capacity error" in capsys.readouterr().err
         assert not out.exists()
 
@@ -564,6 +577,8 @@ class TestBlasThreadDeterminism:
             "pauli": ["pauli-example", "--eps", "0.1"],
             "union": ["union-stress", "--s", "8", "--delta", "0.1", "--dim", "64",
                       "--trials", "3", "--seed", "5"],
+            # the stacked samples and net of the composite_family workload
+            "net": ["net-validate", "--deficit", "0.1", "--samples", "3000", "--seed", "5"],
         }
         outputs = {}
         for threads in ("1", "2"):

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from qoneshot import composite
 from qoneshot.composite import (
     CompositeInstance,
     EpsilonNet,
@@ -30,7 +31,7 @@ from qoneshot.divergences import (
     classical_np_value,
     hypothesis_test_divergence,
 )
-from oracles import classical_composite_value
+from oracles import classical_composite_value, gaussian_states_by_state, net_states_by_point
 from qoneshot.qcore import (
     CapacityError,
     ComplexMatrix,
@@ -371,7 +372,7 @@ class TestUniversalTest:
 class TestEpsilonNet:
     def test_contains_axis_points_and_center(self):
         net = epsilon_net(2, 0.1)
-        mats = np.stack([p.a for p in net.points])
+        mats = net.states
         expected = [np.eye(2) / 2]
         for axis in (
             np.array([[0, 1], [1, 0]]),
@@ -386,10 +387,46 @@ class TestEpsilonNet:
 
     def test_points_are_states(self):
         net = epsilon_net(2, 0.2)
-        for p in net.points:
-            w = np.linalg.eigvalsh(p.a)
+        for p in net.states:
+            w = np.linalg.eigvalsh(p)
             assert w[0] > -1e-12
-            assert abs(np.trace(p.a).real - 1.0) < 1e-12
+            assert abs(np.trace(p).real - 1.0) < 1e-12
+
+    def test_states_equal_per_point_construction(self):
+        for deficit in (0.45, 0.2, 0.1, 0.08, 0.05, 0.04, 0.02):
+            net = epsilon_net(2, deficit)
+            assert net.states.tobytes() == net_states_by_point(deficit).tobytes(), deficit
+            assert not net.states.flags.writeable
+
+    def test_report_equals_per_state_reference(self):
+        for deficit, samples, seed in ((0.2, 500, 3), (0.1, 3000, 5), (0.05, 2000, 11)):
+            net = epsilon_net(2, deficit)
+            fid = _bloch_fidelity(
+                _bloch_vectors(gaussian_states_by_state(2, samples, seed)),
+                _bloch_vectors(net_states_by_point(deficit)),
+            )
+            worst = 1.0 - np.max(fid, axis=1)
+            budget = int((2.0 / deficit) ** 2)
+            assert net_covering_report(net, samples, seed) == {
+                "size": len(net.states),
+                "budget": budget,
+                "within_budget": len(net.states) <= budget,
+                "resolution": deficit,
+                "samples": samples,
+                "max_deficit": float(np.max(worst)),
+                "mean_deficit": float(np.mean(worst)),
+                "covered": bool(np.max(worst) <= deficit),
+            }
+
+    def test_report_caps_fidelity_entries(self, monkeypatch):
+        net = epsilon_net(2, 0.2)
+        with pytest.raises(CapacityError, match="fidelities"):
+            net_covering_report(net, 2 ** 26 // len(net.states) + 1, seed=1)
+        # the boundary, at a cap small enough to run
+        monkeypatch.setattr(composite, "MAX_FIDELITY_ENTRIES", 10 * len(net.states))
+        assert net_covering_report(net, 10, seed=1)["samples"] == 10
+        with pytest.raises(CapacityError, match="fidelities"):
+            net_covering_report(net, 11, seed=1)
 
     def test_sampled_covering_and_size_budget(self):
         for deficit in (0.45, 0.2, 0.1, 0.05):
@@ -404,10 +441,10 @@ class TestEpsilonNet:
         # rounding), and its argmax against the first maximum of the scan
         net = epsilon_net(2, 0.08)
         rng = rng_from(31)
-        states = [random_density(2, rng, layout=QUBIT) for _ in range(8)]
-        fid = _bloch_fidelity(_bloch_vectors(states), _bloch_vectors(net.points))
+        states = np.stack([random_density(2, rng, layout=QUBIT).a for _ in range(8)])
+        fid = _bloch_fidelity(_bloch_vectors(states), _bloch_vectors(net.states))
         for row, state in zip(fid, states):
-            scan = [root_fidelity(state.a, p.a) ** 2 for p in net.points]
+            scan = [root_fidelity(state, p) ** 2 for p in net.states]
             assert np.max(np.abs(row - scan)) < 1e-7
             assert int(np.argmax(row)) == int(np.argmax(scan))
 
@@ -417,4 +454,6 @@ class TestEpsilonNet:
         with pytest.raises(ValueError, match="deficit"):
             epsilon_net(2, 0.5)
         with pytest.raises(ValueError, match="net needs"):
-            EpsilonNet(points=(), resolution=0.1)
+            EpsilonNet(states=(), resolution=0.1)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            EpsilonNet(states=[np.diag([1.2, -0.2])], resolution=0.1)

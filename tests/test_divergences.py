@@ -37,6 +37,7 @@ from oracles import (
     best_qubit_two_level_test,
     min_dh_over_bloch_grid,
     min_dh_over_weight_grids,
+    tensor_product,
 )
 from qoneshot.qcore import (
     ComplexMatrix,
@@ -47,7 +48,6 @@ from qoneshot.qcore import (
     maximally_entangled,
     random_density,
     rng_from,
-    tensor_product,
 )
 
 

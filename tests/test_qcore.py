@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from oracles import gaussian_states_by_state, purified_distance, random_hermitian, tensor_product
 from qoneshot import qcore
 from qoneshot.qcore import (
     ATOL,
@@ -28,13 +29,12 @@ from qoneshot.qcore import (
     partial_trace,
     pauli_channel_family,
     permute_registers,
-    purified_distance,
     random_channel,
     random_density,
     random_projector,
     random_pure_state,
+    rng_from,
     spectral,
-    tensor_product,
     whiten,
 )
 
@@ -86,13 +86,20 @@ def test_layout_capacity_cap():
 # ---------------------------------------------------------------------------
 
 def test_density_matrix_rejects_bad_trace_and_negativity():
-    lay = qubit_layout("a")
-    with pytest.raises(ValueError):
-        dm(np.diag([0.7, 0.7]), lay)
-    with pytest.raises(ValueError):
-        dm(np.diag([1.2, -0.2]), lay)
-    with pytest.raises(ValueError):
-        dm(np.array([[0.5, 0.5], [0.1, 0.5]]), lay)  # not Hermitian
+    """One check serves DensityMatrix and stacks: the same message for a
+    bad matrix alone and for the same matrix after a good one."""
+    good = np.eye(2) / 2
+    for bad, message in (
+        (np.array([[0.5, 0.5], [0.1, 0.5]]), "density matrix is not Hermitian within tolerance"),
+        (np.diag([0.7, 0.7]), "density matrix trace (1.4+0j) != 1"),
+        (np.diag([1.2, -0.2]), "density matrix has negative eigenvalue -0.2"),
+    ):
+        with pytest.raises(ValueError) as single:
+            dm(bad, qubit_layout("a"))
+        with pytest.raises(ValueError) as stacked:
+            qcore._check_states(np.stack([good, bad]).astype(complex))
+        assert str(single.value) == str(stacked.value) == message
+    qcore._check_states(np.stack([good, np.diag([1.0, 0.0])]).astype(complex))
 
 
 def test_projector_rejects_non_idempotent():
@@ -126,6 +133,16 @@ def test_random_density_passes_own_invariants():
         w = np.linalg.eigvalsh(rho.a)
         assert w.min() >= -ATOL
         assert abs(np.trace(rho.a).real - 1) <= ATOL
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 7, 16, 33, 64])
+def test_stacked_states_equal_per_state_draws(dim):
+    for rank in sorted({1, 2, dim}):
+        want = gaussian_states_by_state(dim, 6, dim + rank, rank)
+        got = qcore._gaussian_states(dim, 6, dim + rank, rank)
+        assert got.tobytes() == want.tobytes()
+        first = random_density(dim, rng_from(dim + rank), rank=rank).a
+        assert first.tobytes() == want[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +280,7 @@ def test_eig_pauli_x_spectrum():
 
 def test_eig_reconstruction_random():
     for seed in range(10):
-        a = qcore.random_hermitian(8, seed)
+        a = random_hermitian(8, seed)
         w, v = hermitian_eig(a)
         assert np.all(np.diff(w) <= 1e-12)  # descending
         recon = (v * w) @ v.conj().T
@@ -465,7 +482,7 @@ def test_random_projector_valid():
 # ---------------------------------------------------------------------------
 
 def test_matrix_file_round_trip_bit_exact(tmp_path):
-    m = qcore.random_hermitian(5, 77)
+    m = random_hermitian(5, 77)
     path = tmp_path / "m.txt"
     qcore.save_matrix(path, m)
     back = qcore.load_matrix(path)
