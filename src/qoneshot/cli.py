@@ -65,6 +65,7 @@ from .jordan import (
     decomposition_report,
     decomposition_residuals,
     jordan_decompose,
+    union_depth,
     union_many,
 )
 from .qcore import (
@@ -75,7 +76,6 @@ from .qcore import (
     Projector,
     PureState,
     RegisterLayout,
-    hermitian_eig,
     load_channel,
     load_matrix,
     load_state,
@@ -153,11 +153,11 @@ def _json_default(x):
 
 
 def _load_pure(path: str) -> PureState:
-    dm = load_state(path)
-    vals, vecs = hermitian_eig(dm.a)
-    if vals[0] < 1.0 - 1e-9:
-        raise ValueError(f"{path}: expected a pure state, top weight {vals[0]:.6f}")
-    return PureState(vecs[:, 0], dm.layout)
+    dm = load_state(path)  # checks Hermiticity, so eigh reads the top eigenpair
+    w, v = np.linalg.eigh(dm.a)
+    if w[-1] < 1.0 - 1e-9:
+        raise ValueError(f"{path}: expected a pure state, top weight {w[-1]:.6f}")
+    return PureState(v[:, -1], dm.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -174,25 +174,20 @@ def _run_divergence(p: dict, seed):
     if needs_eps and p["eps"] is None:
         raise ValueError(f"kind {kind!r} needs --eps")
     sigma = load_state(p["sigma"]) if needs_sigma else None
+    inputs = {"rho": rho, "sigma": sigma} if needs_sigma else {"rho": rho}
     test = None
     if kind == "re":
         value = relative_entropy(rho.a, sigma.a)
-        inputs = {"rho": rho, "sigma": sigma}
     elif kind == "var":
         value = relative_entropy_variance(rho.a, sigma.a)
-        inputs = {"rho": rho, "sigma": sigma}
     elif kind == "dmax":
         value = d_max(rho.a, sigma.a)
-        inputs = {"rho": rho, "sigma": sigma}
     elif kind == "imax":
         value = i_max(rho)
-        inputs = {"rho": rho}
     elif kind == "dh":
         value, test = hypothesis_test_divergence(rho.a, sigma.a, p["eps"])
-        inputs = {"rho": rho, "sigma": sigma}
     elif kind == "ih":
         value, test = i_h(rho, p["eps"])
-        inputs = {"rho": rho}
     else:
         raise ValueError(f"unknown divergence kind {kind!r}")
     results = divergence_record(kind, inputs, value, test)
@@ -224,7 +219,7 @@ def _run_union_stress(p: dict, seed):
         raise CapacityError(f"dimension {dim} exceeds the cap {DIM_CAP}")
     rng = rng_from(seed)
     layout = RegisterLayout((("r", dim),))
-    width = math.log2(2 * s)
+    width = union_depth(s)
     factor = (2.0 / delta ** 2) ** width
     floor = 1.0 - eps - delta * width
     worst_accept = math.inf
@@ -576,15 +571,17 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _output_path(config: ExperimentConfig) -> str:
-    if config.output is not None:
-        return config.output
-    base = os.environ.get(OUTPUT_DIR_ENV, ".")
-    name = (
-        f"{config.command}.json"
-        if config.seed is None
-        else f"{config.command}-{config.seed}.json"
-    )
-    return os.path.join(base, name)
+    """The result file's path, checked before the run: ``OSError`` if it
+    names a directory or its directory does not exist."""
+    path = config.output
+    if path is None:
+        name = config.command + ("" if config.seed is None else f"-{config.seed}") + ".json"
+        path = os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), name)
+    if os.path.isdir(path):
+        raise OSError(f"output path {path} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise OSError(f"output directory of {path} does not exist")
+    return path
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -599,31 +596,31 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         config = _resolve(args)
+        path = _output_path(config)
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     spec = COMMANDS[config.command]
     try:
         results, checks, tolerances = spec.runner(config.parameters, config.seed)
+        record = {
+            "schema": SCHEMA,
+            "command": config.command,
+            "seed": config.seed,
+            "parameters": config.parameters,
+            "tolerances": tolerances,
+            "results": results,
+            "checks": checks,
+            "ok": all(checks.values()),
+        }
+        with open(path, "w") as fh:  # an OSError here is a config error too
+            fh.write(json.dumps(record, sort_keys=True, indent=2, default=_json_default) + "\n")
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (ValueError, LayoutError, OSError, ArithmeticError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    record = {
-        "schema": SCHEMA,
-        "command": config.command,
-        "seed": config.seed,
-        "parameters": config.parameters,
-        "tolerances": tolerances,
-        "results": results,
-        "checks": checks,
-        "ok": all(checks.values()),
-    }
-    path = _output_path(config)
-    with open(path, "w") as fh:
-        fh.write(json.dumps(record, sort_keys=True, indent=2, default=_json_default) + "\n")
     failing = sorted(name for name, passed in checks.items() if not passed)
     if failing:
         print(f"{config.command}: FAIL {failing} -> {path}")

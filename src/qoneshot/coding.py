@@ -27,6 +27,7 @@ operators; nothing is sampled.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -44,6 +45,7 @@ from .qcore import (
     Projector,
     PureState,
     RegisterLayout,
+    _hermitian_error,
     apply_channel,
     as_array,
     maximally_entangled,
@@ -62,14 +64,13 @@ from .divergences import (
     i_max,
     relative_entropy_variance,
 )
-from .jordan import union_many
+from .jordan import merge_tests, union_depth
 from . import schur
 
 __all__ = [
     "CompoundChannel",
     "CodeParams",
     "SimulationReport",
-    "neumark_dilate",
     "hayashi_nagaoka_check",
     "uninformed_rates",
     "achievable_rate_uninformed",
@@ -216,9 +217,7 @@ def _arrange(pieces: Sequence[tuple[np.ndarray, Sequence[int]]], dims: Sequence[
     order = [p for _, pos in pieces for p in pos]
     if sorted(order) != list(range(len(dims))):
         raise ValueError(f"register positions {order} must cover 0..{len(dims) - 1}")
-    big = pieces[0][0]
-    for op, _ in pieces[1:]:
-        big = np.kron(big, op)
+    big = functools.reduce(np.kron, [op for op, _ in pieces])
     n = len(dims)
     shape = [dims[i] for i in order]
     tensor = big.reshape(shape + shape)
@@ -229,34 +228,8 @@ def _arrange(pieces: Sequence[tuple[np.ndarray, Sequence[int]]], dims: Sequence[
 
 
 # ---------------------------------------------------------------------------
-# dilation and the square-root-decoder operator inequality
+# the square-root-decoder operator inequality
 # ---------------------------------------------------------------------------
-
-def neumark_dilate(m: TestOperator) -> Projector:
-    """Lift a binary test to a projector on system tensor qubit ancilla.
-
-    Accepting the projector on ``rho (x) |0><0|`` has the same probability
-    as accepting the test on ``rho``: the projector's ancilla-ground block
-    is checked against ``M``, which is that trace identity for every input
-    state.  With ``A = sqrt(I - M)`` and ``B = sqrt(M)`` the block rotation
-    ``[[A, -B], [B, A]]`` is unitary, and conjugating the ancilla-excited
-    projector by it gives ``Pi = M (x) |0><0| + BA (x) (|0><1| + |1><0|)
-    + (I - M) (x) |1><1|``.  All blocks are assembled from one spectral
-    decomposition of ``M`` so the result is idempotent to working precision.
-    """
-    w, v = np.linalg.eigh(m.a)
-    wc = np.clip(w, 0.0, 1.0)
-    vh = v.conj().T
-    accept = (v * wc) @ vh
-    cross = (v * np.sqrt(wc * (1.0 - wc))) @ vh
-    reject = (v * (1.0 - wc)) @ vh
-    err = float(np.max(np.abs(accept - m.a)))
-    if err > 4.0 * ATOL:
-        raise ValueError(f"ancilla-ground block deviates from the test by {err:.3e}")
-    blocks = np.array([[accept, cross], [cross, reject]])  # axes: ancilla i, j; system i, j
-    pi = blocks.transpose(2, 0, 3, 1).reshape(2 * w.size, 2 * w.size)
-    return Projector(ComplexMatrix(pi))
-
 
 def hayashi_nagaoka_check(s, t, c: float) -> dict:
     """Certify the square-root-decoder operator inequality.
@@ -277,7 +250,7 @@ def hayashi_nagaoka_check(s, t, c: float) -> dict:
     if ss.shape != tt.shape or ss.ndim != 2 or ss.shape[0] != ss.shape[1]:
         raise LayoutError(f"S and T must be square of equal size, got {ss.shape}, {tt.shape}")
     for name, x in (("S", ss), ("T", tt)):
-        herm = float(np.max(np.abs(x - x.conj().T)))
+        herm = float(_hermitian_error(x))
         if herm > ATOL:
             raise ValueError(f"{name} is not Hermitian (|X - X^dag| = {herm:.3e})")
     ws = np.linalg.eigvalsh(ss)
@@ -353,12 +326,6 @@ def _channel_outputs(cc: CompoundChannel, psi: PureState) -> list[DensityMatrix]
     return [apply_channel(ch, rho, targets=[a_lbl]) for ch in cc.channels]
 
 
-def _output_marginal(ch: Channel, psi: PureState) -> DensityMatrix:
-    """The channel output on the transmitted half alone."""
-    a_lbl = psi.layout.labels[0]
-    return apply_channel(ch, psi.density().marginal([a_lbl]), targets=[a_lbl])
-
-
 # ---------------------------------------------------------------------------
 # rate formulas
 # ---------------------------------------------------------------------------
@@ -370,12 +337,12 @@ def _per_channel_ih(
 
 
 def _uninformed_penalty(s: int, eps: float, eta: float) -> float:
-    width = math.log2(2 * s)
+    width = union_depth(s)
     return 2.0 * width * math.log2(eta / (6.0 * width)) + math.log2(eps / (4.0 * s))
 
 
 def _informed_penalty(s: int, eps: float, eta: float) -> float:
-    width = math.log2(2 * s)
+    width = union_depth(s)
     return width * math.log2(eta / (6.0 * width)) + math.log2(eps / (4.0 * s * s))
 
 
@@ -427,9 +394,10 @@ def _informed_family(
         apply_channel(ch, st.density(), targets=[a_lbl])
         for ch, st in zip(cc.channels, states)
     ]
-    outputs = StateEnsemble(
-        tuple(_output_marginal(ch, st) for ch, st in zip(cc.channels, states))
-    )
+    outputs = StateEnsemble(tuple(  # the outputs of the transmitted half alone
+        apply_channel(ch, st.density().marginal([a_lbl]), targets=[a_lbl])
+        for ch, st in zip(cc.channels, states)
+    ))
     partners = StateEnsemble(
         tuple(st.density().marginal([r_lbl]) for st in states)
     )
@@ -510,9 +478,7 @@ def _position_code(
     if dim > DIM_CAP:
         raise CapacityError(f"simulated dimension {dim} exceeds the cap {DIM_CAP}")
     tested = [solve(rho) for rho in joints]
-    merged = union_many(
-        [neumark_dilate(t) for _, t in tested], eta / (3.0 * math.log2(2 * cc.size))
-    )
+    merged = merge_tests([t for _, t in tested], eta / (3.0 * union_depth(cc.size)))
     return _Code(
         merged, tuple(r.a for r in joints), tuple(partners),
         tuple(v for v, _ in tested), num_messages,

@@ -36,10 +36,9 @@ import math
 import numpy as np
 import scipy.optimize
 
-from .coding import neumark_dilate
 from .divergences import (StateEnsemble, TestOperator, _best_mixture, _certified, bits,
                           bloch_density)
-from .jordan import union_many
+from .jordan import merge_tests, union_depth
 from .qcore import (
     PAULIS,
     CapacityError,
@@ -298,25 +297,18 @@ def build_universal_test(inst: CompositeInstance, delta: float,
         vertices = np.stack([v.a for v in inst.s1.vertices])
         fid = _bloch_fidelity(_bloch_vectors(vertices), _bloch_vectors(net.states))
         prototypes = [DensityMatrix(ComplexMatrix(net.states[i]), QUBIT) for i in fid.argmax(1)]
-    # deduplicate prototypes that collide
-    unique: list[DensityMatrix] = []
-    seen = set()
+    first: dict[str, DensityMatrix] = {}  # the first prototype of each content
     for p in prototypes:
-        key = content_hash(p.a)
-        if key not in seen:
-            seen.add(key)
-            unique.append(p)
+        first.setdefault(content_hash(p.a), p)
+    size = len(first)
 
     per_prototype = []
-    for p in unique:
+    for p in first.values():
         single = CompositeInstance(StateEnsemble((p,)), inst.s2, inst.n, inst.epsilon)
         per_prototype.append(beta_exact(single))
     floor_bits = min(v for v, _ in per_prototype)
 
-    merged = union_many(
-        [neumark_dilate(t) for _, t in per_prototype],
-        delta / math.log2(2 * len(unique)),
-    )
+    merged = merge_tests([t for _, t in per_prototype], delta / union_depth(size))
 
     dim_n = inst.total_dim
     block = np.ascontiguousarray(
@@ -326,7 +318,6 @@ def build_universal_test(inst: CompositeInstance, delta: float,
     type1 = max(1.0 - float(np.trace(block @ r).real) for r in inst.nulls)
     level = max(float(np.trace(block @ q).real) for q in inst.alts)
     value = bits(level)
-    size = len(unique)
     penalty = (
         4.0 * math.log2(size) * math.log2(math.log2(size) / delta) if size > 1 else 0.0
     )
@@ -334,7 +325,7 @@ def build_universal_test(inst: CompositeInstance, delta: float,
         matrix=ComplexMatrix(block),
         type1_error=type1,
         type2_bound=level,
-        iterations=math.ceil(math.log2(len(unique))),
+        iterations=math.ceil(math.log2(size)),
         certificate_gap_bits=max(0.0, value - (floor_bits - penalty)),
         floor_bits=floor_bits,
         penalty_bits=penalty,

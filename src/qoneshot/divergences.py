@@ -17,6 +17,7 @@ All logarithms are base 2; values are in bits.  A support violation in
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Sequence
 
@@ -29,6 +30,7 @@ from .qcore import (
     ComplexMatrix,
     DensityMatrix,
     LayoutError,
+    _hermitian_error,
     as_array,
     content_hash,
     partial_trace,
@@ -74,7 +76,7 @@ class TestOperator:
 
     def __post_init__(self):
         a = self.matrix.entries
-        if float(np.max(np.abs(a - a.conj().T))) > ATOL:
+        if _hermitian_error(a) > ATOL:
             raise ValueError("test operator is not Hermitian within tolerance")
         w = np.linalg.eigvalsh(a)
         if w[0] < -ATOL or w[-1] > 1 + ATOL:
@@ -606,24 +608,16 @@ def i_h_hat(
     if k == 1:
         return at_weights([1.0])
 
-    def simplex_grid(k: int):
-        if k == 2:
-            n = round(1.0 / _HAT_GRID)
-            for i in range(n + 1):
-                yield np.array([i / n, 1.0 - i / n])
-        else:
-            # coarse lattice on the simplex for small vertex counts
-            m = 10
-            def rec(prefix, left, slots):
-                if slots == 1:
-                    yield prefix + [left]
-                    return
-                for i in range(left + 1):
-                    yield from rec(prefix + [i], left - i, slots - 1)
-            for combo in rec([], m, k):
-                yield np.array(combo, dtype=float) / m
+    if k == 2:
+        n = round(1.0 / _HAT_GRID)
+        grid = [np.array([i / n, 1.0 - i / n]) for i in range(n + 1)]
+    else:
+        # step-1/10 lattice, lexicographic in all but the last weight; the
+        # scan keeps the first of equal values, so the order is part of the result
+        grid = [np.array([*c, 10 - sum(c)], dtype=float) / 10
+                for c in itertools.product(range(11), repeat=k - 1) if sum(c) <= 10]
     best_w, best = None, None
-    for wb in simplex_grid(k):
+    for wb in grid:
         val, test = at_weights(wb)
         if best is None or val < best[0]:
             best, best_w = (val, test), wb

@@ -9,16 +9,20 @@ singular values of the inner-product matrix between the two ranges
 The union construction turns the block structure into a single projector
 that accepts almost as well as either input (additive delta loss) at the
 cost of a multiplicative operator bound; a binary merge tree extends it to
-many projectors.
+many projectors.  ``merge_tests`` lifts binary tests to projectors and
+merges them: the route of both position-based decoding and composite testing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+from typing import Sequence
 
 import numpy as np
 
-from .qcore import LayoutError, Projector
+from .divergences import TestOperator
+from .qcore import ATOL, ComplexMatrix, LayoutError, Projector
 
 FAR = "far"
 NEAR = "near"
@@ -65,10 +69,6 @@ class JordanBlock:
 class JordanDecomposition:
     blocks: tuple[JordanBlock, ...]
     delta: float
-
-    @property
-    def dim(self) -> int:
-        return self.blocks[0].block_projector.dim
 
 
 def _range_basis(p: Projector) -> np.ndarray:
@@ -264,3 +264,41 @@ def union_many(projectors: list[Projector], delta: float) -> Projector:
             merged.append(level[-1])
         level = merged
     return Projector.of(level[0] @ level[0].conj().T)
+
+
+def union_depth(s: int) -> float:
+    """``log2(2 s)``, at least ``union_many``'s rounds for ``s`` projectors:
+    the depth its acceptance loss and operator bound are counted in."""
+    return math.log2(2 * s)
+
+
+def neumark_dilate(m: TestOperator) -> Projector:
+    """Lift a binary test to a projector on system tensor qubit ancilla.
+
+    Accepting the projector on ``rho (x) |0><0|`` has the same probability
+    as accepting the test on ``rho``: the projector's ancilla-ground block
+    is checked against ``M``, which is that trace identity for every input
+    state.  With ``A = sqrt(I - M)`` and ``B = sqrt(M)`` the block rotation
+    ``[[A, -B], [B, A]]`` is unitary, and conjugating the ancilla-excited
+    projector by it gives ``Pi = M (x) |0><0| + BA (x) (|0><1| + |1><0|)
+    + (I - M) (x) |1><1|``.  All blocks are assembled from one spectral
+    decomposition of ``M`` so the result is idempotent to working precision.
+    """
+    w, v = np.linalg.eigh(m.a)
+    wc = np.clip(w, 0.0, 1.0)
+    vh = v.conj().T
+    accept = (v * wc) @ vh
+    cross = (v * np.sqrt(wc * (1.0 - wc))) @ vh
+    reject = (v * (1.0 - wc)) @ vh
+    err = float(np.max(np.abs(accept - m.a)))
+    if err > 4.0 * ATOL:
+        raise ValueError(f"ancilla-ground block deviates from the test by {err:.3e}")
+    blocks = np.array([[accept, cross], [cross, reject]])  # axes: ancilla i, j; system i, j
+    pi = blocks.transpose(2, 0, 3, 1).reshape(2 * w.size, 2 * w.size)
+    return Projector(ComplexMatrix(pi))
+
+
+def merge_tests(tests: Sequence[TestOperator], delta: float) -> Projector:
+    """The tests dilated over one shared qubit ancilla (``neumark_dilate``)
+    and merged by ``union_many`` with the per-round ``delta``."""
+    return union_many([neumark_dilate(t) for t in tests], delta)

@@ -15,6 +15,7 @@ convention: for factors ``a:2 b:3`` the basis is ``|00>, |01>, |02>, |10>,
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -54,16 +55,12 @@ def _hermitian_error(a: np.ndarray) -> np.ndarray:
 
 
 def as_array(x) -> np.ndarray:
-    """Return the underlying ndarray of a matrix-like value."""
-    if isinstance(x, np.ndarray):
-        return x
-    if isinstance(x, ComplexMatrix):
-        return x.entries
-    if isinstance(x, (DensityMatrix, Projector)):
-        return x.matrix.entries
-    if isinstance(x, PureState):
-        return x.vector
-    raise TypeError(f"cannot interpret {type(x).__name__} as an array")
+    """Return the underlying ndarray of a matrix-like value: an ndarray
+    itself, or the ``.a`` of any matrix-carrying type."""
+    a = x if isinstance(x, np.ndarray) else getattr(x, "a", None)
+    if not isinstance(a, np.ndarray):
+        raise TypeError(f"cannot interpret {type(x).__name__} as an array")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +98,6 @@ class ComplexMatrix:
         """Entries as a read-only ndarray."""
         return self.entries
 
-    def is_hermitian(self, atol: float = ATOL) -> bool:
-        return bool(_hermitian_error(self.entries) <= atol)
-
 
 @dataclasses.dataclass(frozen=True)
 class RegisterLayout:
@@ -133,15 +127,10 @@ class RegisterLayout:
         object.__setattr__(self, "factors", factors)
 
     @classmethod
-    def of(cls, spec: str | Sequence[tuple[str, int]]) -> "RegisterLayout":
-        """Build a layout from ``"a:2 b:3"`` or from (label, dim) pairs."""
-        if isinstance(spec, str):
-            pairs = []
-            for tok in spec.split():
-                label, _, dim = tok.partition(":")
-                pairs.append((label, int(dim)))
-            return cls(tuple(pairs))
-        return cls(tuple(spec))
+    def of(cls, header: str) -> "RegisterLayout":
+        """Parse a layout header such as ``"a:2 b:3"``."""
+        pairs = (tok.partition(":") for tok in header.split())
+        return cls(tuple((label, int(dim)) for label, _, dim in pairs))
 
     @property
     def dim(self) -> int:
@@ -274,7 +263,7 @@ class Projector:
 
     def __post_init__(self):
         a = self.matrix.entries
-        if not self.matrix.is_hermitian():
+        if _hermitian_error(a) > ATOL:
             raise ValueError("projector is not Hermitian within tolerance")
         err = float(np.max(np.abs(a @ a - a)))
         if err > ATOL:
@@ -342,10 +331,7 @@ class Channel:
 
 def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
     """The ``n``-fold Kronecker power of an array (``n >= 1``)."""
-    out = a
-    for _ in range(n - 1):
-        out = np.kron(out, a)
-    return out
+    return functools.reduce(np.kron, [a] * n)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
@@ -396,32 +382,6 @@ def permute_registers(x: DensityMatrix | PureState, order: Sequence[str]):
     t = x.a.reshape(dims + dims).transpose(perm + [n + p for p in perm])
     d = layout.dim
     return DensityMatrix(ComplexMatrix(t.reshape(d, d)), new_layout)
-
-
-def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Parameters
-    ----------
-    a : ComplexMatrix, ndarray, or any matrix-carrying value
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors)
-        Real eigenvalues in descending order and a unitary whose columns are
-        the matching eigenvectors, so ``a = V diag(w) V^dag``.
-
-    Raises
-    ------
-    ValueError
-        If the input is not Hermitian within tolerance.
-    """
-    m = as_array(a)
-    herm_err = float(_hermitian_error(m))
-    if herm_err > ATOL:
-        raise ValueError(f"input is not Hermitian (|A - A^dag| = {herm_err:.3e})")
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
 
 
 def apply_channel(
@@ -533,9 +493,9 @@ def pauli_channel_family(
     out_layout = RegisterLayout(((out_label, d),))
     out = []
     for combo in itertools.product(range(4), repeat=num_qubits):
-        u = np.array([[1.0]], dtype=np.complex128)
-        for i in combo:
-            u = np.kron(u, PAULIS[i])
+        # the complex [[1]] seed keeps the signed zeros of the products
+        seed = np.array([[1.0]], dtype=np.complex128)
+        u = functools.reduce(np.kron, [PAULIS[i] for i in combo], seed)
         out.append(unitary_channel(u, in_layout, out_layout))
     return out
 
@@ -638,42 +598,52 @@ def _format_rows(a: np.ndarray) -> list[str]:
     ]
 
 
-def _read_lines(path) -> list[str]:
+def _read_lines(path) -> list[tuple[int, str]]:
+    """The non-blank lines of a text file, stripped, with their 1-based
+    line numbers in the file."""
     with open(path) as fh:
-        return [ln for ln in (l.strip() for l in fh) if ln]
+        return [(n, ln) for n, ln in enumerate((l.strip() for l in fh), 1) if ln]
 
 
-def _field(lines: list[str], i: int, prefix: str, path) -> str:
-    """The text after ``prefix`` on non-empty line ``i``; raises if the
-    line is missing or does not start with ``prefix``."""
-    if i >= len(lines) or not lines[i].startswith(prefix):
-        raise ValueError(f"{path}: expected '{prefix}...' at line {i + 1}")
-    return lines[i][len(prefix):]
+def _field(lines: list[tuple[int, str]], i: int, prefix: str, path, parse=str):
+    """``parse`` of the text after ``prefix`` on non-blank line ``i``.  A
+    missing line, another prefix or a parse error raises, naming ``path:line``."""
+    n, text = lines[i] if i < len(lines) else (lines[-1][0] + 1 if lines else 1, "")
+    if not text.startswith(prefix):
+        raise ValueError(f"{path}:{n}: expected '{prefix}...'")
+    try:
+        return parse(text[len(prefix):])
+    except ValueError as exc:
+        raise type(exc)(f"{path}:{n}: {exc}") from None
 
 
-def _parse_rows(lines: list[str], rows: int, cols: int, path) -> np.ndarray:
-    if len(lines) != rows:
-        raise ValueError(f"{path}: expected {rows} rows, got {len(lines)}")
+def _parse_rows(lines: list[tuple[int, str]], rows: int, cols: int, path) -> np.ndarray:
+    """``rows`` numbered lines of ``cols`` ``re,im`` entries each; a bad
+    line raises, naming ``path:line``."""
     out = []
-    for line in lines:
+    for n, text in lines:
         row = []
-        for tok in line.split():
+        for tok in text.split():
             re_s, _, im_s = tok.partition(",")
-            row.append(complex(float(re_s), float(im_s)))
+            try:
+                row.append(complex(float(re_s), float(im_s)))
+            except ValueError:
+                raise ValueError(f"{path}:{n}: expected an re,im entry, got {tok!r}") from None
         if len(row) != cols:
-            raise ValueError(f"{path}: expected {cols} entries per row, got {len(row)}")
+            raise ValueError(f"{path}:{n}: expected {cols} entries per row, got {len(row)}")
         out.append(row)
+    if len(out) != rows:
+        raise ValueError(f"{path}: expected {rows} rows, got {len(out)}")
     return np.array(out, dtype=np.complex128)
 
 
 def _load_square(path) -> tuple[np.ndarray, RegisterLayout | None]:
     """The matrix of a ``dim`` file and its ``layout`` header, if any."""
     lines = _read_lines(path)
-    dim = int(_field(lines, 0, "dim ", path))
-    layout = None
-    if len(lines) > 1 and lines[1].startswith("layout "):
-        layout = RegisterLayout.of(lines.pop(1)[len("layout "):])
-    return _parse_rows(lines[1:], dim, dim, path), layout
+    dim = _field(lines, 0, "dim ", path, int)
+    header = len(lines) > 1 and lines[1][1].startswith("layout ")
+    layout = _field(lines, 1, "layout ", path, RegisterLayout.of) if header else None
+    return _parse_rows(lines[1 + header:], dim, dim, path), layout
 
 
 def save_matrix(path, m) -> None:
@@ -718,9 +688,9 @@ def save_channel(path, ch: Channel) -> None:
 def load_channel(path) -> Channel:
     """Read a channel; raises ``ValueError`` on a short or malformed file."""
     lines = _read_lines(path)
-    nk = int(_field(lines, 0, "channel kraus ", path))
-    in_layout = RegisterLayout.of(_field(lines, 1, "in_layout ", path))
-    out_layout = RegisterLayout.of(_field(lines, 2, "out_layout ", path))
+    nk = _field(lines, 0, "channel kraus ", path, int)
+    in_layout = _field(lines, 1, "in_layout ", path, RegisterLayout.of)
+    out_layout = _field(lines, 2, "out_layout ", path, RegisterLayout.of)
     dout, din = out_layout.dim, in_layout.dim
     ks = []
     for i in range(3, 3 + nk * (1 + dout), 1 + dout):

@@ -191,6 +191,20 @@ def min_dh_over_weight_grids(
     return best
 
 
+def simplex_lattice(k: int, m: int) -> list[np.ndarray]:
+    """The weights ``c / m`` of the ``k``-vertex simplex, ``c`` integers
+    summing to ``m``, enumerated recursively: the first weight slowest, the
+    last one the remainder."""
+    def rec(prefix, left, slots):
+        if slots == 1:
+            yield prefix + [left]
+            return
+        for i in range(left + 1):
+            yield from rec(prefix + [i], left - i, slots - 1)
+
+    return [np.array(c, dtype=float) / m for c in rec([], m, k)]
+
+
 def best_qubit_two_level_test(
     rho, sigma, eps: float, num_directions: int = 10000
 ) -> float:

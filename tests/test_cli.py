@@ -286,6 +286,42 @@ class TestExitCodes:
         assert rec["ok"] is False and rec["checks"]["alpha"] is False
         assert "FAIL" in capsys.readouterr().out
 
+    def test_unwritable_output_path_is_two_before_the_run(self, tmp_path, monkeypatch, capsys):
+        """A missing directory (by --out or by the environment) or an --out
+        naming a directory exits 2 before the runner starts, writing nothing."""
+        def forbidden(params, seed):
+            raise AssertionError("the runner must not start")
+
+        monkeypatch.setitem(cli.COMMANDS, "fake-run", cli._Command((), forbidden, False, ""))
+        missing = tmp_path / "missing"
+        cases = (
+            ([f"--out={missing / 'a.json'}"], {}, "does not exist"),
+            ([], {cli.OUTPUT_DIR_ENV: str(missing)}, "does not exist"),
+            ([f"--out={tmp_path}"], {}, "is a directory"),
+        )
+        for flags, env, message in cases:
+            for key, value in env.items():
+                monkeypatch.setenv(key, value)
+            assert run(["fake-run", *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
+            monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_error_after_the_run_is_two(self, tmp_path, monkeypatch, capsys):
+        gone = tmp_path / "gone"
+        gone.mkdir()
+
+        def removes_the_directory(params, seed):
+            gone.rmdir()
+            return {}, {"alpha": True}, {}
+
+        monkeypatch.setitem(cli.COMMANDS, "fake-run",
+                            cli._Command((), removes_the_directory, False, ""))
+        assert run(["fake-run", "--out", str(gone / "a.json")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not gone.exists()
+
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 

@@ -33,7 +33,6 @@ from qoneshot.coding import (
     converse_rate,
     hayashi_nagaoka_check,
     informed_finite_blocking_bounds,
-    neumark_dilate,
     pauli_compound_example,
     rate_informed,
     schmidt_state,
@@ -49,6 +48,7 @@ from qoneshot.divergences import (
     i_h,
 )
 from oracles import min_dh_over_weight_grids
+from qoneshot.jordan import neumark_dilate
 from qoneshot.qcore import (
     ATOL,
     CapacityError,

@@ -37,6 +37,7 @@ from oracles import (
     best_qubit_two_level_test,
     min_dh_over_bloch_grid,
     min_dh_over_weight_grids,
+    simplex_lattice,
     tensor_product,
 )
 from qoneshot.qcore import (
@@ -651,6 +652,29 @@ class TestIHHat:
         oracle = min_dh_over_weight_grids(rho, s_a, s_b, 0.2, step=0.05)
         assert oracle >= hat - 1e-6  # the oracle scans a subset of mixtures
         assert oracle - hat <= 5e-3
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_lattice_order_matches_recursive_enumeration(self, k, monkeypatch):
+        """Three or more vertices are scanned on the step-1/10 lattice in the
+        reference's order, and the first of equal values wins."""
+        from qoneshot import divergences
+
+        seen = []
+
+        class Recording(StateEnsemble):
+            def mix(self, weights):
+                seen.append(np.asarray(weights))
+                return super().mix(weights)
+
+        monkeypatch.setattr(divergences, "i_h_tilde", lambda *args: (0.0, len(seen)))
+        rng = rng_from(73)
+        rho = random_density(4, rng, layout=_qubit_layout())
+        s_a = StateEnsemble((random_density(2, rng, layout=RegisterLayout.of("s:2")),))
+        s_b = Recording(tuple(random_density(2, rng, layout=RegisterLayout.of("t:2"))
+                              for _ in range(k)))
+        assert i_h_hat(rho, s_a, s_b, 0.2) == (0.0, 1)
+        want = simplex_lattice(k, 10)
+        assert [w.tobytes() for w in seen] == [w.tobytes() for w in want]
 
 
 # ---------------------------------------------------------------------------

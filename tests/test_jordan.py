@@ -18,11 +18,16 @@ from qoneshot.jordan import (
     decomposition_report,
     decomposition_residuals,
     jordan_decompose,
+    merge_tests,
+    neumark_dilate,
+    union_depth,
     union_many,
     union_pair,
 )
+from qoneshot.divergences import TestOperator
 from qoneshot.qcore import (
     ATOL,
+    ComplexMatrix,
     LayoutError,
     Projector,
     haar_unitary,
@@ -339,6 +344,19 @@ class TestUnionMany:
         factor = (2 / 0.16) ** math.log2(10)
         gap = factor * sum(p.a for p in projs) - star.a
         assert float(np.linalg.eigvalsh(gap)[0]) >= -1e-8
+
+    def test_merge_tests_is_the_union_of_the_dilations(self):
+        """Bitwise: merge_tests dilates each test and unions the projectors."""
+        rng = rng_from(126)
+        for s in (1, 2, 3, 5):
+            tests = []
+            for _ in range(s):
+                w = np.clip(rng.random(3) * 1.2 - 0.1, 0.0, 1.0)  # touches 0 and 1
+                u = haar_unitary(3, rng)
+                tests.append(TestOperator(ComplexMatrix((u * w) @ u.conj().T), 0.0, 1.0))
+            delta = 0.3 / union_depth(s)
+            want = union_many([neumark_dilate(t) for t in tests], delta).a
+            assert merge_tests(tests, delta).a.tobytes() == want.tobytes()
 
     def test_rejects_bad_inputs(self):
         p = Projector.of(KET0)

@@ -24,7 +24,6 @@ from qoneshot.qcore import (
     RegisterLayout,
     apply_channel,
     content_hash,
-    hermitian_eig,
     maximally_entangled,
     partial_trace,
     pauli_channel_family,
@@ -107,6 +106,20 @@ def test_projector_rejects_non_idempotent():
         Projector.of(np.diag([0.5, 0.5]))
     p = Projector.of(np.diag([1.0, 0.0]))
     assert p.rank == 1
+
+
+def test_as_array_reads_every_matrix_carrying_type():
+    from qoneshot.composite import UniversalTest
+    from qoneshot.divergences import TestOperator
+
+    m = ComplexMatrix(np.diag([0.75, 0.25]))
+    tests = (TestOperator(m, 0.0, 1.0), UniversalTest(m, 0.0, 1.0, floor_bits=1.0))
+    for x in (m, dm(m.a, qubit_layout("a")), Projector.of(np.diag([1.0, 0.0])), *tests):
+        assert qcore.as_array(x) is x.a
+    psi = maximally_entangled(2)
+    assert qcore.as_array(psi) is psi.vector
+    with pytest.raises(TypeError):
+        qcore.as_array([[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_pure_state_norm_check():
@@ -266,32 +279,6 @@ def test_permute_rejects_non_permutation():
 # ---------------------------------------------------------------------------
 # eigendecomposition
 # ---------------------------------------------------------------------------
-
-def test_eig_diagonal_case():
-    w, v = hermitian_eig(ComplexMatrix(np.diag([3.0, 1.0])))
-    np.testing.assert_allclose(w, [3.0, 1.0])
-    np.testing.assert_allclose(np.abs(v), np.eye(2), atol=1e-12)
-
-
-def test_eig_pauli_x_spectrum():
-    w, _ = hermitian_eig(ComplexMatrix(qcore.PAULI_X))
-    np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-12)
-
-
-def test_eig_reconstruction_random():
-    for seed in range(10):
-        a = random_hermitian(8, seed)
-        w, v = hermitian_eig(a)
-        assert np.all(np.diff(w) <= 1e-12)  # descending
-        recon = (v * w) @ v.conj().T
-        assert np.max(np.abs(a.a - recon)) <= 1e-10
-        assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
 
 def _with_spectrum(rng, w):
     """U diag(w) U^dag for a Haar U, and U: a matrix of known eigensystem."""
@@ -507,6 +494,32 @@ def test_channel_file_round_trip(tmp_path):
     for k1, k2 in zip(back.kraus, ch.kraus):
         np.testing.assert_array_equal(k1, k2)
     assert back.in_layout == ch.in_layout and back.out_layout == ch.out_layout
+
+
+def test_parse_errors_name_the_file_and_its_line(tmp_path):
+    """Line numbers count blank lines; a bad entry, a misspelled header and
+    a bad layout each name ``path:line``, a layout error keeping its type."""
+    cases = {
+        "entry": ("dim 2\nlayout a:2\n1,0 0,0\n0,0 x\n", qcore.load_state,
+                  ":4: expected an re,im entry, got 'x'"),
+        "header": ("dim 2\nlayot a:2\n1,0 0,0\n0,0 0,0\n", qcore.load_state,
+                   ":2: expected an re,im entry, got 'layot'"),
+        "layout": ("dim 2\nlayout a:two\n1,0 0,0\n0,0 0,0\n", qcore.load_state,
+                   ":2: invalid literal for int()"),
+        "labels": ("dim 4\n\nlayout a:2 a:2\n", qcore.load_state,
+                   ":3: duplicate register labels"),
+        "blank_lines": ("\nchannel kraus 1\n\nin_layout a:2\nout_layout b:2\n\n\nkraus\n",
+                        qcore.load_channel, ":8: expected 'kraus ...'"),
+        "short": ("channel kraus 1\nin_layout a:2\n\n", qcore.load_channel,
+                  ":3: expected 'out_layout ...'"),
+    }
+    for name, (text, load, message) in cases.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        with pytest.raises(LayoutError if name == "labels" else ValueError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}:"), name
+        assert message in str(info.value), name
 
 
 def test_content_hash_distinguishes_states():
