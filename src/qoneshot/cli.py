@@ -62,11 +62,12 @@ from .divergences import (
     relative_entropy_variance,
 )
 from .jordan import (
+    check_delta,
     decomposition_report,
     decomposition_residuals,
     jordan_decompose,
     union_depth,
-    union_many,
+    union_of_ranges,
 )
 from .qcore import (
     ATOL,
@@ -207,8 +208,7 @@ def _run_union_stress(p: dict, seed):
     s, delta, dim, trials, eps = p["s"], p["delta"], p["dim"], p["trials"], p["eps"]
     if not 1 <= s <= 64:
         raise ValueError(f"s must lie in 1..64, got {s}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_delta(delta)
     if dim < 2:
         raise ValueError("dim must be at least 2")
     if trials < 1:
@@ -226,21 +226,22 @@ def _run_union_stress(p: dict, seed):
     worst_gap = math.inf
     constant = support_residual = 0.0
     for _ in range(trials):
-        projs, planted = [], []
+        vecs, planted = [], []
         for _ in range(s):
             psi = random_pure_state(dim, rng, layout).vector
             g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             g = g - (psi.conj() @ g) * psi
             orth = g / np.linalg.norm(g)
-            v = math.sqrt(1.0 - eps) * psi + math.sqrt(eps) * orth
-            projs.append(Projector.of(np.outer(v, v.conj())))
+            vecs.append(math.sqrt(1.0 - eps) * psi + math.sqrt(eps) * orth)
             planted.append(psi)
-        merged = union_many(projs, delta)
+        # each P_i = |v_i><v_i| enters the union as its range basis v_i
+        basis = union_of_ranges([v[:, None] for v in vecs], delta)
+        merged = Projector.of(basis @ basis.conj().T)
         for psi in planted:  # Tr[M |psi><psi|] as <psi|M|psi>, O(d^2)
             worst_accept = min(
                 worst_accept, float((psi.conj() @ merged.a @ psi).real) - floor
             )
-        total = sum(pr.a for pr in projs)
+        total = sum(np.outer(v, v.conj()) for v in vecs)
         worst_gap = min(worst_gap, float(np.linalg.eigvalsh(factor * total - merged.a)[0]))
         # M <= c total holds for some c iff M vanishes off supp(total); the
         # least such c is lambda_max(W^dag M W), W whitening total on its support
@@ -289,8 +290,12 @@ def _simulation_output(report):
     return results, checks, tolerances
 
 
+def _load_family(p: dict) -> CompoundChannel:
+    return CompoundChannel(tuple(load_channel(f) for f in p["channels"]))
+
+
 def _run_compound_sim(p: dict, seed):
-    cc = CompoundChannel(tuple(load_channel(f) for f in p["channels"]))
+    cc = _load_family(p)
     psi = _load_pure(p["state"])
     params = CodeParams(p["rate"], p["eps"], p["eta"], psi)
     report = simulate_uninformed(
@@ -300,7 +305,7 @@ def _run_compound_sim(p: dict, seed):
 
 
 def _run_informed_sim(p: dict, seed):
-    cc = CompoundChannel(tuple(load_channel(f) for f in p["channels"]))
+    cc = _load_family(p)
     states = [_load_pure(f) for f in p["states"]]
     params = CodeParams(p["rate"], p["eps"], p["eta"])
     report = simulate_informed(
@@ -310,7 +315,7 @@ def _run_informed_sim(p: dict, seed):
 
 
 def _run_rates(p: dict, seed):
-    cc = CompoundChannel(tuple(load_channel(f) for f in p["channels"]))
+    cc = _load_family(p)
     eps, eta, gap_tol = p["eps"], p["eta"], p["gap_tol"]
     if (p["state"] is None) == (p["sweep_step"] is None):
         raise ValueError("provide exactly one of --state and --sweep-step")

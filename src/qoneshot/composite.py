@@ -36,9 +36,9 @@ import math
 import numpy as np
 import scipy.optimize
 
-from .divergences import (StateEnsemble, TestOperator, _best_mixture, _certified, bits,
-                          bloch_density)
-from .jordan import merge_tests, union_depth
+from .divergences import (StateEnsemble, TestOperator, _best_mixture, _certified, _errors,
+                          bits, bloch_density)
+from .jordan import check_delta, merge_tests, union_depth
 from .qcore import (
     PAULIS,
     CapacityError,
@@ -151,18 +151,15 @@ class EpsilonNet:
 def composite_record(inst: CompositeInstance, value: float, test: TestOperator,
                      delta: float | None = None) -> dict:
     """Structured, JSON-ready record of a composite-testing computation."""
+    type1, type2 = _errors(test.a, inst.nulls, inst.alts)
     rec = {
         "s1_hashes": [content_hash(v) for v in inst.s1.vertices],
         "s2_hashes": [content_hash(v) for v in inst.s2.vertices],
         "n": inst.n,
         "epsilon": inst.epsilon,
         "value_bits": value,
-        "type1_residuals": [
-            1.0 - float(np.trace(test.a @ r).real) for r in inst.nulls
-        ],
-        "type2_per_vertex": [
-            float(np.trace(test.a @ q).real) for q in inst.alts
-        ],
+        "type1_residuals": type1,
+        "type2_per_vertex": type2,
         "iterations": test.iterations,
         "certificate_gap_bits": test.certificate_gap_bits,
     }
@@ -226,8 +223,7 @@ def _eigenbasis_test(rmats, qmats, eps, w, lam):
     c = _lift_acceptance(p, np.clip(lp.x[:dim], 0.0, 1.0), 1.0 - eps)
     mat = (vecs * c) @ vecs.conj().T
     mat = 0.5 * (mat + mat.conj().T)
-    level = max(float(np.trace(mat @ s).real) for s in qmats)
-    return mat, level
+    return mat, max(_errors(mat, alts=qmats)[1])
 
 
 def beta_exact(inst: CompositeInstance) -> tuple[float, TestOperator]:
@@ -281,8 +277,7 @@ def build_universal_test(inst: CompositeInstance, delta: float,
     resolution must be at most ``delta**2 / n`` so that the n-fold
     approximation costs at most ``delta`` of acceptance).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_delta(delta)
     if net is None:
         prototypes = list(inst.s1.vertices)
     else:
@@ -315,8 +310,7 @@ def build_universal_test(inst: CompositeInstance, delta: float,
         merged.a.reshape(dim_n, 2, dim_n, 2)[:, 0, :, 0]
     )
     block = 0.5 * (block + block.conj().T)
-    type1 = max(1.0 - float(np.trace(block @ r).real) for r in inst.nulls)
-    level = max(float(np.trace(block @ q).real) for q in inst.alts)
+    type1, level = map(max, _errors(block, inst.nulls, inst.alts))
     value = bits(level)
     penalty = (
         4.0 * math.log2(size) * math.log2(math.log2(size) / delta) if size > 1 else 0.0

@@ -133,6 +133,12 @@ def divergence_record(quantity: str, inputs: dict, value: float, test: TestOpera
     return rec
 
 
+def _errors(m: np.ndarray, nulls=(), alts=()) -> tuple[list[float], list[float]]:
+    """Per-null Type-1 errors ``1 - Tr[m R]`` and per-alternative ``Tr[m Q]``."""
+    return ([1.0 - float(np.trace(m @ r).real) for r in nulls],
+            [float(np.trace(m @ q).real) for q in alts])
+
+
 def _certified(m: np.ndarray, nulls, level: float, dual: float, iterations: int,
                threshold: float | None = None) -> tuple[float, TestOperator]:
     """``(value, test)`` for a test ``m`` that attains the Type-2 level
@@ -146,7 +152,7 @@ def _certified(m: np.ndarray, nulls, level: float, dual: float, iterations: int,
     value, upper = bits(level), bits(dual)
     return value, TestOperator(
         matrix=ComplexMatrix(m),
-        type1_error=max(1.0 - float(np.trace(m @ r).real) for r in nulls),
+        type1_error=max(_errors(m, nulls)[0]),
         type2_bound=level,
         threshold=threshold,
         iterations=iterations,
@@ -475,7 +481,7 @@ def _best_mixture(nulls, alts, eps, w0=None):
             sigma = sum(wi * p for wi, p in zip(w, alts))
             beta, m, thr, _ = _np_solve(r, sigma, eps)
             solves += 1
-            per = np.array([float(np.trace(m @ p).real) for p in alts])
+            per = np.array(_errors(m, alts=alts)[1])
             grad = per[: size - cut]
             if cut:
                 inv_t = 0.0 if math.isinf(thr) else 1.0 / thr

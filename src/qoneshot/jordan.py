@@ -9,8 +9,10 @@ singular values of the inner-product matrix between the two ranges
 The union construction turns the block structure into a single projector
 that accepts almost as well as either input (additive delta loss) at the
 cost of a multiplicative operator bound; a binary merge tree extends it to
-many projectors.  ``merge_tests`` lifts binary tests to projectors and
-merges them: the route of both position-based decoding and composite testing.
+many.  ``union_of_ranges`` runs the tree on orthonormal range bases, with no
+projector formed or eigensolved; ``union_many`` wraps it for projectors.
+``merge_tests`` lifts binary tests to projectors and merges them: the route
+of both position-based decoding and composite testing.
 """
 
 from __future__ import annotations
@@ -101,11 +103,15 @@ def _col(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
 def _check_pair(p1: Projector, p2: Projector, delta: float) -> None:
     if p1.dim != p2.dim:
         raise LayoutError(f"projector dims differ: {p1.dim} vs {p2.dim}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_delta(delta)
 
 
 def jordan_decompose(p1: Projector, p2: Projector, delta: float) -> JordanDecomposition:
@@ -233,28 +239,26 @@ def union_pair(p1: Projector, p2: Projector, delta: float) -> Projector:
     return Projector.of(p1.a + g @ g.conj().T)
 
 
-def union_many(projectors: list[Projector], delta: float) -> Projector:
-    """Binary-tree union of up to 64 projectors with a shared delta.
+def union_of_ranges(bases: Sequence[np.ndarray], delta: float) -> np.ndarray:
+    """Binary-tree union of up to 64 ranges with a shared delta, each given
+    by orthonormal columns (d x k): the union's range, as orthonormal columns.
 
-    Consecutive projectors are merged pairwise per round (an odd leftover
-    passes through unchanged), for ceil(log2 s) rounds.  Acceptance
-    degrades by at most delta per round and the operator bound gains one
-    factor of 2/delta^2 per round.  Rounds run on range bases: one
-    eigensolve per input, a merge appends union_pair's G to the first basis,
-    and one Projector is formed and validated at the end.
+    Consecutive ranges are merged pairwise per round (an odd leftover passes
+    through unchanged), for ceil(log2 s) rounds; a merge appends union_pair's
+    G to the first basis.  Acceptance degrades by at most delta per round and
+    the operator bound gains one factor of 2/delta^2 per round.  Each input's
+    |Q^dag Q - I| is checked against ATOL; no eigensolve is made.
     """
-    if not projectors:
-        raise ValueError("need at least one projector")
-    if len(projectors) > 64:
-        raise ValueError(f"at most 64 projectors supported, got {len(projectors)}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    dims = {p.dim for p in projectors}
+    if not 1 <= len(bases) <= 64:
+        raise ValueError(f"need 1 to 64 ranges, got {len(bases)}")
+    check_delta(delta)
+    dims = {q.shape[0] for q in bases}
     if len(dims) != 1:
-        raise LayoutError(f"projectors must share one dimension, got {sorted(dims)}")
-    if len(projectors) == 1:
-        return projectors[0]
-    level = [_range_basis(p) for p in projectors]
+        raise LayoutError(f"ranges must share one dimension, got {sorted(dims)}")
+    err = max(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])), initial=0.0) for q in bases)
+    if err > ATOL:
+        raise ValueError(f"range bases are not orthonormal (|Q^dag Q - I| = {err:.3e})")
+    level = list(bases)
     while len(level) > 1:
         merged = [
             np.hstack([level[i], _far_complement(level[i], level[i + 1], delta)])
@@ -263,7 +267,16 @@ def union_many(projectors: list[Projector], delta: float) -> Projector:
         if len(level) % 2:
             merged.append(level[-1])
         level = merged
-    return Projector.of(level[0] @ level[0].conj().T)
+    return level[0]
+
+
+def union_many(projectors: list[Projector], delta: float) -> Projector:
+    """``union_of_ranges`` of the inputs' ranges, as one Projector; one input returns as is."""
+    if len(projectors) == 1:
+        check_delta(delta)
+        return projectors[0]
+    q = union_of_ranges([_range_basis(p) for p in projectors], delta)
+    return Projector.of(q @ q.conj().T)
 
 
 def union_depth(s: int) -> float:

@@ -415,7 +415,7 @@ class TestSubcommands:
         however small its constant on the support."""
         out = str(tmp_path / "u.json")
         monkeypatch.setattr(
-            cli, "union_many", lambda projs, delta: cli.Projector.of(np.eye(projs[0].dim))
+            cli, "union_of_ranges", lambda bases, delta: np.eye(bases[0].shape[0])
         )
         assert run(["union-stress", "--s", "2", "--delta", "0.3", "--dim", "4",
                     "--trials", "3", "--seed", "7", "--out", out]) == 4
@@ -423,6 +423,15 @@ class TestSubcommands:
         assert rec["checks"] == {"acceptance_bound": True, "operator_bound": False}
         assert rec["results"]["support_residual"] == pytest.approx(math.sqrt(2.0))
         assert rec["results"]["operator_constant"] <= rec["results"]["operator_factor"]
+
+    def test_union_stress_eigensolves_per_trial(self, tmp_path, eigensolves):
+        """Each trial eigensolves factor * sum P - M and sum P (to whiten
+        it), both d wide, and W^dag M W, s wide; the union itself, on the
+        planted vectors, makes none."""
+        out = str(tmp_path / "u.json")
+        assert run(["union-stress", "--s", "8", "--delta", "0.1", "--dim", "64",
+                    "--trials", "2", "--seed", "5", "--out", out]) == 0
+        assert sorted(eigensolves) == [(8, 8)] * 2 + [(64, 64)] * 4
 
     def test_jordan_inspect(self, tmp_path):
         p1 = random_projector(6, 2, 11)

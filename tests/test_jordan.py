@@ -22,6 +22,7 @@ from qoneshot.jordan import (
     neumark_dilate,
     union_depth,
     union_many,
+    union_of_ranges,
     union_pair,
 )
 from qoneshot.divergences import TestOperator
@@ -280,19 +281,12 @@ class TestUnionMany:
         star = union_many([p], 0.3)
         assert float(np.max(np.abs(star.a - p.a))) <= 1e-12
 
-    def test_matches_pairwise_fold(self, monkeypatch):
+    def test_matches_pairwise_fold(self, eigensolves):
         """The union on carried bases matches the fold through union_pair
         and takes one eigensolve per input (none for a single one, which
         comes back as it is)."""
         rng = rng_from(126)
-        counted = []
-        eigh = np.linalg.eigh
-
-        def counting(a, *args, **kwargs):
-            counted.append(a.shape)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        counted = eigensolves
         for s in (1, 2, 3, 5, 8, 64):
             for projs in _families(rng, s, 8 if s < 64 else 4):
                 for delta in (1e-7, 0.1, 0.9):
@@ -366,3 +360,51 @@ class TestUnionMany:
             union_many([p] * 65, 0.3)
         with pytest.raises(LayoutError):
             union_many([p, Projector.of(np.eye(3))], 0.3)
+
+
+class TestUnionOfRanges:
+    def test_reproduces_union_many_without_an_eigensolve(self, eigensolves):
+        """Fed each input's range basis, the core's Q Q^dag is union_many's
+        projector bit for bit (a single input, which union_many hands back
+        as it is, to 1e-12), and the core itself makes no eigensolve."""
+        rng = rng_from(126)
+        for s in (1, 2, 3, 5, 8, 64):
+            for projs in _families(rng, s, 8 if s < 64 else 4):
+                bases = [jordan._range_basis(p) for p in projs]
+                for delta in (1e-7, 0.1, 0.9):
+                    eigensolves.clear()
+                    q = union_of_ranges(bases, delta)
+                    assert not eigensolves
+                    star = union_many(projs, delta).a
+                    if s == 1:
+                        assert float(np.max(np.abs(q @ q.conj().T - star))) <= 1e-12
+                    else:
+                        assert (q @ q.conj().T).tobytes() == star.tobytes()
+
+    def test_unit_vectors_match_their_rank_one_projectors(self):
+        rng = rng_from(128)
+        for s in (2, 3, 8, 13):
+            for delta in (0.1, 0.3, 0.9):
+                d = int(rng.integers(2, 33))
+                vecs = rng.normal(size=(s, d)) + 1j * rng.normal(size=(s, d))
+                vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+                q = union_of_ranges([v[:, None] for v in vecs], delta)
+                np.testing.assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-12)
+                star = union_many([Projector.of(np.outer(v, v.conj())) for v in vecs], delta)
+                assert float(np.max(np.abs(q @ q.conj().T - star.a))) <= 1e-12
+
+    def test_rejects_bad_inputs(self):
+        e0 = np.eye(3)[:, :1]
+        with pytest.raises(ValueError, match="not orthonormal"):
+            union_of_ranges([e0, 2.0 * e0], 0.3)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            union_of_ranges([e0, np.ones((3, 2)) / math.sqrt(3)], 0.3)
+        with pytest.raises(ValueError):
+            union_of_ranges([], 0.3)
+        with pytest.raises(ValueError):
+            union_of_ranges([e0] * 65, 0.3)
+        for delta in (0.0, 1.0, -0.2, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+                union_of_ranges([e0, e0], delta)
+        with pytest.raises(LayoutError):
+            union_of_ranges([e0, np.eye(4)[:, :1]], 0.3)
