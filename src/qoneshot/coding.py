@@ -60,6 +60,7 @@ from .divergences import (
     TestOperator,
     i_h,
     i_h_hat,
+    i_h_min,
     i_h_tilde,
     i_max,
     relative_entropy_variance,
@@ -330,12 +331,6 @@ def _channel_outputs(cc: CompoundChannel, psi: PureState) -> list[DensityMatrix]
 # rate formulas
 # ---------------------------------------------------------------------------
 
-def _per_channel_ih(
-    cc: CompoundChannel, psi: PureState, eps: float, gap_tol: float
-) -> list[float]:
-    return [i_h(r, eps, gap_tol=gap_tol)[0] for r in _channel_outputs(cc, psi)]
-
-
 def _uninformed_penalty(s: int, eps: float, eta: float) -> float:
     width = union_depth(s)
     return 2.0 * width * math.log2(eta / (6.0 * width)) + math.log2(eps / (4.0 * s))
@@ -349,13 +344,13 @@ def _informed_penalty(s: int, eps: float, eta: float) -> float:
 def uninformed_rates(
     cc: CompoundChannel, psi: PureState, eps: float, eta: float, *, gap_tol: float = 1e-6
 ) -> tuple[float, float]:
-    """``(achievable, converse)`` at this shared state, from one divergence
-    solve per member channel: the converse is the worst member's value, and
-    the achievable rate adds the (negative) merge and confusion penalties.
+    """``(achievable, converse)`` at this shared state: the converse is the
+    worst member's divergence value (``i_h_min``, best-first), and the
+    achievable rate adds the (negative) merge and confusion penalties.
     Sweeping candidate shared states is the caller's job."""
     if not 0.0 < eps < 1.0 or not 0.0 < eta < 1.0:
         raise ValueError("eps and eta must be in (0, 1)")
-    worst = min(_per_channel_ih(cc, psi, eps, gap_tol))
+    worst = i_h_min(_channel_outputs(cc, psi), eps, gap_tol=gap_tol)[0]
     return worst + _uninformed_penalty(cc.size, eps, eta), worst
 
 
@@ -371,10 +366,10 @@ def converse_rate(
     cc: CompoundChannel, psi: PureState, eps: float, *, gap_tol: float = 1e-6
 ) -> float:
     """Upper bound on any achievable rate at the given shared state: the
-    worst member channel's divergence value, with no penalty terms."""
+    worst member channel's divergence value (``i_h_min``), no penalty terms."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
-    return min(_per_channel_ih(cc, psi, eps, gap_tol))
+    return i_h_min(_channel_outputs(cc, psi), eps, gap_tol=gap_tol)[0]
 
 
 def _informed_family(
@@ -761,7 +756,7 @@ def pauli_compound_example(num_qubits: int, eps: float) -> dict:
         raise CapacityError("only num_qubits = 1 is supported")
     cc = CompoundChannel(tuple(pauli_channel_family(1, "a", "b")))
     psi = maximally_entangled(2, ("a", "r"))
-    values = _per_channel_ih(cc, psi, eps, 1e-9)
+    values = [i_h(r, eps)[0] for r in _channel_outputs(cc, psi)]
     reference = 2.0 * num_qubits + math.log2(1.0 - eps)
     d = 2**num_qubits
     rng = rng_from(20260823)

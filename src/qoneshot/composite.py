@@ -36,7 +36,7 @@ import math
 import numpy as np
 import scipy.optimize
 
-from .divergences import (StateEnsemble, TestOperator, _best_mixture, _certified, _errors,
+from .divergences import (StateEnsemble, TestOperator, _best_mixture, _certified, _traces,
                           bits, bloch_density)
 from .jordan import check_delta, merge_tests, union_depth
 from .qcore import (
@@ -151,15 +151,14 @@ class EpsilonNet:
 def composite_record(inst: CompositeInstance, value: float, test: TestOperator,
                      delta: float | None = None) -> dict:
     """Structured, JSON-ready record of a composite-testing computation."""
-    type1, type2 = _errors(test.a, inst.nulls, inst.alts)
     rec = {
         "s1_hashes": [content_hash(v) for v in inst.s1.vertices],
         "s2_hashes": [content_hash(v) for v in inst.s2.vertices],
         "n": inst.n,
         "epsilon": inst.epsilon,
         "value_bits": value,
-        "type1_residuals": type1,
-        "type2_per_vertex": type2,
+        "type1_residuals": [1.0 - x for x in _traces(test.a, inst.nulls)],
+        "type2_per_vertex": _traces(test.a, inst.alts),
         "iterations": test.iterations,
         "certificate_gap_bits": test.certificate_gap_bits,
     }
@@ -223,7 +222,7 @@ def _eigenbasis_test(rmats, qmats, eps, w, lam):
     c = _lift_acceptance(p, np.clip(lp.x[:dim], 0.0, 1.0), 1.0 - eps)
     mat = (vecs * c) @ vecs.conj().T
     mat = 0.5 * (mat + mat.conj().T)
-    return mat, max(_errors(mat, alts=qmats)[1])
+    return mat, max(_traces(mat, qmats))
 
 
 def beta_exact(inst: CompositeInstance) -> tuple[float, TestOperator]:
@@ -310,7 +309,8 @@ def build_universal_test(inst: CompositeInstance, delta: float,
         merged.a.reshape(dim_n, 2, dim_n, 2)[:, 0, :, 0]
     )
     block = 0.5 * (block + block.conj().T)
-    type1, level = map(max, _errors(block, inst.nulls, inst.alts))
+    type1 = max(1.0 - x for x in _traces(block, inst.nulls))
+    level = max(_traces(block, inst.alts))
     value = bits(level)
     penalty = (
         4.0 * math.log2(size) * math.log2(math.log2(size) / delta) if size > 1 else 0.0

@@ -133,10 +133,9 @@ def divergence_record(quantity: str, inputs: dict, value: float, test: TestOpera
     return rec
 
 
-def _errors(m: np.ndarray, nulls=(), alts=()) -> tuple[list[float], list[float]]:
-    """Per-null Type-1 errors ``1 - Tr[m R]`` and per-alternative ``Tr[m Q]``."""
-    return ([1.0 - float(np.trace(m @ r).real) for r in nulls],
-            [float(np.trace(m @ q).real) for q in alts])
+def _traces(m: np.ndarray, ops) -> list[float]:
+    """``Tr[m x]`` for each ``x`` in ``ops``; a Type-1 error is ``1 - Tr[m R]``."""
+    return [float(np.trace(m @ x).real) for x in ops]
 
 
 def _certified(m: np.ndarray, nulls, level: float, dual: float, iterations: int,
@@ -152,7 +151,7 @@ def _certified(m: np.ndarray, nulls, level: float, dual: float, iterations: int,
     value, upper = bits(level), bits(dual)
     return value, TestOperator(
         matrix=ComplexMatrix(m),
-        type1_error=max(_errors(m, nulls)[0]),
+        type1_error=max(1.0 - x for x in _traces(m, nulls)),
         type2_bound=level,
         threshold=threshold,
         iterations=iterations,
@@ -481,12 +480,11 @@ def _best_mixture(nulls, alts, eps, w0=None):
             sigma = sum(wi * p for wi, p in zip(w, alts))
             beta, m, thr, _ = _np_solve(r, sigma, eps)
             solves += 1
-            per = np.array(_errors(m, alts=alts)[1])
+            per = np.array(_traces(m, alts))
             grad = per[: size - cut]
             if cut:
                 inv_t = 0.0 if math.isinf(thr) else 1.0 / thr
-                acc = np.array([float(np.trace(m @ q).real) for q in nulls])
-                grad = np.concatenate([-inv_t * acc, grad])
+                grad = np.concatenate([-inv_t * np.array(_traces(m, nulls)), grad])
             memo[key] = (beta, grad)
             if best is None or beta > best[0]:
                 best = (beta, np.concatenate([mu[:cut], w[: size - cut]]), mu, w, m, thr, per)
@@ -515,18 +513,11 @@ def _best_mixture(nulls, alts, eps, w0=None):
     return mu, w, beta, m, thr, per, solves
 
 
-def i_h(
-    rho: DensityMatrix, eps: float, *, gap_tol: float = 1e-9
-) -> tuple[float, TestOperator]:
-    """Hypothesis-testing mutual information: minimize the divergence over
-    states on the first register, with the second register's marginal fixed.
-
-    Solved by column generation: the inner minimization over candidate
-    first-register states grows an atom set from the top eigenvector of the
-    conditional operator G(M) until lambda_max(G(M)) certifies optimality.
-    The reported value is ``-log2 lambda_max(G(M*))``, a bound the returned
-    test realizes *uniformly* over all first-register states.
-    """
+def _ih_rounds(rho: DensityMatrix, eps: float, gap_tol: float):
+    """``i_h``'s column generation.  Before each round it yields
+    ``(bits(lam_best), None)``, a lower bound on the final value that never
+    decreases (``lam_best`` is a running minimum); once the stop rule fires,
+    the final ``(value, test)``.  Inputs are checked before the first yield."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if not 0.0 <= gap_tol < math.inf:
@@ -542,6 +533,7 @@ def i_h(
     beta_best = 0.0
     stale = 0
     for _ in range(_MAX_ROUNDS):
+        yield bits(lam_best), None
         _, w, beta, m, _, _, solves = _best_mixture([r], prods, eps, w0)
         total_solves += solves
         beta_best = max(beta_best, beta)
@@ -557,7 +549,41 @@ def i_h(
         top = vecs[:, -1:]
         prods.append(np.kron(top @ top.conj().T, rho_b))
         w0 = np.append(w * (1.0 - 1e-3), 1e-3)
-    return _certified(m_best, [r], lam_best, beta_best, total_solves)
+    yield _certified(m_best, [r], lam_best, beta_best, total_solves)
+
+
+def i_h(
+    rho: DensityMatrix, eps: float, *, gap_tol: float = 1e-9
+) -> tuple[float, TestOperator]:
+    """Hypothesis-testing mutual information: minimize the divergence over
+    states on the first register, with the second register's marginal fixed.
+
+    Solved by column generation: the inner minimization over candidate
+    first-register states grows an atom set from the top eigenvector of the
+    conditional operator G(M) until lambda_max(G(M)) certifies optimality.
+    The reported value is ``-log2 lambda_max(G(M*))``, a bound the returned
+    test realizes *uniformly* over all first-register states.
+    """
+    return list(_ih_rounds(rho, eps, gap_tol))[-1]
+
+
+def i_h_min(
+    states: Sequence[DensityMatrix], eps: float, *, gap_tol: float = 1e-9
+) -> tuple[float, TestOperator]:
+    """``i_h`` of the member with the least value, bitwise ``min(i_h(rho)[0]
+    for rho in states)``, with its test.  Best-first: the member with the
+    least running value (lowest index on ties) runs the next round, until
+    it is finished; every other member's value is at least its running
+    value, so members certainly above the minimum stop early."""
+    if not states:
+        raise ValueError("need at least one state")
+    runs = [_ih_rounds(rho, eps, gap_tol) for rho in states]
+    now = [next(run) for run in runs]
+    while True:
+        k = min(range(len(runs)), key=lambda i: now[i][0])
+        if now[k][1] is not None:
+            return now[k]
+        now[k] = next(runs[k])
 
 
 def i_h_tilde(

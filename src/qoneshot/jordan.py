@@ -239,6 +239,15 @@ def union_pair(p1: Projector, p2: Projector, delta: float) -> Projector:
     return Projector.of(p1.a + g @ g.conj().T)
 
 
+def _check_union(dims: Sequence[int], delta: float) -> None:
+    """A union's input checks: 1 to 64 inputs of one dimension, and delta."""
+    if not 1 <= len(dims) <= 64:
+        raise ValueError(f"need 1 to 64 ranges, got {len(dims)}")
+    check_delta(delta)
+    if len(set(dims)) != 1:
+        raise LayoutError(f"ranges must share one dimension, got {sorted(set(dims))}")
+
+
 def union_of_ranges(bases: Sequence[np.ndarray], delta: float) -> np.ndarray:
     """Binary-tree union of up to 64 ranges with a shared delta, each given
     by orthonormal columns (d x k): the union's range, as orthonormal columns.
@@ -249,12 +258,7 @@ def union_of_ranges(bases: Sequence[np.ndarray], delta: float) -> np.ndarray:
     the operator bound gains one factor of 2/delta^2 per round.  Each input's
     |Q^dag Q - I| is checked against ATOL; no eigensolve is made.
     """
-    if not 1 <= len(bases) <= 64:
-        raise ValueError(f"need 1 to 64 ranges, got {len(bases)}")
-    check_delta(delta)
-    dims = {q.shape[0] for q in bases}
-    if len(dims) != 1:
-        raise LayoutError(f"ranges must share one dimension, got {sorted(dims)}")
+    _check_union([q.shape[0] for q in bases], delta)
     err = max(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])), initial=0.0) for q in bases)
     if err > ATOL:
         raise ValueError(f"range bases are not orthonormal (|Q^dag Q - I| = {err:.3e})")
@@ -272,8 +276,8 @@ def union_of_ranges(bases: Sequence[np.ndarray], delta: float) -> np.ndarray:
 
 def union_many(projectors: list[Projector], delta: float) -> Projector:
     """``union_of_ranges`` of the inputs' ranges, as one Projector; one input returns as is."""
+    _check_union([p.dim for p in projectors], delta)
     if len(projectors) == 1:
-        check_delta(delta)
         return projectors[0]
     q = union_of_ranges([_range_basis(p) for p in projectors], delta)
     return Projector.of(q @ q.conj().T)

@@ -474,22 +474,22 @@ class TestSubcommands:
         assert point["converse"] >= point["achievable"]
 
     def test_rates_sweep_solves_each_member_once_per_point(self, tmp_path, files, monkeypatch):
-        from qoneshot import coding
+        from qoneshot import divergences
 
-        calls = []
-        solve = coding.i_h
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(coding, "i_h", counted)
+        starts, solves = [], []
+        rounds, solve = divergences._ih_rounds, divergences._np_solve
+        monkeypatch.setattr(divergences, "_ih_rounds",
+                            lambda *a: starts.append(1) or rounds(*a))
+        monkeypatch.setattr(divergences, "_np_solve", lambda *a: solves.append(1) or solve(*a))
         out = str(tmp_path / "r.json")
         assert run(["rates", "--channels", f"{files['ident']},{files['flip']}",
                     "--sweep-step", "0.1", "--eps", "0.2", "--eta", "0.05",
                     "--gap-tol", "1e-4", "--out", out]) == 0
         assert len(read(out)["results"]["points"]) == 9
-        assert len(calls) == 2 * 9
+        # one column generation per member and point, stopped early when the
+        # member is certainly above the other: 106 solves when both ran to the end
+        assert len(starts) == 2 * 9
+        assert len(solves) == 86
 
     def test_rates_requires_exactly_one_input_mode(self, files):
         assert run(["rates", "--channels", files["ident"], "--eps", "0.2",

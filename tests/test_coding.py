@@ -41,11 +41,13 @@ from qoneshot.coding import (
     simulate_uninformed,
     uninformed_rates,
 )
+from qoneshot import divergences
 from qoneshot.divergences import (
     StateEnsemble,
     TestOperator,
     hypothesis_test_divergence,
     i_h,
+    i_h_min,
 )
 from oracles import min_dh_over_weight_grids
 from qoneshot.jordan import neumark_dilate
@@ -367,6 +369,77 @@ class TestRateFormulas:
         cc = CompoundChannel((IDENT, XFLIP))
         with pytest.raises(ValueError, match="per channel"):
             rate_informed(cc, [maximally_entangled(2, ("a", "r"))], EPS, ETA)
+
+
+class TestIHMin:
+    """``i_h_min`` against the minimum of plain ``i_h`` over the members."""
+
+    @staticmethod
+    def outputs(rng, members):
+        cc = CompoundChannel(tuple(
+            (haar_member if k % 2 else damped_member)(rng) for k in range(members)
+        ))
+        return _channel_outputs(cc, random_shared_state(rng))
+
+    def test_equals_the_least_member_value_bitwise(self):
+        # on this seed, at every size, some member finishes above another
+        # member's final value: the first member to finish is not the answer
+        rng = rng_from(2438)
+        for members in (2, 3, 5):
+            for _ in range(3):
+                states = self.outputs(rng, members)
+                runs = [i_h(rho, EPS, gap_tol=1e-6) for rho in states]
+                values = [value for value, _ in runs]
+                assert i_h_min(states, EPS, gap_tol=1e-6)[0] == min(values)
+                # the least member last, where every other member runs first
+                order = np.argsort(values)[::-1]
+                value, test = i_h_min([states[k] for k in order], EPS, gap_tol=1e-6)
+                assert value == min(values)
+                assert test.iterations == runs[order[-1]][1].iterations
+
+    def test_exact_ties(self):
+        rng = rng_from(2425)
+        rho, other = self.outputs(rng, 2)
+        value, test = i_h(rho, EPS)
+        for states in ([rho, rho], [rho, rho, rho]):
+            got, got_test = i_h_min(states, EPS)
+            assert got == value
+            assert got_test.iterations == test.iterations
+        assert i_h_min([rho, other, rho], EPS)[0] == min(value, i_h(other, EPS)[0])
+
+    def test_one_member_is_plain_i_h(self):
+        rho = self.outputs(rng_from(2426), 1)[0]
+        value, test = i_h(rho, EPS)
+        got, got_test = i_h_min([rho], EPS)
+        assert got == value
+        assert got_test.iterations == test.iterations
+
+    def test_rejects_bad_inputs_before_any_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before rejecting the input")
+
+        monkeypatch.setattr(divergences, "_np_solve", no_solve)
+        states = self.outputs(rng_from(2427), 2)
+        for eps, gap_tol in ((0.0, 1e-9), (1.0, 1e-9), (EPS, -1e-9), (EPS, math.inf)):
+            with pytest.raises(ValueError, match="eps" if eps != EPS else "gap_tol"):
+                i_h_min(states, eps, gap_tol=gap_tol)
+        with pytest.raises(ValueError, match="at least one"):
+            i_h_min([], EPS)
+        flat = DensityMatrix(ComplexMatrix(np.eye(8) / 8), RegisterLayout.of("a:2 b:2 c:2"))
+        with pytest.raises(LayoutError):
+            i_h_min([*states, flat], EPS)
+
+    def test_pinned_solves_below_every_member_run(self, monkeypatch):
+        """Exact work on one seeded family; the members' own runs total more."""
+        rng = rng_from(1717)
+        cc = CompoundChannel((haar_member(rng), haar_member(rng), damped_member(rng)))
+        states = _channel_outputs(cc, random_shared_state(rng))
+        alone = sum(i_h(rho, EPS, gap_tol=1e-6)[1].iterations for rho in states)
+        solves = []
+        solve = divergences._np_solve
+        monkeypatch.setattr(divergences, "_np_solve", lambda *a: solves.append(1) or solve(*a))
+        i_h_min(states, EPS, gap_tol=1e-6)
+        assert (len(solves), alone) == (20, 32)
 
 
 class TestSimulateUninformed:

@@ -352,14 +352,17 @@ class TestUnionMany:
             want = union_many([neumark_dilate(t) for t in tests], delta).a
             assert merge_tests(tests, delta).a.tobytes() == want.tobytes()
 
-    def test_rejects_bad_inputs(self):
+    def test_rejects_bad_inputs(self, eigensolves):
+        """Each rejection comes before any input is eigensolved."""
         p = Projector.of(KET0)
-        with pytest.raises(ValueError):
-            union_many([], 0.3)
-        with pytest.raises(ValueError):
-            union_many([p] * 65, 0.3)
-        with pytest.raises(LayoutError):
-            union_many([p, Projector.of(np.eye(3))], 0.3)
+        cases = [([], 0.3, ValueError), ([p] * 65, 0.3, ValueError),
+                 ([p, Projector.of(np.eye(3))], 0.3, LayoutError)]
+        cases += [([p] * k, delta, ValueError) for k in (1, 3) for delta in (0.0, 1.0, math.nan)]
+        for inputs, delta, error in cases:
+            eigensolves.clear()
+            with pytest.raises(error):
+                union_many(inputs, delta)
+            assert not eigensolves
 
 
 class TestUnionOfRanges:
