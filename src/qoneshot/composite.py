@@ -50,14 +50,17 @@ from .qcore import (
     _freeze,
     _gaussian_states,
     content_hash,
+    rng_from,
     tensor_power,
 )
 
 MAX_VERTICES = 4
 MAX_COPIES = 3
 MAX_TOTAL_DIM = 64
-#: most sample-by-net-point fidelities ``net_covering_report`` will hold
+#: most sample-by-net-point fidelities ``net_covering_report`` will score
 MAX_FIDELITY_ENTRIES = 2 ** 26
+#: most of them it holds at once: samples are drawn and scored in blocks
+FIDELITY_BLOCK = 2 ** 16
 
 QUBIT = RegisterLayout.of("a:2")
 
@@ -396,10 +399,15 @@ def net_covering_report(net: EpsilonNet, num_samples: int = 10_000,
             f"{num_samples} samples x {size} net points exceed the cap of "
             f"{MAX_FIDELITY_ENTRIES} fidelities"
         )
-    samples = _gaussian_states(2, num_samples, seed)
-    _check_states(samples)
-    fid = _bloch_fidelity(_bloch_vectors(samples), _bloch_vectors(net.states))
-    deficit = 1.0 - np.max(fid, axis=1)
+    # one generator's blocks draw the stream of a single draw of all samples
+    rng, net_bloch = rng_from(seed), _bloch_vectors(net.states)
+    rows = max(1, FIDELITY_BLOCK // size)
+    deficit = np.empty(num_samples)
+    for start in range(0, num_samples, rows):
+        samples = _gaussian_states(2, min(rows, num_samples - start), rng)
+        _check_states(samples)
+        fid = _bloch_fidelity(_bloch_vectors(samples), net_bloch)
+        deficit[start:start + len(samples)] = 1.0 - np.max(fid, axis=1)
     budget = int((2.0 / net.resolution) ** 2)
     return {
         "size": size,

@@ -2,9 +2,10 @@
 
 Brute-force grids, restricted measurement families and linear programs that
 share no optimization path with the solvers in ``qoneshot``; per-state
-references for the stacked state sampler and qubit nets; and the structural
-helpers (``tensor_product``, ``purified_distance``, ``random_hermitian``)
-that only the tests use.
+references for the stacked state sampler and qubit nets; the dense
+d x d form of the union's per-trial figures; and the structural helpers
+(``tensor_product``, ``purified_distance``, ``random_hermitian``) that only
+the tests use.
 """
 
 import math
@@ -30,6 +31,7 @@ from qoneshot.qcore import (
     as_array,
     rng_from,
     root_fidelity,
+    whiten,
 )
 
 
@@ -79,6 +81,18 @@ def gaussian_states_by_state(dim: int, count: int, seed, rank=None) -> np.ndarra
         m /= np.trace(m).real
         out.append(m)
     return np.stack(out)
+
+
+def union_figures_dense(basis, vecs, planted, cutoff: float) -> tuple[float, float, float]:
+    """Dense reference for ``cli._union_figures``, on the d x d matrices:
+    M = Q Q^dag checked as a Projector, the least <psi|M|psi>, and with
+    ``whiten(sum_i v_i v_i^dag)`` = (W, K), |M K|_F and lambda_max(W^dag M W)."""
+    merged = Projector.of(basis @ basis.conj().T)
+    acceptance = min(float((psi.conj() @ merged.a @ psi).real) for psi in planted.T)
+    white, ker = whiten(sum(np.outer(v, v.conj()) for v in vecs.T), cutoff)
+    residual = float(np.linalg.norm(merged.a @ ker))
+    constant = float(np.linalg.eigvalsh(white.conj().T @ merged.a @ white)[-1])
+    return acceptance, residual, constant
 
 
 def net_states_by_point(deficit: float) -> np.ndarray:

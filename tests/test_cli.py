@@ -26,6 +26,7 @@ from qoneshot.qcore import (
     save_matrix,
     unitary_channel,
 )
+from oracles import union_figures_dense
 
 #: the source tree this module imported qoneshot from, for child interpreters
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -424,14 +425,43 @@ class TestSubcommands:
         assert rec["results"]["support_residual"] == pytest.approx(math.sqrt(2.0))
         assert rec["results"]["operator_constant"] <= rec["results"]["operator_factor"]
 
-    def test_union_stress_eigensolves_per_trial(self, tmp_path, eigensolves):
-        """Each trial eigensolves factor * sum P - M and sum P (to whiten
-        it), both d wide, and W^dag M W, s wide; the union itself, on the
-        planted vectors, makes none."""
+    def test_union_stress_eigensolves_per_trial(self, tmp_path, eigensolves, svds):
+        """No trial eigensolves anything.  Each makes the union's
+        principal-angle SVDs, pair by pair over three rounds, then the thin
+        SVD of V = [v_1 ... v_8] and that of S^-1 U^dag Q, s wide."""
         out = str(tmp_path / "u.json")
         assert run(["union-stress", "--s", "8", "--delta", "0.1", "--dim", "64",
                     "--trials", "2", "--seed", "5", "--out", out]) == 0
-        assert sorted(eigensolves) == [(8, 8)] * 2 + [(64, 64)] * 4
+        assert eigensolves == []
+        assert svds == ([(1, 1)] * 4 + [(2, 2)] * 2 + [(4, 4), (64, 8), (8, 8)]) * 2
+
+    def test_union_figures_match_the_dense_oracle(self):
+        """The figures from Q and one thin SVD of V equal the d x d ones, for
+        s below, at and above dim, for a repeated v_i (V loses rank, and the
+        cut drops a singular value), and for a union that is all of C^d."""
+        rng = rng_from(23)
+
+        def unit_columns(dim, s):
+            g = rng.normal(size=(dim, s)) + 1j * rng.normal(size=(dim, s))
+            return g / np.linalg.norm(g, axis=0)
+
+        cases = [
+            (unit_columns(dim, s), unit_columns(dim, s))
+            for s in (1, 2, 3, 4, 8) for dim in (2, 3, 16, 32, 64)
+        ]
+        cases.append((unit_columns(16, 2)[:, [0, 1, 0]], unit_columns(16, 3)))
+        for vecs, planted in cases:
+            union = cli.union_of_ranges([v[:, None] for v in vecs.T], 0.1)
+            for basis in (union, np.eye(len(vecs))):
+                got = cli._union_figures(basis, vecs, planted)
+                want = union_figures_dense(basis, vecs, planted, cli._SUPPORT_CUTOFF)
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (vecs.shape, got, want)
+            # a basis off orthonormality fails as its projector Q Q^dag does
+            with pytest.raises(ValueError, match="not a projector"):
+                cli._union_figures(1.01 * union, vecs, planted)
+            with pytest.raises(ValueError, match="not idempotent"):
+                union_figures_dense(1.01 * union, vecs, planted, cli._SUPPORT_CUTOFF)
 
     def test_jordan_inspect(self, tmp_path):
         p1 = random_projector(6, 2, 11)

@@ -38,6 +38,7 @@ from qoneshot.qcore import (
     DensityMatrix,
     LayoutError,
     RegisterLayout,
+    _gaussian_states,
     random_density,
     rng_from,
     root_fidelity,
@@ -417,6 +418,29 @@ class TestEpsilonNet:
                 "mean_deficit": float(np.mean(worst)),
                 "covered": bool(np.max(worst) <= deficit),
             }
+
+    def test_report_scores_in_bounded_blocks(self, monkeypatch):
+        """Samples are drawn, checked and scored at most FIDELITY_BLOCK
+        fidelities at a time, and the report equals the one-draw dense one
+        bit for bit."""
+        net, samples, seed = epsilon_net(2, 0.05), 5000, 11
+        size = len(net.states)
+        dense = 1.0 - np.max(_bloch_fidelity(
+            _bloch_vectors(_gaussian_states(2, samples, seed)), _bloch_vectors(net.states)
+        ), axis=1)
+        shapes = []
+
+        def recording(r, s):
+            shapes.append((len(r), len(s)))
+            return _bloch_fidelity(r, s)
+
+        monkeypatch.setattr(composite, "_bloch_fidelity", recording)
+        report = net_covering_report(net, samples, seed)
+        rows = composite.FIDELITY_BLOCK // size
+        assert rows * size <= composite.FIDELITY_BLOCK < samples * size
+        assert shapes == [(rows, size)] * (samples // rows) + [(samples % rows, size)]
+        assert report["max_deficit"] == float(np.max(dense))
+        assert report["mean_deficit"] == float(np.mean(dense))
 
     def test_report_caps_fidelity_entries(self, monkeypatch):
         net = epsilon_net(2, 0.2)
