@@ -4,9 +4,9 @@ The sender and receiver share one entangled state per message slot.  To send
 a message the sender transmits her half of the matching slot through the
 (unknown) channel; the receiver runs a binary acceptance test against every
 slot and decodes with the square-root measurement built from the per-slot
-operators.  Tests for the individual channels are first lifted to projectors
-on a shared qubit ancilla, then merged into a single projector that accepts
-the output of every channel in the family.
+operators.  Tests for the individual channels are first dilated to isometries
+on a shared qubit ancilla, then their ranges merged into a single projector
+that accepts the output of every channel in the family.
 
 Two senders are modeled.  The uninformed sender uses the same shared state
 everywhere; its tests come from the mutual-information-type divergence that
@@ -42,7 +42,6 @@ from .qcore import (
     ComplexMatrix,
     DensityMatrix,
     LayoutError,
-    Projector,
     PureState,
     RegisterLayout,
     _hermitian_error,
@@ -425,12 +424,13 @@ def rate_informed(
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Code:
     """A position-based code.  Each of the ``num_messages`` messages owns a
-    band of ``len(partners)`` slots, and the decoder applies the ``merged``
-    projector at every slot on output x slot x ancilla.  ``joints[i]`` is
-    channel ``i``'s joint output-partner state, ``values[i]`` the value of
-    its test, and band position ``p`` holds ``partners[p]`` unless sent."""
+    band of ``len(partners)`` slots, and the decoder applies ``projector``,
+    the merged range ``basis`` times its adjoint, at every slot on output x
+    slot x ancilla.  ``joints[i]`` is channel ``i``'s joint output-partner
+    state, ``values[i]`` the value of its test, and band position ``p``
+    holds ``partners[p]`` unless sent."""
 
-    merged: Projector
+    basis: np.ndarray
     joints: tuple[np.ndarray, ...]
     partners: tuple[np.ndarray, ...]
     values: tuple[float, ...]
@@ -444,7 +444,11 @@ class _Code:
     def dims(self) -> list[int]:
         """Register dimensions: output, the ``band num_messages`` slots, ancilla."""
         d_r = self.partners[0].shape[0]
-        return [self.merged.dim // (2 * d_r)] + [d_r] * (self.band * self.num_messages) + [2]
+        return [self.basis.shape[0] // (2 * d_r)] + [d_r] * (self.band * self.num_messages) + [2]
+
+    @property
+    def projector(self) -> np.ndarray:
+        return self.basis @ self.basis.conj().T
 
 
 def _position_code(
@@ -473,9 +477,9 @@ def _position_code(
     if dim > DIM_CAP:
         raise CapacityError(f"simulated dimension {dim} exceeds the cap {DIM_CAP}")
     tested = [solve(rho) for rho in joints]
-    merged = merge_tests([t for _, t in tested], eta / (3.0 * union_depth(cc.size)))
+    basis = merge_tests([t for _, t in tested], eta / (3.0 * union_depth(cc.size)))
     return _Code(
-        merged, tuple(r.a for r in joints), tuple(partners),
+        basis, tuple(r.a for r in joints), tuple(partners),
         tuple(v for v, _ in tested), num_messages,
     )
 
@@ -568,7 +572,7 @@ def _dense_decoder(code: _Code, message: int, indices: tuple[int, ...]):
     Channel ``i`` sends in slot ``band (message - 1) + i mod band + 1``;
     every other slot ``k`` holds ``partners[(k - 1) mod band]``.  The error
     is ``1 - Tr[Omega(message) Theta]``."""
-    pi, dims, partners, band = code.merged.a, code.dims, code.partners, code.band
+    pi, dims, partners, band = code.projector, code.dims, code.partners, code.band
     last = len(dims) - 1
     sent = range(band * (message - 1) + 1, band * message + 1)
     terms = [(pi, [0, k, last]) for k in range(1, last) if k not in sent]
@@ -598,7 +602,7 @@ def _block_decoder(code: _Code, indices: tuple[int, ...]):
     with multiplicity ``prod_p m_jp`` (``qoneshot.schur``).  The error is
     ``1 - sum over blocks of prod_p m_jp Tr[T^(-1/2) Lambda T^(-1/2)
     Theta_i]``."""
-    pi, partners, band = code.merged.a, code.partners, code.band
+    pi, partners, band = code.projector, code.partners, code.band
     d_out, others = code.dims[0], code.num_messages - 1
     dets = [max(0.0, float(np.linalg.det(s).real)) for s in partners]
     six = pi.reshape(d_out, 2, 2, d_out, 2, 2)
@@ -680,7 +684,7 @@ def _evaluate(
         num_messages=params.num_messages,
         rate_ok=bool(params.rate_bits <= limit + 1e-9),
         certified_rate=limit,
-        trivial_decoder=code.merged.rank == code.merged.dim,
+        trivial_decoder=code.basis.shape[1] == code.basis.shape[0],
         **_certificate(spectrum),
     )
 

@@ -20,8 +20,8 @@ single null (``divergences._best_mixture``).  An explicit optimal test is
 then rebuilt by a linear program in the eigenbasis of the dual's threshold
 operator.  ``build_universal_test`` assembles a
 single test for the whole family by the dilate/union/compress route: one
-near-optimal test per prototype state, each lifted to a projector with a
-shared ancilla qubit, merged by the projector-union construction, and
+near-optimal test per prototype state, each dilated to an isometry with a
+shared ancilla qubit, merged by the projector union on range bases, and
 compressed back onto the ancilla ground block.  ``epsilon_net`` supplies
 the finite prototype sets for qubit families: a Bloch-ball lattice plus a
 golden-spiral surface layer, with the covering quality validated by
@@ -271,8 +271,9 @@ class UniversalTest(TestOperator):
 def build_universal_test(inst: CompositeInstance, delta: float,
                          net: EpsilonNet | None = None) -> UniversalTest:
     """One test for the whole family: a near-optimal test per prototype,
-    dilated to projectors over a shared ancilla qubit, merged by the
-    projector union, and compressed back onto the ancilla ground block.
+    dilated over a shared ancilla qubit and merged by the projector union
+    (``merge_tests``), and compressed back onto the ancilla ground block,
+    ``G G^dag`` for the ancilla-ground rows ``G`` of the merged basis.
 
     With ``net=None`` the prototypes are the ``s1`` vertices themselves;
     with a net, each vertex is replaced by its closest net point (the net
@@ -305,12 +306,8 @@ def build_universal_test(inst: CompositeInstance, delta: float,
         per_prototype.append(beta_exact(single))
     floor_bits = min(v for v, _ in per_prototype)
 
-    merged = merge_tests([t for _, t in per_prototype], delta / union_depth(size))
-
-    dim_n = inst.total_dim
-    block = np.ascontiguousarray(
-        merged.a.reshape(dim_n, 2, dim_n, 2)[:, 0, :, 0]
-    )
+    ground = merge_tests([t for _, t in per_prototype], delta / union_depth(size))[::2]
+    block = ground @ ground.conj().T
     block = 0.5 * (block + block.conj().T)
     type1 = max(1.0 - x for x in _traces(block, inst.nulls))
     level = max(_traces(block, inst.alts))

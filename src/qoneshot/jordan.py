@@ -11,8 +11,8 @@ that accepts almost as well as either input (additive delta loss) at the
 cost of a multiplicative operator bound; a binary merge tree extends it to
 many.  ``union_of_ranges`` runs the tree on orthonormal range bases, with no
 projector formed or eigensolved; ``union_many`` wraps it for projectors.
-``merge_tests`` lifts binary tests to projectors and merges them: the route
-of both position-based decoding and composite testing.
+``merge_tests`` dilates binary tests to isometries and merges their ranges
+as bases: the route of both position-based decoding and composite testing.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergences import TestOperator
-from .qcore import ATOL, ComplexMatrix, LayoutError, Projector
+from .qcore import ATOL, LayoutError, Projector
 
 FAR = "far"
 NEAR = "near"
@@ -108,12 +108,6 @@ def check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
-def _check_pair(p1: Projector, p2: Projector, delta: float) -> None:
-    if p1.dim != p2.dim:
-        raise LayoutError(f"projector dims differ: {p1.dim} vs {p2.dim}")
-    check_delta(delta)
-
-
 def jordan_decompose(p1: Projector, p2: Projector, delta: float) -> JordanDecomposition:
     """Decompose the space into one- and two-dimensional joint blocks.
 
@@ -121,7 +115,7 @@ def jordan_decompose(p1: Projector, p2: Projector, delta: float) -> JordanDecomp
     with both inputs, and carry the inputs' rank-<=1 restrictions; blocks
     whose restrictions overlap at least ``1 - delta**2`` are labeled NEAR.
     """
-    _check_pair(p1, p2, delta)
+    _check_union([p1.dim, p2.dim], delta)
     d = p1.dim
     near_cut = 1.0 - delta * delta
     a_vecs, b_vecs, sv = _principal(_range_basis(p1), _range_basis(p2))
@@ -234,7 +228,7 @@ def union_pair(p1: Projector, p2: Projector, delta: float) -> Projector:
     The result loses at most delta in acceptance against either input and
     is dominated by (2/delta^2)(p1 + p2).
     """
-    _check_pair(p1, p2, delta)
+    _check_union([p1.dim, p2.dim], delta)
     g = _far_complement(_range_basis(p1), _range_basis(p2), delta)
     return Projector.of(p1.a + g @ g.conj().T)
 
@@ -248,6 +242,12 @@ def _check_union(dims: Sequence[int], delta: float) -> None:
         raise LayoutError(f"ranges must share one dimension, got {sorted(set(dims))}")
 
 
+def _check_orthonormal(bases: Sequence[np.ndarray], what: str) -> None:
+    err = max(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])), initial=0.0) for q in bases)
+    if err > ATOL:
+        raise ValueError(f"{what} not orthonormal (|Q^dag Q - I| = {err:.3e})")
+
+
 def union_of_ranges(bases: Sequence[np.ndarray], delta: float) -> np.ndarray:
     """Binary-tree union of up to 64 ranges with a shared delta, each given
     by orthonormal columns (d x k): the union's range, as orthonormal columns.
@@ -256,12 +256,11 @@ def union_of_ranges(bases: Sequence[np.ndarray], delta: float) -> np.ndarray:
     through unchanged), for ceil(log2 s) rounds; a merge appends union_pair's
     G to the first basis.  Acceptance degrades by at most delta per round and
     the operator bound gains one factor of 2/delta^2 per round.  Each input's
-    |Q^dag Q - I| is checked against ATOL; no eigensolve is made.
+    and the result's |Q^dag Q - I| is checked against ATOL; no eigensolve is
+    made.
     """
     _check_union([q.shape[0] for q in bases], delta)
-    err = max(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])), initial=0.0) for q in bases)
-    if err > ATOL:
-        raise ValueError(f"range bases are not orthonormal (|Q^dag Q - I| = {err:.3e})")
+    _check_orthonormal(bases, "range bases are")
     level = list(bases)
     while len(level) > 1:
         merged = [
@@ -271,6 +270,7 @@ def union_of_ranges(bases: Sequence[np.ndarray], delta: float) -> np.ndarray:
         if len(level) % 2:
             merged.append(level[-1])
         level = merged
+    _check_orthonormal(level, "the merged basis is")
     return level[0]
 
 
@@ -284,38 +284,28 @@ def union_many(projectors: list[Projector], delta: float) -> Projector:
 
 
 def union_depth(s: int) -> float:
-    """``log2(2 s)``, at least ``union_many``'s rounds for ``s`` projectors:
+    """``log2(2 s)``, at least ``union_of_ranges``' rounds for ``s`` ranges:
     the depth its acceptance loss and operator bound are counted in."""
     return math.log2(2 * s)
 
 
-def neumark_dilate(m: TestOperator) -> Projector:
-    """Lift a binary test to a projector on system tensor qubit ancilla.
-
-    Accepting the projector on ``rho (x) |0><0|`` has the same probability
-    as accepting the test on ``rho``: the projector's ancilla-ground block
-    is checked against ``M``, which is that trace identity for every input
-    state.  With ``A = sqrt(I - M)`` and ``B = sqrt(M)`` the block rotation
-    ``[[A, -B], [B, A]]`` is unitary, and conjugating the ancilla-excited
-    projector by it gives ``Pi = M (x) |0><0| + BA (x) (|0><1| + |1><0|)
-    + (I - M) (x) |1><1|``.  All blocks are assembled from one spectral
-    decomposition of ``M`` so the result is idempotent to working precision.
-    """
+def neumark_dilate(m: TestOperator) -> np.ndarray:
+    """Lift a binary test to an isometry R into system (x) qubit ancilla
+    (2d x d, the ancilla last, R^dag R = I); the dilated projector is R R^dag.
+    From one eigensolve ``M = V diag(w) V^dag``, w clipped to [0, 1], R's
+    ancilla-ground rows are ``V diag(sqrt w)`` and its excited rows
+    ``V diag(sqrt(1 - w))``.  So R R^dag's ancilla-ground block is ``M``
+    (checked): on ``rho (x) |0><0|`` it accepts as the test does on ``rho``."""
     w, v = np.linalg.eigh(m.a)
     wc = np.clip(w, 0.0, 1.0)
-    vh = v.conj().T
-    accept = (v * wc) @ vh
-    cross = (v * np.sqrt(wc * (1.0 - wc))) @ vh
-    reject = (v * (1.0 - wc)) @ vh
-    err = float(np.max(np.abs(accept - m.a)))
+    err = float(np.max(np.abs((v * wc) @ v.conj().T - m.a)))
     if err > 4.0 * ATOL:
         raise ValueError(f"ancilla-ground block deviates from the test by {err:.3e}")
-    blocks = np.array([[accept, cross], [cross, reject]])  # axes: ancilla i, j; system i, j
-    pi = blocks.transpose(2, 0, 3, 1).reshape(2 * w.size, 2 * w.size)
-    return Projector(ComplexMatrix(pi))
+    return np.stack([v * np.sqrt(wc), v * np.sqrt(1.0 - wc)], axis=1).reshape(2 * w.size, w.size)
 
 
-def merge_tests(tests: Sequence[TestOperator], delta: float) -> Projector:
+def merge_tests(tests: Sequence[TestOperator], delta: float) -> np.ndarray:
     """The tests dilated over one shared qubit ancilla (``neumark_dilate``)
-    and merged by ``union_many`` with the per-round ``delta``."""
-    return union_many([neumark_dilate(t) for t in tests], delta)
+    and merged by ``union_of_ranges`` with the per-round ``delta``: the
+    union's range as orthonormal columns Q (the merged projector Q Q^dag)."""
+    return union_of_ranges([neumark_dilate(t) for t in tests], delta)

@@ -316,3 +316,37 @@ def classical_composite_value(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]
     if not lp.success:
         raise ArithmeticError(f"classical program failed: {lp.message}")
     return bits(lp.x[-1])
+
+
+def classical_i_h(p_ab: np.ndarray, eps: float) -> float:
+    """I_H(A:B) of the diagonal state ``diag(p_ab)`` (``p_ab[a, b]`` on
+    ``a:d_a b:d_b``), by linear programming over diagonal tests.
+
+    The completely dephasing channel on both registers fixes ``rho_AB`` and
+    ``rho_B`` and maps ``sigma_A (x) rho_B`` to ``D(sigma_A) (x) rho_B``, so
+    by data processing some optimal ``sigma_A`` is diagonal, ``q`` say.
+    Between diagonal states a dephased test does as well as any, so
+    I_H = -log2 max_q min_m sum_ab m(a, b) q(a) p_B(b) over diagonal tests
+    0 <= m <= 1 with sum m p >= 1 - eps.  The objective is bilinear on two
+    compact convex sets, so by minimax the order swaps and the inner max
+    over q picks the worst ``a``: I_H = -log2 t* for the LP
+
+        minimize t  subject to  sum_b m(a, b) p_B(b) <= t  for every a,
+                                sum_ab m(a, b) p(a, b) >= 1 - eps,
+                                0 <= m <= 1.
+    """
+    p = np.asarray(p_ab, dtype=float)
+    d_a, d_b = p.shape
+    rows = np.kron(np.eye(d_a), p.sum(axis=0))  # row a: p_B on block a of m
+    a_ub = np.block([[rows, -np.ones((d_a, 1))], [-p.reshape(1, -1), np.zeros((1, 1))]])
+    b_ub = np.concatenate([np.zeros(d_a), [-(1.0 - eps)]])
+    lp = scipy.optimize.linprog(
+        np.concatenate([np.zeros(d_a * d_b), [1.0]]),
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=[(0.0, 1.0)] * (d_a * d_b) + [(0.0, None)],
+        method="highs",
+    )
+    if not lp.success:
+        raise ArithmeticError(f"classical I_H program failed: {lp.message}")
+    return bits(lp.x[-1])

@@ -58,6 +58,7 @@ from qoneshot.qcore import (
     ComplexMatrix,
     DensityMatrix,
     LayoutError,
+    Projector,
     PureState,
     RegisterLayout,
     haar_unitary,
@@ -161,9 +162,10 @@ class TestDomainTypes:
 class TestNeumarkDilate:
     def test_identity_test_dilates_to_ground_block(self):
         m = TestOperator(matrix=ComplexMatrix(np.eye(3)), type1_error=0.0, type2_bound=1.0)
-        pi = neumark_dilate(m)
+        r = neumark_dilate(m)
+        pi = r @ r.conj().T
         expect = np.kron(np.eye(3), np.diag([1.0, 0.0]))
-        assert np.max(np.abs(pi.a - expect)) < 1e-12
+        assert np.max(np.abs(pi - expect)) < 1e-12
 
     def test_rejects_a_test_its_ground_block_cannot_reproduce(self):
         # eigenvalues outside [0, 1] are clipped, so the ground block differs
@@ -174,22 +176,24 @@ class TestNeumarkDilate:
 
     def test_half_identity_accepts_with_probability_half(self):
         m = TestOperator(matrix=ComplexMatrix(0.5 * np.eye(2)), type1_error=0.5, type2_bound=0.5)
-        pi = neumark_dilate(m)
+        r = neumark_dilate(m)
+        pi = r @ r.conj().T
         ground = np.diag([1.0, 0.0])
         rng = rng_from(11)
         for _ in range(100):
             rho = random_density(2, rng).a
-            p = np.trace(pi.a @ np.kron(rho, ground)).real
+            p = np.trace(pi @ np.kron(rho, ground)).real
             assert abs(p - 0.5) < 1e-12
 
     def test_basis_projector_accepts_with_overlap(self):
         m = TestOperator(matrix=ComplexMatrix(np.diag([1.0, 0.0])), type1_error=0.0, type2_bound=1.0)
-        pi = neumark_dilate(m)
+        r = neumark_dilate(m)
+        pi = r @ r.conj().T
         ground = np.diag([1.0, 0.0])
         rng = rng_from(12)
         for _ in range(50):
             rho = random_density(2, rng).a
-            p = np.trace(pi.a @ np.kron(rho, ground)).real
+            p = np.trace(pi @ np.kron(rho, ground)).real
             assert abs(p - rho[0, 0].real) < 1e-12
 
     def test_trace_identity_for_random_tests(self):
@@ -197,11 +201,13 @@ class TestNeumarkDilate:
         ground = np.diag([1.0, 0.0])
         for dim in (2, 3, 4):
             m = random_test_operator(dim, rng)
-            pi = neumark_dilate(m)
-            assert pi.rank == dim
+            r = neumark_dilate(m)
+            assert r.shape == (2 * dim, dim)
+            assert np.max(np.abs(r.conj().T @ r - np.eye(dim))) < 1e-12
+            pi = r @ r.conj().T
             for _ in range(100):
                 rho = random_density(dim, rng).a
-                lifted = np.trace(pi.a @ np.kron(rho, ground)).real
+                lifted = np.trace(pi @ np.kron(rho, ground)).real
                 direct = np.trace(m.a @ rho).real
                 assert abs(lifted - direct) < 1e-11
 
@@ -473,7 +479,7 @@ class TestSimulateUninformed:
         rep = simulate_uninformed(cc, params, true_channel=0)
         code = _uninformed_code(cc, psi, EPS, ETA, 2)
         dims = [2, 2, 2, 2]
-        lams = [slow_embed(code.merged.a, dims, [0, m, 3]) for m in (1, 2)]
+        lams = [slow_embed(code.projector, dims, [0, m, 3]) for m in (1, 2)]
         total = lams[0] + lams[1]
         w, v = np.linalg.eigh(total)
         inv = (v * np.where(w > 1e-12, 1.0 / np.sqrt(np.maximum(w, 1e-12)), 0.0)) @ v.conj().T
@@ -546,8 +552,10 @@ class TestSimulateInformed:
         rep = simulate_informed(cc, states, params, true_channel=1)
         joints, outputs, partners, avg = _informed_family(cc, states)
         tests = [i_h_tilde(r, avg, outputs, EPS)[1] for r in joints]
+        # the projector route: each dilation's R R^dag, merged by union_many
+        dilated = [neumark_dilate(t) for t in tests]
         merged = union_many(
-            [neumark_dilate(t) for t in tests], ETA / (3.0 * math.log2(4.0))
+            [Projector.of(r @ r.conj().T) for r in dilated], ETA / (3.0 * math.log2(4.0))
         )
         dims = [2, 2, 2, 2]
         lams = [slow_embed(merged.a, dims, [0, k, 3]) for k in (1, 2)]
@@ -649,7 +657,7 @@ class TestDecoderMatchesEveryOmegaOracle:
         """``dense`` runs the dense decoder on a qubit code, beside the
         spin-block path that ``_evaluate`` takes."""
         dims, partners, band = code.dims, code.partners, code.band
-        omegas, gap = every_omega_oracle(code.merged.a, dims, band, params.num_messages)
+        omegas, gap = every_omega_oracle(code.projector, dims, band, params.num_messages)
         indices = tuple(range(len(code.joints)))
         for message in range(1, params.num_messages + 1):
             errors, certificate = decoded(code, message, indices, dense)
@@ -685,7 +693,7 @@ class TestDecoderMatchesEveryOmegaOracle:
         assert code.dims[1] == 2
         self.check(code, params)
         omegas = self.check(code, params, dense=True)
-        dims, pi = code.dims, code.merged.a
+        dims, pi = code.dims, code.projector
         for message in (1, 2):
             # the dense space: Lambda on the message's band, Pi at every
             # other slot; the step forms the ancilla-ground block of Omega
@@ -730,7 +738,7 @@ def oracle_spectrum(code):
     and its smallest eigenvalue kept."""
     dims = code.dims
     last = len(dims) - 1
-    total = sum(slow_embed(code.merged.a, dims, [0, k, last]) for k in range(1, last))
+    total = sum(slow_embed(code.projector, dims, [0, k, last]) for k in range(1, last))
     w = np.linalg.eigvalsh(total)
     kept = w[w > 1e-12]
     return kept.size, float(kept[0])
@@ -1005,7 +1013,7 @@ class TestDecoderInequality:
         cc = CompoundChannel((IDENT, ZPHASE))
         psi = maximally_entangled(2, ("a", "r"))
         code = _uninformed_code(cc, psi, EPS, ETA, 2)
-        lam = [slow_embed(code.merged.a, code.dims, [0, m, 3]) for m in (1, 2)]
+        lam = [slow_embed(code.projector, code.dims, [0, m, 3]) for m in (1, 2)]
         cert = hayashi_nagaoka_check(lam[0], lam[1], ETA / (EPS + ETA))
         assert cert["min_gap_eigenvalue"] >= -ATOL
 

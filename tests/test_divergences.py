@@ -6,6 +6,7 @@ linear programming, spectral characterizations, restricted measurement
 families, and brute-force grids.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from qoneshot.divergences import (
     hypothesis_test_divergence,
     i_h,
     i_h_hat,
+    i_h_min,
     i_h_tilde,
     i_max,
     relative_entropy,
@@ -35,6 +37,7 @@ from qoneshot.divergences import (
 )
 from oracles import (
     best_qubit_two_level_test,
+    classical_i_h,
     min_dh_over_bloch_grid,
     min_dh_over_weight_grids,
     simplex_lattice,
@@ -583,6 +586,35 @@ class TestIH:
         rho = random_density(8, rng_from(56), layout=RegisterLayout.of("a:2 b:2 c:2"))
         with pytest.raises(LayoutError):
             i_h(rho, 0.2)
+
+
+class TestIHRelations:
+    """Relations ``i_h`` meets today: exact on classical inputs at the upper
+    end of its bracket, and order-free across members."""
+
+    def test_classical_bracket_against_the_lp(self):
+        """On diagonal states I_H is ``classical_i_h``'s LP: the bracket's
+        upper end (value + gap) matches it, and its lower end is not above."""
+        rng = rng_from(5)
+        layout = RegisterLayout.of("a:2 b:2")
+        for _ in range(40):
+            p = rng.dirichlet(np.ones(4)).reshape(2, 2)
+            rho = DensityMatrix(ComplexMatrix(np.diag(p.ravel())), layout)
+            value, test = i_h(rho, 0.2, gap_tol=1e-9)
+            exact = classical_i_h(p, 0.2)
+            assert abs(value + test.certificate_gap_bits - exact) <= 1e-10
+            assert value <= exact + 1e-12
+
+    def test_i_h_min_is_bitwise_order_free(self):
+        layout = RegisterLayout.of("a:2 b:2")
+        for seed in range(300, 304):
+            rng = rng_from(seed)
+            states = [random_density(4, rng, layout=layout) for _ in range(3)]
+            values = {
+                i_h_min([states[k] for k in order], 0.2)[0]
+                for order in itertools.permutations(range(3))
+            }
+            assert len(values) == 1
 
 
 class TestIHTilde:

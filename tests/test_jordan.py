@@ -52,6 +52,16 @@ def _planted_state(rng, proj, eps):
     return 0.5 * (rho + rho.conj().T)
 
 
+def _random_tests(rng, s, d):
+    """``s`` random tests of width ``d`` whose eigenvalues touch 0 and 1."""
+    tests = []
+    for _ in range(s):
+        w = np.clip(rng.random(d) * 1.2 - 0.1, 0.0, 1.0)
+        u = haar_unitary(d, rng)
+        tests.append(TestOperator(ComplexMatrix((u * w) @ u.conj().T), 0.0, 1.0))
+    return tests
+
+
 def _span(cols):
     return Projector.of(cols @ cols.conj().T)
 
@@ -340,17 +350,35 @@ class TestUnionMany:
         assert float(np.linalg.eigvalsh(gap)[0]) >= -1e-8
 
     def test_merge_tests_is_the_union_of_the_dilations(self):
-        """Bitwise: merge_tests dilates each test and unions the projectors."""
+        """merge_tests' Q Q^dag is union_many of the dilated projectors
+        R R^dag, to 1e-12: the two routes span the same ranges in different
+        bases."""
         rng = rng_from(126)
         for s in (1, 2, 3, 5):
-            tests = []
-            for _ in range(s):
-                w = np.clip(rng.random(3) * 1.2 - 0.1, 0.0, 1.0)  # touches 0 and 1
-                u = haar_unitary(3, rng)
-                tests.append(TestOperator(ComplexMatrix((u * w) @ u.conj().T), 0.0, 1.0))
+            tests = _random_tests(rng, s, 3)
             delta = 0.3 / union_depth(s)
-            want = union_many([neumark_dilate(t) for t in tests], delta).a
-            assert merge_tests(tests, delta).a.tobytes() == want.tobytes()
+            want = union_many(
+                [Projector.of(r @ r.conj().T) for r in map(neumark_dilate, tests)], delta
+            ).a
+            q = merge_tests(tests, delta)
+            assert float(np.max(np.abs(q @ q.conj().T - want))) <= 1e-12
+
+    def test_merge_tests_eigensolves_only_the_tests(self, eigensolves, monkeypatch):
+        """One d x d eigensolve per test, none 2d wide, and no Projector."""
+        rng = rng_from(127)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the merge path built a Projector")
+
+        forbidden.of = forbidden
+        monkeypatch.setattr(jordan, "Projector", forbidden)
+        for s in (1, 2, 3, 5):
+            for d in (2, 3, 5):
+                tests = _random_tests(rng, s, d)
+                eigensolves.clear()
+                q = merge_tests(tests, 0.3 / union_depth(s))
+                assert eigensolves == [(d, d)] * s
+                assert q.shape[0] == 2 * d
 
     def test_rejects_bad_inputs(self, eigensolves):
         """Each rejection comes before any input is eigensolved."""
@@ -395,6 +423,12 @@ class TestUnionOfRanges:
                 np.testing.assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-12)
                 star = union_many([Projector.of(np.outer(v, v.conj())) for v in vecs], delta)
                 assert float(np.max(np.abs(q @ q.conj().T - star.a))) <= 1e-12
+
+    def test_checks_its_result(self, monkeypatch):
+        """A merge that loses orthonormality is caught on the result."""
+        monkeypatch.setattr(jordan, "_far_complement", lambda q1, q2, delta: q1)
+        with pytest.raises(ValueError, match="merged basis is not orthonormal"):
+            union_of_ranges([np.eye(3)[:, :1], np.eye(3)[:, 1:2]], 0.3)
 
     def test_rejects_bad_inputs(self):
         e0 = np.eye(3)[:, :1]
