@@ -205,16 +205,14 @@ _SUPPORT_CUTOFF = 1e-10
 
 def _union_figures(basis: np.ndarray, vecs: np.ndarray, planted: np.ndarray):
     """``(acceptance, support_residual, operator_constant)`` of M = Q Q^dag
-    against sum_i P_i = V V^dag, from the range basis Q and V's columns v_i.
+    against sum_i P_i = V V^dag, from the range basis Q (whose orthonormality
+    ``union_of_ranges`` checks) and V's columns v_i.
 
     The acceptance is the least |Q^dag psi|^2 over the columns of
     ``planted``.  The thin SVD V = U S R^dag, cut as ``whiten`` cuts V V^dag,
     gives W = U S^-1: the residual |M K|_F is |Q - U U^dag Q|_F and the
     constant lambda_max(W^dag M W) is s_max(S^-1 U^dag Q)^2.
     """
-    err = float(np.max(np.abs(basis.conj().T @ basis - np.eye(basis.shape[1]))))
-    if err > ATOL:
-        raise ValueError(f"union is not a projector (|Q^dag Q - I| = {err:.3e})")
     acceptance = float(np.min(np.sum(np.abs(basis.conj().T @ planted) ** 2, axis=0)))
     u, sv, _ = np.linalg.svd(vecs, full_matrices=False)
     keep = sv ** 2 > _SUPPORT_CUTOFF * sv[0] ** 2

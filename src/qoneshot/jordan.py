@@ -4,7 +4,9 @@ Any two orthogonal projectors share a decomposition of the space into
 mutually orthogonal blocks of dimension one or two, on which each projector
 restricts to rank at most one.  The decomposition here comes from the
 singular values of the inner-product matrix between the two ranges
-(principal angles), which is numerically stable.
+(principal angles), which is numerically stable, and is held as one
+orthonormal frame: each block is one or two consecutive columns of a d x d
+unitary, so its report and residuals need no per-block operator.
 
 The union construction turns the block structure into a single projector
 that accepts almost as well as either input (additive delta loss) at the
@@ -24,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergences import TestOperator
-from .qcore import ATOL, LayoutError, Projector
+from .qcore import ATOL, LayoutError, Projector, _freeze
 
 FAR = "far"
 NEAR = "near"
@@ -36,41 +38,32 @@ _ORTHO = 1e-12
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class JordanBlock:
-    """One invariant block shared by both projectors.
+class JordanDecomposition:
+    """The joint blocks of two projectors as one orthonormal frame.
 
-    ``p1_restricted`` and ``p2_restricted`` are the restrictions of the two
-    input projectors to the block (rank at most one; the zero operator when
-    the block lies outside a projector's range).  ``overlap`` is the trace
-    of their product, and ``label`` classifies the block as ``NEAR`` when
-    the overlap reaches ``1 - delta**2`` and ``FAR`` otherwise.
+    Block k is columns ``cuts[k]:cuts[k + 1]`` (one or two wide) of the
+    d x d unitary ``frame``.  Column k of ``r1`` and ``r2`` is the unit
+    vector whose rank-one projector is that input's restriction to block k,
+    or an exact zero column where the block lies outside its range.
+    ``overlaps[k]`` is the trace of the two restrictions' product.
     """
 
-    block_projector: Projector
-    p1_restricted: Projector
-    p2_restricted: Projector
-    overlap: float
-    label: str
+    frame: np.ndarray
+    cuts: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    overlaps: np.ndarray
+    delta: float
 
     def __post_init__(self):
-        if self.block_projector.rank not in (1, 2):
-            raise ValueError(f"block rank must be 1 or 2, got {self.block_projector.rank}")
-        if self.p1_restricted.rank > 1 or self.p2_restricted.rank > 1:
-            raise ValueError("restricted projectors must have rank at most 1")
-        if not -1e-12 <= self.overlap <= 1.0 + 1e-12:
-            raise ValueError(f"overlap {self.overlap} outside [0, 1]")
-        if self.label not in (FAR, NEAR):
-            raise ValueError(f"unknown label {self.label!r}")
+        for name in ("frame", "cuts", "r1", "r2", "overlaps"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
-    def rank(self) -> int:
-        return self.block_projector.rank
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class JordanDecomposition:
-    blocks: tuple[JordanBlock, ...]
-    delta: float
+    def labels(self) -> tuple[str, ...]:
+        """NEAR for each block whose overlap reaches ``1 - delta**2``, else FAR."""
+        near_cut = 1.0 - self.delta * self.delta
+        return tuple(NEAR if overlap >= near_cut else FAR for overlap in self.overlaps)
 
 
 def _range_basis(p: Projector) -> np.ndarray:
@@ -89,18 +82,16 @@ def _principal(q1: np.ndarray, q2: np.ndarray):
 
 
 def _far_complement(q1: np.ndarray, q2: np.ndarray, delta: float) -> np.ndarray:
-    """union_pair's G = (I - Q1 Q1^dag) B_far, columns normalized.  For
-    principal vectors B^dag (I - Q1 Q1^dag) B = I - diag(c^2), so [Q1, G] is
+    """A merge's G = (I - Q1 Q1^dag) B_far, columns normalized: the FAR
+    principal directions of range(Q2) (cosine c with c^2 < 1 - delta^2;
+    aligned ones add nothing) taken outside range(Q1).  For principal
+    vectors B^dag (I - Q1 Q1^dag) B = I - diag(c^2), so [Q1, G] is
     orthonormal."""
     a, b, c = _principal(q1, q2)
     cos = np.pad(c, (0, b.shape[1] - len(c)))
     far = b[:, (cos * cos < 1.0 - delta * delta) & (cos < 1.0 - _ALIGNED)]
     g = far - a @ (a.conj().T @ far)
     return g / np.linalg.norm(g, axis=0)
-
-
-def _col(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, v.conj())
 
 
 def check_delta(delta: float) -> None:
@@ -111,89 +102,67 @@ def check_delta(delta: float) -> None:
 def jordan_decompose(p1: Projector, p2: Projector, delta: float) -> JordanDecomposition:
     """Decompose the space into one- and two-dimensional joint blocks.
 
-    Block projectors are mutually orthogonal, sum to the identity, commute
-    with both inputs, and carry the inputs' rank-<=1 restrictions; blocks
-    whose restrictions overlap at least ``1 - delta**2`` are labeled NEAR.
+    Each principal pair (a, b) with cosine s gives one block: ``[a]`` when
+    aligned, ``[a]`` and ``[b]`` apart when orthogonal, and ``[a, g]`` with
+    g = b - s a normalized otherwise.  Leftover principal directions of
+    either range, then the joint kernel, are one-column blocks.  The frame
+    is orthonormal, and both inputs are block-diagonal in it.
     """
     _check_union([p1.dim, p2.dim], delta)
     d = p1.dim
-    near_cut = 1.0 - delta * delta
     a_vecs, b_vecs, sv = _principal(_range_basis(p1), _range_basis(p2))
-    blocks: list[JordanBlock] = []
-    zero = Projector.of(np.zeros((d, d)))
-
-    def add(block: np.ndarray, r1: Projector, r2: Projector, overlap: float):
-        label = NEAR if overlap >= near_cut else FAR
-        blocks.append(JordanBlock(Projector.of(block), r1, r2, overlap, label))
-
-    used = []  # columns spanning all assigned blocks, for the kernel complement
-    npair = len(sv)
-    for i in range(npair):
-        s = float(sv[i])
-        a = a_vecs[:, i]
-        b = b_vecs[:, i]
+    zero = np.zeros(d, dtype=complex)
+    blocks = []  # (columns, p1's restriction vector, p2's, overlap)
+    for s, a, b in zip(sv.tolist(), a_vecs.T, b_vecs.T):
         if s >= 1.0 - _ALIGNED:
             # aligned direction: one-dimensional block shared by both
-            add(_col(a), Projector.of(_col(a)), Projector.of(_col(a)), s * s)
-            used.append(a)
+            blocks.append(([a], a, a, s * s))
         elif s <= _ORTHO:
             # orthogonal pair: two single-sided one-dimensional blocks
-            add(_col(a), Projector.of(_col(a)), zero, 0.0)
-            add(_col(b), zero, Projector.of(_col(b)), 0.0)
-            used += [a, b]
+            blocks += [([a], a, zero, 0.0), ([b], zero, b, 0.0)]
         else:
             g = b - s * a
-            g = g / np.linalg.norm(g)
-            add(_col(a) + _col(g), Projector.of(_col(a)), Projector.of(_col(b)), s * s)
-            used += [a, g]
-    for i in range(npair, a_vecs.shape[1]):
-        add(_col(a_vecs[:, i]), Projector.of(_col(a_vecs[:, i])), zero, 0.0)
-        used.append(a_vecs[:, i])
-    for i in range(npair, b_vecs.shape[1]):
-        add(_col(b_vecs[:, i]), zero, Projector.of(_col(b_vecs[:, i])), 0.0)
-        used.append(b_vecs[:, i])
+            blocks.append(([a, g / np.linalg.norm(g)], a, b, s * s))
+    blocks += [([a], a, zero, 0.0) for a in a_vecs[:, len(sv):].T]
+    blocks += [([b], zero, b, 0.0) for b in b_vecs[:, len(sv):].T]
 
     # joint kernel: one-dimensional blocks invisible to both projectors
+    used = [c for block in blocks for c in block[0]]
     basis = np.stack(used, axis=1) if used else np.zeros((d, 0))
     w, v = np.linalg.eigh(np.eye(d) - basis @ basis.conj().T)
-    for i in range(d):
-        if w[i] > 0.5:
-            add(_col(v[:, i]), zero, zero, 0.0)
-    return JordanDecomposition(tuple(blocks), delta)
+    blocks += [([k], zero, zero, 0.0) for k in v[:, w > 0.5].T]
+    cols, r1, r2, overlaps = zip(*blocks)
+    return JordanDecomposition(
+        np.stack([c for block in cols for c in block], axis=1),
+        np.cumsum([0, *map(len, cols)]),
+        np.stack(r1, axis=1),
+        np.stack(r2, axis=1),
+        np.array(overlaps),
+        delta,
+    )
 
 
 def decomposition_residuals(dec: JordanDecomposition, p1: Projector, p2: Projector) -> dict:
     """Worst-case deviations of the decomposition invariants, for checking.
 
-    Keys: completeness (block sum vs identity), commutation (blocks vs both
-    inputs), reconstruction (restriction sums vs inputs), orthogonality
-    (pairwise block products).
+    Keys: completeness |F F^dag - I| and orthogonality |F^dag F - I| of the
+    frame F; commutation, the largest entry of F^dag P F outside the
+    diagonal blocks over both inputs (P commutes with every block projector
+    iff F^dag P F is block-diagonal); reconstruction |R R^dag - P| of the
+    restriction columns against each input.
     """
-    d = p1.dim
-    total = sum(b.block_projector.a for b in dec.blocks)
-    completeness = float(np.max(np.abs(total - np.eye(d))))
-    commutation = 0.0
-    for b in dec.blocks:
-        pa = b.block_projector.a
-        for p in (p1.a, p2.a):
-            commutation = max(commutation, float(np.max(np.abs(pa @ p - p @ pa))))
-    rec1 = sum(b.p1_restricted.a for b in dec.blocks)
-    rec2 = sum(b.p2_restricted.a for b in dec.blocks)
-    reconstruction = max(
-        float(np.max(np.abs(rec1 - p1.a))), float(np.max(np.abs(rec2 - p2.a)))
-    )
-    orthogonality = 0.0
-    for i, bi in enumerate(dec.blocks):
-        for bj in dec.blocks[i + 1 :]:
-            orthogonality = max(
-                orthogonality,
-                float(np.max(np.abs(bi.block_projector.a @ bj.block_projector.a))),
-            )
+    f = dec.frame
+    block = np.repeat(np.arange(len(dec.overlaps)), np.diff(dec.cuts))
+    off = block[:, None] != block[None, :]
     return {
-        "completeness": completeness,
-        "commutation": commutation,
-        "reconstruction": reconstruction,
-        "orthogonality": orthogonality,
+        "completeness": float(np.max(np.abs(f @ f.conj().T - np.eye(len(f))))),
+        "commutation": max(
+            float(np.max(np.abs(f.conj().T @ p.a @ f)[off], initial=0.0)) for p in (p1, p2)
+        ),
+        "reconstruction": max(
+            float(np.max(np.abs(r @ r.conj().T - p.a))) for r, p in ((dec.r1, p1), (dec.r2, p2))
+        ),
+        "orthogonality": float(np.max(np.abs(f.conj().T @ f - np.eye(len(block))))),
     }
 
 
@@ -201,36 +170,28 @@ def decomposition_report(dec: JordanDecomposition) -> dict:
     """JSON-ready diagnostic summary of a decomposition."""
     return {
         "delta": dec.delta,
-        "num_blocks": len(dec.blocks),
+        "num_blocks": len(dec.overlaps),
         "blocks": [
             {
-                "rank": b.rank,
-                "overlap": b.overlap,
-                "label": b.label,
-                "p1_rank": b.p1_restricted.rank,
-                "p2_rank": b.p2_restricted.rank,
+                "rank": int(dec.cuts[k + 1] - dec.cuts[k]),
+                "overlap": float(overlap),
+                "label": label,
+                "p1_rank": int(dec.r1[:, k].any()),
+                "p2_rank": int(dec.r2[:, k].any()),
             }
-            for b in dec.blocks
+            for k, (overlap, label) in enumerate(zip(dec.overlaps, dec.labels))
         ],
     }
 
 
 def union_pair(p1: Projector, p2: Projector, delta: float) -> Projector:
-    """A projector accepting nearly as well as either input.
-
-    In the joint blocks, FAR blocks contribute their whole (at most
-    two-dimensional) subspace and NEAR blocks the first input's
-    restriction, which already captures the second to within delta.
-    Summed over the blocks this is p1 plus the FAR principal directions of
-    p2 taken outside range(p1): M = p1 + G G^dag with
-    G = (I - Q1 Q1^dag) B_far, columns normalized.  A direction is FAR when
-    its cosine c has c^2 < 1 - delta^2; aligned directions add nothing.
-    The result loses at most delta in acceptance against either input and
-    is dominated by (2/delta^2)(p1 + p2).
-    """
-    _check_union([p1.dim, p2.dim], delta)
-    g = _far_complement(_range_basis(p1), _range_basis(p2), delta)
-    return Projector.of(p1.a + g @ g.conj().T)
+    """A projector accepting nearly as well as either input,
+    ``union_many([p1, p2], delta)``: in the joint blocks, FAR blocks keep
+    their whole (at most two-dimensional) subspace and NEAR blocks p1's
+    restriction, which captures p2's to within delta.  It loses at most
+    delta in acceptance against either input and is dominated by
+    (2/delta^2)(p1 + p2)."""
+    return union_many([p1, p2], delta)
 
 
 def _check_union(dims: Sequence[int], delta: float) -> None:
@@ -253,8 +214,8 @@ def union_of_ranges(bases: Sequence[np.ndarray], delta: float) -> np.ndarray:
     by orthonormal columns (d x k): the union's range, as orthonormal columns.
 
     Consecutive ranges are merged pairwise per round (an odd leftover passes
-    through unchanged), for ceil(log2 s) rounds; a merge appends union_pair's
-    G to the first basis.  Acceptance degrades by at most delta per round and
+    through unchanged), for ceil(log2 s) rounds; a merge appends the FAR
+    complement G (``_far_complement``) to the first basis.  Acceptance degrades by at most delta per round and
     the operator bound gains one factor of 2/delta^2 per round.  Each input's
     and the result's |Q^dag Q - I| is checked against ATOL; no eigensolve is
     made.

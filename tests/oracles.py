@@ -3,7 +3,8 @@
 Brute-force grids, restricted measurement families and linear programs that
 share no optimization path with the solvers in ``qoneshot``; per-state
 references for the stacked state sampler and qubit nets; the dense
-d x d form of the union's per-trial figures; and the structural helpers
+d x d forms of the union's per-trial figures and of the joint-block
+residuals; and the structural helpers
 (``tensor_product``, ``purified_distance``, ``random_hermitian``) that only
 the tests use.
 """
@@ -93,6 +94,33 @@ def union_figures_dense(basis, vecs, planted, cutoff: float) -> tuple[float, flo
     residual = float(np.linalg.norm(merged.a @ ker))
     constant = float(np.linalg.eigvalsh(white.conj().T @ merged.a @ white)[-1])
     return acceptance, residual, constant
+
+
+def decomposition_residuals_dense(dec, p1, p2) -> dict:
+    """Dense reference for ``jordan.decomposition_residuals``, per block:
+    each block projector F_k F_k^dag from the frame's block columns, then
+    their sum against I (completeness), every block's commutator with both
+    inputs (commutation), the restrictions' sums r r^dag against the inputs
+    (reconstruction) and every pairwise block product (orthogonality)."""
+    f = dec.frame
+    blocks = [f[:, i:j] @ f[:, i:j].conj().T for i, j in zip(dec.cuts[:-1], dec.cuts[1:])]
+    commutation = max(
+        float(np.max(np.abs(b @ p.a - p.a @ b))) for b in blocks for p in (p1, p2)
+    )
+    reconstruction = max(
+        float(np.max(np.abs(sum(np.outer(v, v.conj()) for v in r.T) - p.a)))
+        for r, p in ((dec.r1, p1), (dec.r2, p2))
+    )
+    orthogonality = max(
+        (float(np.max(np.abs(bi @ bj))) for i, bi in enumerate(blocks) for bj in blocks[i + 1 :]),
+        default=0.0,
+    )
+    return {
+        "completeness": float(np.max(np.abs(sum(blocks) - np.eye(len(f))))),
+        "commutation": commutation,
+        "reconstruction": reconstruction,
+        "orthogonality": orthogonality,
+    }
 
 
 def net_states_by_point(deficit: float) -> np.ndarray:

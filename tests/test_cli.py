@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qoneshot import cli, composite
+from qoneshot import cli, composite, jordan
 from qoneshot.qcore import (
     ComplexMatrix,
     DensityMatrix,
@@ -435,10 +435,12 @@ class TestSubcommands:
         assert eigensolves == []
         assert svds == ([(1, 1)] * 4 + [(2, 2)] * 2 + [(4, 4), (64, 8), (8, 8)]) * 2
 
-    def test_union_figures_match_the_dense_oracle(self):
+    def test_union_figures_match_the_dense_oracle(self, tmp_path, capsys, monkeypatch):
         """The figures from Q and one thin SVD of V equal the d x d ones, for
         s below, at and above dim, for a repeated v_i (V loses rank, and the
-        cut drops a singular value), and for a union that is all of C^d."""
+        cut drops a singular value), and for a union that is all of C^d.  A
+        basis off orthonormality fails the dense oracle as a projector, and
+        a merge that loses orthonormality fails ``union-stress`` itself."""
         rng = rng_from(23)
 
         def unit_columns(dim, s):
@@ -457,11 +459,12 @@ class TestSubcommands:
                 want = union_figures_dense(basis, vecs, planted, cli._SUPPORT_CUTOFF)
                 for a, b in zip(got, want):
                     assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (vecs.shape, got, want)
-            # a basis off orthonormality fails as its projector Q Q^dag does
-            with pytest.raises(ValueError, match="not a projector"):
-                cli._union_figures(1.01 * union, vecs, planted)
             with pytest.raises(ValueError, match="not idempotent"):
                 union_figures_dense(1.01 * union, vecs, planted, cli._SUPPORT_CUTOFF)
+        monkeypatch.setattr(jordan, "_far_complement", lambda q1, q2, delta: q1)
+        assert run(["union-stress", "--s", "2", "--delta", "0.3", "--dim", "3", "--trials", "1",
+                    "--eps", "0.1", "--seed", "1", "--out", str(tmp_path / "u.json")]) == 2
+        assert "merged basis is not orthonormal" in capsys.readouterr().err
 
     def test_jordan_inspect(self, tmp_path):
         p1 = random_projector(6, 2, 11)
@@ -473,7 +476,16 @@ class TestSubcommands:
         assert run(["jordan-inspect", "--p1", f1, "--p2", f2, "--out", out]) == 0
         rec = read(out)
         assert all(rec["checks"].values())
-        assert rec["results"]["report"]["num_blocks"] >= 1
+        report = rec["results"]["report"]
+        overlaps = [block.pop("overlap") for block in report["blocks"]]
+        assert report == {"delta": 0.1, "num_blocks": 4, "blocks": [
+            {"rank": 2, "label": "far", "p1_rank": 1, "p2_rank": 1},
+            {"rank": 2, "label": "far", "p1_rank": 1, "p2_rank": 1},
+            {"rank": 1, "label": "far", "p1_rank": 0, "p2_rank": 1},
+            {"rank": 1, "label": "far", "p1_rank": 0, "p2_rank": 0},
+        ]}
+        want = [0.5270187603314685, 0.04820553965595062, 0.0, 0.0]
+        assert max(abs(a - b) for a, b in zip(overlaps, want)) <= 1e-12
 
     def test_compound_sim(self, tmp_path, files):
         out = str(tmp_path / "c.json")

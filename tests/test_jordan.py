@@ -1,11 +1,13 @@
 """Tests for the joint projector decomposition and union constructions.
 
-The decomposition is validated by reconstruction: block sums, commutators,
-restriction sums, and pairwise orthogonality are all checked directly
-against the inputs.  Union bounds are checked against random states and by
+The decomposition is validated by reconstruction: the frame's
+completeness and orthogonality, the inputs' block-diagonal form in it, and
+the restriction sums are all checked directly against the inputs, and the
+residuals agree with the dense per-block computation in ``oracles``.  Union bounds are checked against random states and by
 eigenvalue certificates, never against the construction's own bookkeeping.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +38,7 @@ from qoneshot.qcore import (
     random_projector,
     rng_from,
 )
+from oracles import decomposition_residuals_dense
 
 KET0 = np.diag([1.0, 0.0])
 KET1 = np.diag([0.0, 1.0])
@@ -64,6 +67,10 @@ def _random_tests(rng, s, d):
 
 def _span(cols):
     return Projector.of(cols @ cols.conj().T)
+
+
+def _ket(v):
+    return np.outer(v, v.conj())
 
 
 def _union_pairs(rng, count):
@@ -96,12 +103,14 @@ def _union_pairs(rng, count):
 def _block_union(p1, p2, delta):
     """The union assembled from the joint blocks: NEAR blocks add p1's
     restriction, FAR blocks meeting either range add the whole block."""
+    dec = jordan_decompose(p1, p2, delta)
     out = np.zeros((p1.dim, p1.dim), dtype=complex)
-    for b in jordan_decompose(p1, p2, delta).blocks:
-        if b.label == NEAR:
-            out += b.p1_restricted.a
-        elif b.p1_restricted.rank or b.p2_restricted.rank:
-            out += b.block_projector.a
+    for k, label in enumerate(dec.labels):
+        if label == NEAR:
+            out += _ket(dec.r1[:, k])
+        elif dec.r1[:, k].any() or dec.r2[:, k].any():
+            cols = dec.frame[:, dec.cuts[k] : dec.cuts[k + 1]]
+            out += cols @ cols.conj().T
     return out
 
 
@@ -145,40 +154,42 @@ def _pairwise_fold(projectors, delta):
 class TestDecompose:
     def test_commuting_orthogonal_projectors(self):
         dec = jordan_decompose(Projector.of(KET0), Projector.of(KET1), 0.3)
-        assert len(dec.blocks) == 2
-        assert all(b.rank == 1 for b in dec.blocks)
-        assert all(b.overlap == 0.0 for b in dec.blocks)
-        assert all(b.label == FAR for b in dec.blocks)
+        assert dec.cuts.tolist() == [0, 1, 2]
+        assert dec.overlaps.tolist() == [0.0, 0.0]
+        assert dec.labels == (FAR, FAR)
 
     def test_qubit_half_overlap_block(self):
         dec = jordan_decompose(Projector.of(KET0), Projector.of(PLUS), 0.3)
-        assert len(dec.blocks) == 1
-        blk = dec.blocks[0]
-        assert blk.rank == 2
-        assert blk.overlap == pytest.approx(0.5, abs=1e-12)
-        prod = blk.p1_restricted.a @ blk.p2_restricted.a
+        assert dec.cuts.tolist() == [0, 2]
+        assert dec.overlaps[0] == pytest.approx(0.5, abs=1e-12)
+        prod = _ket(dec.r1[:, 0]) @ _ket(dec.r2[:, 0])
         assert float(np.trace(prod).real) == pytest.approx(0.5, abs=1e-12)
 
     def test_identical_projectors_give_near_blocks(self):
         rng = rng_from(101)
         p = random_projector(6, 2, rng)
         dec = jordan_decompose(p, p, 0.3)
-        ranged = [b for b in dec.blocks if b.p1_restricted.rank]
-        kernel = [b for b in dec.blocks if not (b.p1_restricted.rank or b.p2_restricted.rank)]
+        blocks = range(len(dec.overlaps))
+        ranged = [k for k in blocks if dec.r1[:, k].any()]
+        kernel = [k for k in blocks if not (dec.r1[:, k].any() or dec.r2[:, k].any())]
         assert len(ranged) == 2 and len(kernel) == 4
-        assert all(b.label == NEAR and b.overlap == pytest.approx(1.0) for b in ranged)
+        assert all(dec.labels[k] == NEAR and dec.overlaps[k] == pytest.approx(1.0) for k in ranged)
         res = decomposition_residuals(dec, p, p)
         assert max(res.values()) <= ATOL
 
     def test_invariants_on_random_pairs(self):
+        """60 pairs up to d = 8 with ranks up to 4, then two pairs each at
+        d = 64 and d = 128 with ranks up to d."""
         rng = rng_from(102)
-        for _ in range(60):
-            d = int(rng.integers(2, 9))
-            p1 = random_projector(d, int(rng.integers(1, min(4, d) + 1)), rng)
-            p2 = random_projector(d, int(rng.integers(1, min(4, d) + 1)), rng)
+        dims = [int(rng.integers(2, 9)) for _ in range(60)] + [64, 64, 128, 128]
+        for d in dims:
+            top = min(4, d) if d <= 8 else d
+            p1 = random_projector(d, int(rng.integers(1, top + 1)), rng)
+            p2 = random_projector(d, int(rng.integers(1, top + 1)), rng)
             dec = jordan_decompose(p1, p2, 0.3)
-            assert len(dec.blocks) <= d
-            assert all(b.rank in (1, 2) for b in dec.blocks)
+            assert dec.frame.shape == (d, d) and not dec.frame.flags.writeable
+            assert len(dec.overlaps) <= d
+            assert set(np.diff(dec.cuts).tolist()) <= {1, 2}
             res = decomposition_residuals(dec, p1, p2)
             assert max(res.values()) <= ATOL, res
 
@@ -186,9 +197,63 @@ class TestDecompose:
         rng = rng_from(103)
         p1 = random_projector(5, 2, rng)
         p2 = random_projector(5, 3, rng)
-        for b in jordan_decompose(p1, p2, 0.4).blocks:
-            direct = float(np.trace(b.p1_restricted.a @ b.p2_restricted.a).real)
-            assert abs(b.overlap - direct) <= 1e-10
+        dec = jordan_decompose(p1, p2, 0.4)
+        for k, overlap in enumerate(dec.overlaps):
+            direct = float(np.trace(_ket(dec.r1[:, k]) @ _ket(dec.r2[:, k])).real)
+            assert abs(overlap - direct) <= 1e-10
+
+    def test_residuals_match_the_dense_oracle(self):
+        """On seeded pairs up to d = 16 (zero ranges included) the frame's
+        residuals and the per-block dense ones agree to 1e-12, and each
+        corrupted decomposition is caught by both on the key it breaks."""
+        rng = rng_from(106)
+        for p1, p2 in _union_pairs(rng, 60):
+            if p1.dim > 16:
+                continue
+            dec = jordan_decompose(p1, p2, 0.3)
+            got = decomposition_residuals(dec, p1, p2)
+            want = decomposition_residuals_dense(dec, p1, p2)
+            assert got.keys() == want.keys()
+            assert all(abs(got[k] - want[k]) <= 1e-12 for k in got), (got, want)
+        p1, p2 = random_projector(6, 2, rng), random_projector(6, 1, rng)
+        dec = jordan_decompose(p1, p2, 0.3)
+        f = dec.frame.copy()
+        # column 0 lies in range(p1), the last column in the joint kernel
+        turn = np.eye(6, dtype=complex)
+        turn[[0, 0, 5, 5], [0, 5, 0, 5]] = [0.8, -0.6, 0.6, 0.8]
+        corrupted = {
+            "completeness": dataclasses.replace(dec, frame=1.01 * f),
+            "orthogonality": dataclasses.replace(dec, frame=np.c_[f[:, :5], f[:, :1]]),
+            "commutation": dataclasses.replace(dec, frame=f @ turn),
+            "reconstruction": dataclasses.replace(dec, r1=0.9 * dec.r1),
+        }
+        for key, bad in corrupted.items():
+            assert decomposition_residuals(bad, p1, p2)[key] > ATOL, key
+            assert decomposition_residuals_dense(bad, p1, p2)[key] > ATOL, key
+
+    def test_builds_no_projector_and_three_eigensolves(self, eigensolves, monkeypatch):
+        """Past its inputs, neither the decomposition nor its residuals or
+        report form a Projector.  The decomposition eigensolves exactly
+        three d x d matrices (both range bases and the joint-kernel
+        complement); the residuals and the report eigensolve nothing."""
+        rng = rng_from(107)
+        zero = Projector.of(np.zeros((5, 5)))
+        pairs = [(Projector.of(KET0), Projector.of(PLUS)), (zero, random_projector(5, 2, rng))]
+        pairs += [(random_projector(d, r1, rng), random_projector(d, r2, rng))
+                  for d, r1, r2 in ((3, 1, 2), (8, 4, 4), (16, 3, 9))]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the decomposition built a Projector")
+
+        forbidden.of = forbidden
+        monkeypatch.setattr(jordan, "Projector", forbidden)
+        for p1, p2 in pairs:
+            eigensolves.clear()
+            dec = jordan_decompose(p1, p2, 0.3)
+            assert eigensolves == [(p1.dim, p1.dim)] * 3
+            decomposition_residuals(dec, p1, p2)
+            decomposition_report(dec)
+            assert len(eigensolves) == 3
 
     def test_zero_projector_on_either_side(self):
         p = random_projector(5, 2, rng_from(104))
@@ -338,7 +403,6 @@ class TestUnionMany:
             raise AssertionError("the union path built a Jordan block")
 
         monkeypatch.setattr(jordan, "jordan_decompose", forbidden)
-        monkeypatch.setattr(jordan, "JordanBlock", forbidden)
         np.testing.assert_array_equal(union_many(projs, 0.3).a, expected)
 
     def test_odd_count_merges(self):
