@@ -27,7 +27,6 @@ operators; nothing is sampled.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -44,6 +43,8 @@ from .qcore import (
     LayoutError,
     PureState,
     RegisterLayout,
+    _apply,
+    _arrange,
     _hermitian_error,
     apply_channel,
     as_array,
@@ -208,26 +209,6 @@ class SimulationReport:
 
 
 # ---------------------------------------------------------------------------
-# operator assembly on many registers
-# ---------------------------------------------------------------------------
-
-def _arrange(pieces: Sequence[tuple[np.ndarray, Sequence[int]]], dims: Sequence[int]) -> np.ndarray:
-    """Kron the pieces together and permute their tensor slots onto the
-    named register positions; every register must be claimed exactly once."""
-    order = [p for _, pos in pieces for p in pos]
-    if sorted(order) != list(range(len(dims))):
-        raise ValueError(f"register positions {order} must cover 0..{len(dims) - 1}")
-    big = functools.reduce(np.kron, [op for op, _ in pieces])
-    n = len(dims)
-    shape = [dims[i] for i in order]
-    tensor = big.reshape(shape + shape)
-    inv = np.argsort(np.array(order))
-    perm = [*inv, *(inv + n)]
-    d = math.prod(dims)
-    return np.ascontiguousarray(tensor.transpose(perm).reshape(d, d))
-
-
-# ---------------------------------------------------------------------------
 # the square-root-decoder operator inequality
 # ---------------------------------------------------------------------------
 
@@ -349,7 +330,7 @@ def uninformed_rates(
     Sweeping candidate shared states is the caller's job."""
     if not 0.0 < eps < 1.0 or not 0.0 < eta < 1.0:
         raise ValueError("eps and eta must be in (0, 1)")
-    worst = i_h_min(_channel_outputs(cc, psi), eps, gap_tol=gap_tol)[0]
+    worst = converse_rate(cc, psi, eps, gap_tol=gap_tol)
     return worst + _uninformed_penalty(cc.size, eps, eta), worst
 
 
@@ -515,19 +496,6 @@ def _informed_code(
 
 #: eigenvalues of T at or below this are its kernel
 _KERNEL_CUTOFF = 1e-12
-
-
-def _apply(op: np.ndarray, x: np.ndarray, dims: Sequence[int], targets: Sequence[int]) -> np.ndarray:
-    """``(op on the target registers, identity elsewhere) @ x`` for a matrix
-    ``x`` whose rows live on ``dims``; O(rows x columns x op width), with no
-    operator on the full space formed."""
-    k = len(targets)
-    out = np.tensordot(
-        op.reshape([dims[i] for i in targets] * 2),
-        x.reshape(*dims, -1),
-        axes=(list(range(k, 2 * k)), list(targets)),
-    )
-    return np.moveaxis(out, list(range(k)), list(targets)).reshape(x.shape)
 
 
 def _ground_omega(

@@ -37,7 +37,7 @@ import numpy as np
 import scipy.optimize
 
 from .divergences import (StateEnsemble, TestOperator, _best_mixture, _certified, _traces,
-                          bits, bloch_density)
+                          bits)
 from .jordan import check_delta, merge_tests, union_depth
 from .qcore import (
     PAULIS,
@@ -329,6 +329,12 @@ def build_universal_test(inst: CompositeInstance, delta: float,
 # ---------------------------------------------------------------------------
 # qubit nets
 # ---------------------------------------------------------------------------
+
+def bloch_density(x: float, y: float, z: float) -> np.ndarray:
+    """Qubit state ``(I + x X + y Y + z Z) / 2`` with Bloch vector
+    ``(x, y, z)``, ``|r| <= 1``; components of shape ``(n, 1, 1)`` give an ``(n, 2, 2)`` stack."""
+    return 0.5 * sum(c * p for c, p in zip((1.0, x, y, z), PAULIS))
+
 
 def _bloch_vectors(states: np.ndarray) -> np.ndarray:
     """Rows ``(Tr[rho X], Tr[rho Y], Tr[rho Z])`` of a stack of qubit states."""

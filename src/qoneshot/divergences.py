@@ -26,11 +26,11 @@ import scipy.optimize
 
 from .qcore import (
     ATOL,
-    PAULIS,
     ComplexMatrix,
     DensityMatrix,
     LayoutError,
     _hermitian_error,
+    _sandwich,
     as_array,
     content_hash,
     partial_trace,
@@ -421,9 +421,7 @@ def _split_bipartite(rho: DensityMatrix):
 def _conditional_operator(m: np.ndarray, sq_b: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """G(M) = Tr_B[(I (x) sqrt(rho_B)) M (I (x) sqrt(rho_B))]; Hermitian, and
     max_sigma Tr[M (sigma (x) rho_B)] = lambda_max(G(M))."""
-    big = np.kron(np.eye(d_a), sq_b)
-    g = big @ m @ big
-    t = g.reshape(d_a, d_b, d_a, d_b)
+    t = _sandwich(sq_b, m, sq_b, (d_a, d_b), [1]).reshape(d_a, d_b, d_a, d_b)
     out = np.einsum("ikjk->ij", t)
     return 0.5 * (out + out.conj().T)
 
@@ -675,13 +673,3 @@ def i_h_hat(
         if cand[0] < best[0]:
             best = cand
     return best
-
-
-# ---------------------------------------------------------------------------
-# qubit states from Bloch vectors
-# ---------------------------------------------------------------------------
-
-def bloch_density(x: float, y: float, z: float) -> np.ndarray:
-    """Qubit state ``(I + x X + y Y + z Z) / 2`` with Bloch vector
-    ``(x, y, z)``, ``|r| <= 1``; components of shape ``(n, 1, 1)`` give an ``(n, 2, 2)`` stack."""
-    return 0.5 * sum(c * p for c, p in zip((1.0, x, y, z), PAULIS))

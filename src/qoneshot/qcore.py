@@ -3,7 +3,8 @@
 Operators live on explicitly tracked tensor-product registers: every state
 carries a :class:`RegisterLayout` naming its factors, and structural
 operations (partial trace, register permutation, channel application on a
-register subset) keep that bookkeeping consistent.
+register subset) keep that bookkeeping consistent.  Every operator placed
+on named registers, in any module, is placed by ``_apply`` or ``_arrange``.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share across threads.  Basis ordering is
@@ -361,27 +362,63 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix(ComplexMatrix(reduced.reshape(d, d)), sub)
 
 
-def permute_registers(x: DensityMatrix | PureState, order: Sequence[str]):
-    """Reorder tensor factors into the given label order.
+def _arrange(pieces: Sequence[tuple[np.ndarray, Sequence[int]]], dims: Sequence[int]) -> np.ndarray:
+    """Kron the pieces together and permute their tensor slots onto the
+    named register positions; every register must be claimed exactly once."""
+    order = [p for _, pos in pieces for p in pos]
+    if sorted(order) != list(range(len(dims))):
+        raise ValueError(f"register positions {order} must cover 0..{len(dims) - 1}")
+    big = functools.reduce(np.kron, [op for op, _ in pieces])
+    n = len(dims)
+    shape = [dims[i] for i in order]
+    tensor = big.reshape(shape + shape)
+    inv = np.argsort(np.array(order))
+    perm = [*inv, *(inv + n)]
+    d = math.prod(dims)
+    return np.ascontiguousarray(tensor.transpose(perm).reshape(d, d))
 
-    This is the single permutation primitive the rest of the package builds
-    on; ``order`` must list every label of ``x``'s layout exactly once.
-    """
+
+def _apply(op: np.ndarray, x: np.ndarray, dims: Sequence[int], targets: Sequence[int],
+           out_dims: Sequence[int] | None = None, dest: Sequence[int] | None = None) -> np.ndarray:
+    """``(op on the target registers, identity elsewhere) @ x`` for a matrix
+    ``x`` whose rows live on ``dims``; O(rows x columns x op width), with no
+    operator on the full space formed.  ``op`` maps the targets, in the
+    order given, onto registers of ``out_dims`` (default: the targets' own)
+    at row positions ``dest`` of the result (default: ``targets``); the
+    untouched registers fill the other positions in their own order."""
+    t_dims = [dims[i] for i in targets]
+    out_dims = t_dims if out_dims is None else list(out_dims)
+    n = len(out_dims)
+    out = np.tensordot(
+        op.reshape(out_dims + t_dims),
+        x.reshape(*dims, -1),
+        axes=(list(range(n, n + len(targets))), list(targets)),
+    )
+    out = np.moveaxis(out, list(range(n)), list(targets if dest is None else dest))
+    return out.reshape(-1, x.shape[1])
+
+
+def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray, *placement) -> np.ndarray:
+    """``left @ x @ right`` for a square ``x``, with ``left`` placed on its
+    rows and ``right`` on its columns as ``_apply(op, x, *placement)``
+    places ``op`` on the rows."""
+    return _apply(right.T, _apply(left, x, *placement).T, *placement).T
+
+
+def permute_registers(x: DensityMatrix | PureState, order: Sequence[str]):
+    """Reorder tensor factors into the given label order; ``order`` must
+    list every label of ``x``'s layout exactly once."""
     layout = x.layout
     if sorted(order) != sorted(layout.labels):
         raise LayoutError(
             f"order {list(order)} is not a permutation of {list(layout.labels)}"
         )
-    perm = [layout.position(l) for l in order]
-    dims = layout.dims
-    new_layout = RegisterLayout(tuple(layout.factors[p] for p in perm))
+    new_layout = RegisterLayout(tuple((l, layout.dim_of(l)) for l in order))
     if isinstance(x, PureState):
-        v = x.vector.reshape(dims).transpose(perm).reshape(-1)
-        return PureState(v, new_layout)
-    n = len(dims)
-    t = x.a.reshape(dims + dims).transpose(perm + [n + p for p in perm])
-    d = layout.dim
-    return DensityMatrix(ComplexMatrix(t.reshape(d, d)), new_layout)
+        perm = [layout.position(l) for l in order]
+        return PureState(x.vector.reshape(layout.dims).transpose(perm).reshape(-1), new_layout)
+    moved = _arrange([(x.a, [list(order).index(l) for l in layout.labels])], new_layout.dims)
+    return DensityMatrix(ComplexMatrix(moved), new_layout)
 
 
 def apply_channel(
@@ -389,48 +426,28 @@ def apply_channel(
 ) -> DensityMatrix:
     """Apply a channel to a state, optionally on a subset of its registers.
 
-    The target registers are permuted to the front, the Kraus conjugation is
-    applied there, and the result is permuted back: the channel's output
-    factors take the place of the first target factor and all untouched
-    factors keep their relative order.  Output labels must not collide with
-    the untouched labels.
+    The Kraus conjugation acts on the target registers in the order given:
+    the channel's output factors take the place of the first target factor
+    and all untouched factors keep their relative order.  Output labels
+    must not collide with the untouched labels.
     """
-    if targets is None:
-        targets = channel.in_layout.labels
-    targets = list(targets)
     layout = rho.layout
-    d_t = math.prod(layout.dim_of(l) for l in targets)
+    targets = list(channel.in_layout.labels if targets is None else targets)
+    if len(set(targets)) != len(targets):
+        raise LayoutError(f"duplicate target labels in {targets}")
+    pos = [layout.position(l) for l in targets]
+    d_t = math.prod(layout.dims[p] for p in pos)
     if d_t != channel.dim_in:
         raise LayoutError(
             f"target dimension {d_t} != channel input dimension {channel.dim_in}"
         )
-    rest = [l for l in layout.labels if l not in targets]
-    clash = set(channel.out_layout.labels) & set(rest)
-    if clash:
-        raise LayoutError(f"channel output labels {sorted(clash)} already in use")
-    front = permute_registers(rho, targets + rest)
-    d_r = front.dim // d_t
-    arr = front.a
-    ident = np.eye(d_r)
-    out = np.zeros((channel.dim_out * d_r,) * 2, dtype=np.complex128)
-    for k in channel.kraus:
-        big = np.kron(k, ident)
-        out += big @ arr @ big.conj().T
-    if rest:
-        mid_layout = channel.out_layout.concat(layout.restricted(rest))
-    else:
-        mid_layout = channel.out_layout
-    mid = DensityMatrix(ComplexMatrix(out), mid_layout)
-    # permute back: splice the output labels where the first target sat
-    final: list[str] = []
-    for l in layout.labels:
-        if l == targets[0]:
-            final.extend(channel.out_layout.labels)
-        elif l in targets:
-            continue
-        else:
-            final.append(l)
-    return permute_registers(mid, final)
+    rest = tuple(f for f in layout.factors if f[0] not in targets)
+    first = sum(layout.position(l) < pos[0] for l, _ in rest)
+    out = channel.out_layout
+    new_layout = RegisterLayout(rest[:first] + out.factors + rest[first:])  # rejects a clash
+    place = (layout.dims, pos, out.dims, range(first, first + len(out.factors)))
+    total = sum(_sandwich(k, rho.a, k.conj().T, *place) for k in channel.kraus)
+    return DensityMatrix(ComplexMatrix(total), new_layout)
 
 
 # ---------------------------------------------------------------------------

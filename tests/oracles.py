@@ -5,8 +5,8 @@ share no optimization path with the solvers in ``qoneshot``; per-state
 references for the stacked state sampler and qubit nets; the dense
 d x d forms of the union's per-trial figures and of the joint-block
 residuals; and the structural helpers
-(``tensor_product``, ``purified_distance``, ``random_hermitian``) that only
-the tests use.
+(``tensor_product``, ``slow_embed``, ``purified_distance``,
+``random_hermitian``) that only the tests use.
 """
 
 import math
@@ -20,9 +20,8 @@ from qoneshot.divergences import (
     _np_solve,
     _split_bipartite,
     bits,
-    bloch_density,
 )
-from qoneshot.composite import _sphere_layer
+from qoneshot.composite import _sphere_layer, bloch_density
 from qoneshot.qcore import (
     ComplexMatrix,
     DensityMatrix,
@@ -56,6 +55,47 @@ def tensor_product(a, b):
     raise TypeError(
         f"cannot tensor {type(a).__name__} with {type(b).__name__}"
     )
+
+
+def slow_embed(op, dims, targets, out_dims=None, dest=None):
+    """Index-loop embedding oracle, no reshaping: ``op`` maps the registers
+    ``targets`` of ``dims``, in that order, onto registers of ``out_dims``
+    (default: the targets' own) at positions ``dest`` of the output
+    (default: ``targets``); identity on every other register, and those
+    keep their order."""
+    t_dims = [dims[t] for t in targets]
+    out_dims = t_dims if out_dims is None else list(out_dims)
+    dest = list(targets) if dest is None else list(dest)
+    rest = [i for i in range(len(dims)) if i not in targets]
+    out_rest = [p for p in range(len(rest) + len(dest)) if p not in dest]
+    odims = [0] * (len(rest) + len(dest))
+    for p, d in zip(dest, out_dims):
+        odims[p] = d
+    for p, i in zip(out_rest, rest):
+        odims[p] = dims[i]
+
+    def unravel(x, ds):
+        idx = []
+        for d in reversed(ds):
+            idx.append(x % d)
+            x //= d
+        return list(reversed(idx))
+
+    def ravel(idx, ds):
+        x = 0
+        for i, d in zip(idx, ds):
+            x = x * d + i
+        return x
+
+    out = np.zeros((math.prod(odims), math.prod(dims)), dtype=complex)
+    for r in range(out.shape[0]):
+        ri = unravel(r, odims)
+        for c in range(out.shape[1]):
+            ci = unravel(c, dims)
+            if any(ri[p] != ci[i] for p, i in zip(out_rest, rest)):
+                continue
+            out[r, c] = op[ravel([ri[p] for p in dest], out_dims), ravel([ci[t] for t in targets], t_dims)]
+    return out
 
 
 def purified_distance(rho, sigma) -> float:

@@ -18,8 +18,6 @@ from qoneshot.coding import (
     CodeParams,
     CompoundChannel,
     SimulationReport,
-    _apply,
-    _arrange,
     _block_decoder,
     _certificate,
     _channel_outputs,
@@ -49,7 +47,7 @@ from qoneshot.divergences import (
     i_h,
     i_h_min,
 )
-from oracles import min_dh_over_weight_grids
+from oracles import min_dh_over_weight_grids, slow_embed
 from qoneshot.jordan import neumark_dilate
 from qoneshot.qcore import (
     ATOL,
@@ -81,35 +79,6 @@ def random_test_operator(dim, rng, scale=0.9):
     h = a @ a.conj().T
     h = h / np.linalg.eigvalsh(h)[-1] * scale
     return TestOperator(matrix=ComplexMatrix(h), type1_error=0.0, type2_bound=1.0)
-
-
-def slow_embed(op, dims, targets):
-    """Index-loop embedding oracle: identity off the targets, no reshaping."""
-    n = len(dims)
-    total = math.prod(dims)
-    rest = [i for i in range(n) if i not in targets]
-
-    def unravel(x):
-        idx = []
-        for d in reversed(dims):
-            idx.append(x % d)
-            x //= d
-        return list(reversed(idx))
-
-    tdims = [dims[t] for t in targets]
-    out = np.zeros((total, total), dtype=complex)
-    for r in range(total):
-        ri = unravel(r)
-        for c in range(total):
-            ci = unravel(c)
-            if any(ri[k] != ci[k] for k in rest):
-                continue
-            ro = co = 0
-            for td, t in zip(tdims, targets):
-                ro = ro * td + ri[t]
-                co = co * td + ci[t]
-            out[r, c] = op[ro, co]
-    return out
 
 
 class TestDomainTypes:
@@ -246,42 +215,6 @@ class TestHayashiNagaoka:
             hayashi_nagaoka_check(0.5 * np.eye(2), -0.1 * np.eye(2), 1.0)
         with pytest.raises(LayoutError):
             hayashi_nagaoka_check(0.5 * np.eye(2), np.zeros((3, 3)), 1.0)
-
-
-class TestOperatorAssembly:
-    def test_arrange_matches_permuted_kron(self):
-        x = np.arange(9.0).reshape(3, 3)
-        y = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = _arrange([(x, [1]), (y, [0])], [2, 3])
-        assert np.allclose(out, np.kron(y, x))
-
-    TARGETS = ([0, 2], [1, 3], [3, 1], [2, 0])
-
-    def test_apply_to_identity_matches_index_loop(self):
-        rng = rng_from(31)
-        dims = [2, 3, 2, 2]
-        for targets in self.TARGETS:
-            d = math.prod(dims[t] for t in targets)
-            op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            fast = _apply(op, np.eye(math.prod(dims)), dims, targets)
-            slow = slow_embed(op, dims, targets)
-            assert np.max(np.abs(fast - slow)) < 1e-13
-
-    def test_apply_matches_index_loop_product(self):
-        rng = rng_from(32)
-        dims = [2, 3, 2, 2]
-        for targets in self.TARGETS:
-            d = math.prod(dims[t] for t in targets)
-            op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            x = rng.normal(size=(math.prod(dims), 5)) + 1j * rng.normal(size=(math.prod(dims), 5))
-            fast = _apply(op, x, dims, targets)
-            slow = slow_embed(op, dims, targets) @ x
-            assert fast.shape == x.shape
-            assert np.max(np.abs(fast - slow)) < 1e-12
-
-    def test_arrange_requires_full_cover(self):
-        with pytest.raises(ValueError, match="cover"):
-            _arrange([(np.eye(2), [0])], [2, 2])
 
 
 class TestRateFormulas:

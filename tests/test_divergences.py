@@ -15,12 +15,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qoneshot.composite import bloch_density
 from qoneshot.divergences import (
     EDGE,
     TOL_NP,
     StateEnsemble,
     TestOperator,
-    bloch_density,
     classical_np_value,
     _certified,
     _jump_points,

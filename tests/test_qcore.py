@@ -5,12 +5,15 @@ multiplication for tensor products, the defining trace identity for partial
 traces, and scipy's matrix square root for fidelities.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from oracles import gaussian_states_by_state, purified_distance, random_hermitian, tensor_product
+from oracles import (gaussian_states_by_state, purified_distance, random_hermitian, slow_embed,
+                     tensor_product)
 from qoneshot import qcore
 from qoneshot.qcore import (
     ATOL,
@@ -22,6 +25,8 @@ from qoneshot.qcore import (
     Projector,
     PureState,
     RegisterLayout,
+    _apply,
+    _arrange,
     apply_channel,
     content_hash,
     maximally_entangled,
@@ -276,6 +281,48 @@ def test_permute_rejects_non_permutation():
         permute_registers(rho, ["a", "a"])
 
 
+class TestOperatorAssembly:
+    def test_arrange_matches_permuted_kron(self):
+        x = np.arange(9.0).reshape(3, 3)
+        y = np.array([[1.0, 2.0], [3.0, 4.0]])
+        out = _arrange([(x, [1]), (y, [0])], [2, 3])
+        assert np.allclose(out, np.kron(y, x))
+
+    # (targets, out_dims, dest); the last maps registers 3, 1 onto three
+    # new registers at positions 1, 2, 4 of a five-register result
+    CASES = (([0, 2], None, None), ([1, 3], None, None), ([3, 1], None, None),
+             ([2, 0], None, None), ([3, 1], [3, 2, 2], [1, 2, 4]))
+
+    def test_apply_to_identity_matches_index_loop(self):
+        rng = rng_from(31)
+        dims = [2, 3, 2, 2]
+        for targets, out_dims, dest in self.CASES:
+            d = math.prod(dims[t] for t in targets)
+            d_out = d if out_dims is None else math.prod(out_dims)
+            op = rng.normal(size=(d_out, d)) + 1j * rng.normal(size=(d_out, d))
+            fast = _apply(op, np.eye(math.prod(dims)), dims, targets, out_dims, dest)
+            slow = slow_embed(op, dims, targets, out_dims, dest)
+            assert fast.shape == slow.shape
+            assert np.max(np.abs(fast - slow)) < 1e-13
+
+    def test_apply_matches_index_loop_product(self):
+        rng = rng_from(32)
+        dims = [2, 3, 2, 2]
+        for targets, out_dims, dest in self.CASES:
+            d = math.prod(dims[t] for t in targets)
+            d_out = d if out_dims is None else math.prod(out_dims)
+            op = rng.normal(size=(d_out, d)) + 1j * rng.normal(size=(d_out, d))
+            x = rng.normal(size=(math.prod(dims), 5)) + 1j * rng.normal(size=(math.prod(dims), 5))
+            fast = _apply(op, x, dims, targets, out_dims, dest)
+            slow = slow_embed(op, dims, targets, out_dims, dest) @ x
+            assert fast.shape == (len(slow), x.shape[1])
+            assert np.max(np.abs(fast - slow)) < 1e-12
+
+    def test_arrange_requires_full_cover(self):
+        with pytest.raises(ValueError, match="cover"):
+            _arrange([(np.eye(2), [0])], [2, 2])
+
+
 # ---------------------------------------------------------------------------
 # eigendecomposition
 # ---------------------------------------------------------------------------
@@ -395,11 +442,34 @@ def test_channel_trace_and_positivity_bulk():
         assert abs(np.trace(out.a).real - 1) <= ATOL
 
 
+def test_channel_rectangular_on_reversed_targets(monkeypatch):
+    """Two targets given out of layout order, mapped onto one wider output
+    register beside an untouched one, against an index-loop oracle; the
+    result is the only state validated."""
+    ch = random_channel(RegisterLayout.of("p:2 q:2"), RegisterLayout.of("y:3"), 2, rng_from(61))
+    rho = random_density(12, 62, layout=RegisterLayout.of("a:2 b:3 c:2"))
+    checked = []
+    check = qcore._check_states
+    monkeypatch.setattr(qcore, "_check_states", lambda a: checked.append(a.shape) or check(a))
+    out = apply_channel(ch, rho, targets=["c", "a"])
+    assert out.layout.header() == "b:3 y:3"
+    assert checked == [(9, 9)]
+    embed = [slow_embed(k, [2, 3, 2], [2, 0], [3], [1]) for k in ch.kraus]
+    expect = sum(e @ rho.a @ e.conj().T for e in embed)
+    assert np.max(np.abs(out.a - expect)) < 1e-12
+
+
 def test_channel_register_mismatch():
     ch = Channel((np.eye(2),), qubit_layout("a"), qubit_layout("b"))
     rho = random_density(3, 0, layout=RegisterLayout.of("a:3"))
     with pytest.raises(LayoutError):
         apply_channel(ch, rho)
+    # a repeated target, an unknown target, and an output label in use
+    pair = random_density(4, 0, layout=RegisterLayout.of("a:2 b:2"))
+    wide = Channel((np.eye(4),), RegisterLayout.of("p:2 q:2"), RegisterLayout.of("y:4"))
+    for channel, targets in ((wide, ["a", "a"]), (ch, ["zz"]), (ch, ["a"])):
+        with pytest.raises(LayoutError):
+            apply_channel(channel, pair, targets)
 
 
 # ---------------------------------------------------------------------------
