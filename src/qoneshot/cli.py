@@ -71,12 +71,12 @@ from .jordan import (
 )
 from .qcore import (
     ATOL,
-    DIM_CAP,
     CapacityError,
     LayoutError,
     Projector,
     PureState,
     RegisterLayout,
+    _read_lines,
     load_channel,
     load_matrix,
     load_state,
@@ -131,16 +131,11 @@ class _Command:
 
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition(" ")
-            value = value.strip()
-            if not value:
-                raise ValueError(f"{path}:{lineno}: expected 'key value', got {line!r}")
-            values[key.strip().replace("-", "_")] = value
+    for lineno, line in _read_lines(path):
+        key, _, value = (part.strip() for part in line.partition(" "))
+        if not value:
+            raise ValueError(f"{path}:{lineno}: expected 'key value', got {line!r}")
+        values[key.replace("-", "_")] = value
     return values
 
 
@@ -233,8 +228,6 @@ def _run_union_stress(p: dict, seed):
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if dim > DIM_CAP:
-        raise CapacityError(f"dimension {dim} exceeds the cap {DIM_CAP}")
     rng = rng_from(seed)
     layout = RegisterLayout((("r", dim),))
     width = union_depth(s)

@@ -154,8 +154,6 @@ class CodeParams:
             raise ValueError("need at least one message")
         if self.num_messages > DIM_CAP:
             raise CapacityError(f"{self.num_messages} messages exceed the cap {DIM_CAP}")
-        if self.shared_state is not None and len(self.shared_state.layout.factors) != 2:
-            raise LayoutError("shared state must live on exactly two registers")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -195,7 +193,7 @@ class SimulationReport:
         if len(errs) != len(self.channel_indices):
             raise ValueError("one error entry per simulated channel index")
         for e in errs:
-            if e < -ATOL or e > 1.0 + ATOL:
+            if not -ATOL <= e <= 1.0 + ATOL:
                 raise ValueError(f"error probability {e} outside [0, 1]")
         object.__setattr__(
             self, "per_channel_error", tuple(min(1.0, max(0.0, e)) for e in errs)
@@ -226,21 +224,21 @@ def hayashi_nagaoka_check(s, t, c: float) -> dict:
     below ``-atol``.
     """
     ss, tt = as_array(s), as_array(t)
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValueError(f"constant c must be positive, got {c}")
     if ss.shape != tt.shape or ss.ndim != 2 or ss.shape[0] != ss.shape[1]:
         raise LayoutError(f"S and T must be square of equal size, got {ss.shape}, {tt.shape}")
     for name, x in (("S", ss), ("T", tt)):
         herm = float(_hermitian_error(x))
-        if herm > ATOL:
+        if not herm <= ATOL:
             raise ValueError(f"{name} is not Hermitian (|X - X^dag| = {herm:.3e})")
     ws = np.linalg.eigvalsh(ss)
-    if ws[0] < -ATOL or ws[-1] > 1.0 + ATOL:
+    if not (ws[0] >= -ATOL and ws[-1] <= 1.0 + ATOL):
         raise ValueError(
             f"S must satisfy 0 <= S <= I, eigenvalues span [{ws[0]:.3e}, {ws[-1]:.3e}]"
         )
     wt = np.linalg.eigvalsh(tt)
-    if wt[0] < -ATOL:
+    if not wt[0] >= -ATOL:
         raise ValueError(f"T must be positive semidefinite, min eigenvalue {wt[0]:.3e}")
     d = ss.shape[0]
     inv = spectral(ss + tt, lambda w: 1.0 / np.sqrt(w), 1e-12)
@@ -249,7 +247,7 @@ def hayashi_nagaoka_check(s, t, c: float) -> dict:
     gap = rhs - lhs
     gap = 0.5 * (gap + gap.conj().T)
     wg = np.linalg.eigvalsh(gap)
-    if wg[0] < -ATOL:
+    if not wg[0] >= -ATOL:
         raise ValueError(f"operator inequality violated: min gap eigenvalue {wg[0]:.3e}")
     return {
         "min_gap_eigenvalue": float(wg[0]),
@@ -365,17 +363,14 @@ def _informed_family(
         if st.layout != lay0:
             raise LayoutError("per-channel shared states must share one layout")
     a_lbl, r_lbl = _require_bipartite(states[0], cc)
-    joints = [
-        apply_channel(ch, st.density(), targets=[a_lbl])
-        for ch, st in zip(cc.channels, states)
-    ]
-    outputs = StateEnsemble(tuple(  # the outputs of the transmitted half alone
-        apply_channel(ch, st.density().marginal([a_lbl]), targets=[a_lbl])
-        for ch, st in zip(cc.channels, states)
+    rhos = [st.density() for st in states]
+    joints = [apply_channel(ch, rho, targets=[a_lbl]) for ch, rho in zip(cc.channels, rhos)]
+    # the outputs of the transmitted half alone (the joints' marginals differ in the last bit)
+    outputs = StateEnsemble(tuple(
+        apply_channel(ch, rho.marginal([a_lbl]), targets=[a_lbl])
+        for ch, rho in zip(cc.channels, rhos)
     ))
-    partners = StateEnsemble(
-        tuple(st.density().marginal([r_lbl]) for st in states)
-    )
+    partners = StateEnsemble(tuple(rho.marginal([r_lbl]) for rho in rhos))
     avg = DensityMatrix(
         ComplexMatrix(sum(v.a for v in partners.vertices) / cc.size),
         partners.vertices[0].layout,

@@ -76,10 +76,10 @@ class TestOperator:
 
     def __post_init__(self):
         a = self.matrix.entries
-        if _hermitian_error(a) > ATOL:
+        if not _hermitian_error(a) <= ATOL:
             raise ValueError("test operator is not Hermitian within tolerance")
         w = np.linalg.eigvalsh(a)
-        if w[0] < -ATOL or w[-1] > 1 + ATOL:
+        if not (w[0] >= -ATOL and w[-1] <= 1 + ATOL):
             raise ValueError(
                 f"test operator eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] outside [0, 1]"
             )
@@ -409,10 +409,15 @@ def classical_np_value(p: np.ndarray, q: np.ndarray, eps: float) -> float:
 # saddle solvers: minimize over one tensor factor
 # ---------------------------------------------------------------------------
 
-def _split_bipartite(rho: DensityMatrix):
+def _bipartite_factors(rho: DensityMatrix):
+    """The two ``(label, dimension)`` factors of a state on exactly two registers."""
     if len(rho.layout.factors) != 2:
         raise LayoutError("need a state on exactly two registers")
-    (a_lbl, d_a), (b_lbl, d_b) = rho.layout.factors
+    return rho.layout.factors
+
+
+def _split_bipartite(rho: DensityMatrix):
+    (a_lbl, d_a), (b_lbl, d_b) = _bipartite_factors(rho)
     rho_a = partial_trace(rho, {a_lbl}).a
     rho_b = partial_trace(rho, {b_lbl}).a
     return d_a, d_b, rho_a, rho_b
@@ -600,7 +605,7 @@ def i_h_tilde(
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    d_a, d_b, _, _ = _split_bipartite(rho)
+    (_, d_a), (_, d_b) = _bipartite_factors(rho)
     if s_a.dim != d_a:
         raise LayoutError(f"ensemble dimension {s_a.dim} != first register {d_a}")
     if sigma_b.dim != d_b:
@@ -625,7 +630,7 @@ def i_h_hat(
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    d_a, d_b, _, _ = _split_bipartite(rho)
+    _, (_, d_b) = _bipartite_factors(rho)
     if s_b.dim != d_b:
         raise LayoutError(f"ensemble dimension {s_b.dim} != second register {d_b}")
     k = len(s_b.vertices)

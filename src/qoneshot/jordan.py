@@ -204,8 +204,9 @@ def _check_union(dims: Sequence[int], delta: float) -> None:
 
 
 def _check_orthonormal(bases: Sequence[np.ndarray], what: str) -> None:
-    err = max(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])), initial=0.0) for q in bases)
-    if err > ATOL:
+    # np.max, unlike max, lets a NaN in any basis through to the check
+    err = np.max([abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) for q in bases])
+    if not err <= ATOL:
         raise ValueError(f"{what} not orthonormal (|Q^dag Q - I| = {err:.3e})")
 
 
@@ -260,7 +261,7 @@ def neumark_dilate(m: TestOperator) -> np.ndarray:
     w, v = np.linalg.eigh(m.a)
     wc = np.clip(w, 0.0, 1.0)
     err = float(np.max(np.abs((v * wc) @ v.conj().T - m.a)))
-    if err > 4.0 * ATOL:
+    if not err <= 4.0 * ATOL:
         raise ValueError(f"ancilla-ground block deviates from the test by {err:.3e}")
     return np.stack([v * np.sqrt(wc), v * np.sqrt(1.0 - wc)], axis=1).reshape(2 * w.size, w.size)
 

@@ -2,9 +2,9 @@
 
 Operators live on explicitly tracked tensor-product registers: every state
 carries a :class:`RegisterLayout` naming its factors, and structural
-operations (partial trace, register permutation, channel application on a
-register subset) keep that bookkeeping consistent.  Every operator placed
-on named registers, in any module, is placed by ``_apply`` or ``_arrange``.
+operations (partial trace, channel application on a register subset) keep
+that bookkeeping consistent.  Every operator placed on named registers, in
+any module, is placed by ``_apply`` or ``_arrange``.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share across threads.  Basis ordering is
@@ -121,10 +121,9 @@ class RegisterLayout:
             raise LayoutError(f"duplicate register labels in {labels}")
         if any(d < 1 for _, d in factors):
             raise LayoutError("register dimensions must be >= 1")
-        if math.prod(d for _, d in factors) > DIM_CAP:
-            raise CapacityError(
-                f"total layout dimension exceeds the cap {DIM_CAP}"
-            )
+        dim = math.prod(d for _, d in factors)
+        if dim > DIM_CAP:
+            raise CapacityError(f"total layout dimension {dim} exceeds the cap {DIM_CAP}")
         object.__setattr__(self, "factors", factors)
 
     @classmethod
@@ -161,9 +160,6 @@ class RegisterLayout:
         if unknown:
             raise LayoutError(f"unknown register labels {sorted(unknown)}")
         return RegisterLayout(tuple(f for f in self.factors if f[0] in keep))
-
-    def concat(self, other: "RegisterLayout") -> "RegisterLayout":
-        return RegisterLayout(self.factors + other.factors)
 
     def header(self) -> str:
         return " ".join(f"{l}:{d}" for l, d in self.factors)
@@ -240,7 +236,7 @@ class PureState:
                 f"vector length {v.size} != layout dimension {self.layout.dim}"
             )
         nrm = float(np.vdot(v, v).real)
-        if abs(nrm - 1.0) > ATOL:
+        if not abs(nrm - 1.0) <= ATOL:
             raise ValueError(f"state vector squared norm {nrm} != 1")
         object.__setattr__(self, "vector", _freeze(v))
 
@@ -264,10 +260,10 @@ class Projector:
 
     def __post_init__(self):
         a = self.matrix.entries
-        if _hermitian_error(a) > ATOL:
+        if not _hermitian_error(a) <= ATOL:
             raise ValueError("projector is not Hermitian within tolerance")
         err = float(np.max(np.abs(a @ a - a)))
-        if err > ATOL:
+        if not err <= ATOL:
             raise ValueError(f"projector is not idempotent (|P^2 - P| = {err:.3e})")
 
     @classmethod
@@ -313,7 +309,7 @@ class Channel:
                 )
         total = sum(k.conj().T @ k for k in ks)
         err = float(np.max(np.abs(total - np.eye(din))))
-        if err > ATOL:
+        if not err <= ATOL:
             raise ValueError(f"Kraus completeness violated (|sum K^dag K - I| = {err:.3e})")
         object.__setattr__(self, "kraus", ks)
 
@@ -403,22 +399,6 @@ def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray, *placement) ->
     rows and ``right`` on its columns as ``_apply(op, x, *placement)``
     places ``op`` on the rows."""
     return _apply(right.T, _apply(left, x, *placement).T, *placement).T
-
-
-def permute_registers(x: DensityMatrix | PureState, order: Sequence[str]):
-    """Reorder tensor factors into the given label order; ``order`` must
-    list every label of ``x``'s layout exactly once."""
-    layout = x.layout
-    if sorted(order) != sorted(layout.labels):
-        raise LayoutError(
-            f"order {list(order)} is not a permutation of {list(layout.labels)}"
-        )
-    new_layout = RegisterLayout(tuple((l, layout.dim_of(l)) for l in order))
-    if isinstance(x, PureState):
-        perm = [layout.position(l) for l in order]
-        return PureState(x.vector.reshape(layout.dims).transpose(perm).reshape(-1), new_layout)
-    moved = _arrange([(x.a, [list(order).index(l) for l in layout.labels])], new_layout.dims)
-    return DensityMatrix(ComplexMatrix(moved), new_layout)
 
 
 def apply_channel(
@@ -616,10 +596,10 @@ def _format_rows(a: np.ndarray) -> list[str]:
 
 
 def _read_lines(path) -> list[tuple[int, str]]:
-    """The non-blank lines of a text file, stripped, with their 1-based
-    line numbers in the file."""
+    """The non-blank lines of a text file, ``#`` comments cut and stripped,
+    with their 1-based line numbers in the file."""
     with open(path) as fh:
-        return [(n, ln) for n, ln in enumerate((l.strip() for l in fh), 1) if ln]
+        return [(n, ln) for n, ln in enumerate((l.split("#", 1)[0].strip() for l in fh), 1) if ln]
 
 
 def _field(lines: list[tuple[int, str]], i: int, prefix: str, path, parse=str):

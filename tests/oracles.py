@@ -28,6 +28,7 @@ from qoneshot.qcore import (
     LayoutError,
     Projector,
     PureState,
+    RegisterLayout,
     as_array,
     rng_from,
     root_fidelity,
@@ -43,11 +44,11 @@ def tensor_product(a, b):
     values the factor labels must be disjoint.
     """
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(
-            ComplexMatrix(np.kron(a.a, b.a)), a.layout.concat(b.layout)
-        )
+        layout = RegisterLayout(a.layout.factors + b.layout.factors)
+        return DensityMatrix(ComplexMatrix(np.kron(a.a, b.a)), layout)
     if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.vector, b.vector), a.layout.concat(b.layout))
+        layout = RegisterLayout(a.layout.factors + b.layout.factors)
+        return PureState(np.kron(a.vector, b.vector), layout)
     if isinstance(a, Projector) and isinstance(b, Projector):
         return Projector(ComplexMatrix(np.kron(a.a, b.a)))
     if isinstance(a, ComplexMatrix) and isinstance(b, ComplexMatrix):

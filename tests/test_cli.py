@@ -255,7 +255,8 @@ class TestExitCodes:
         out = tmp_path / "d.json"
         assert run(["union-stress", "--s", "2", "--delta", "0.3", "--dim", "1000000",
                     "--trials", "1", "--seed", "7", "--out", str(out)]) == 3
-        assert "capacity error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "capacity error" in err and "1000000" in err
         assert not out.exists()
 
     def test_net_validate_fidelity_cap_is_three(self, tmp_path, monkeypatch, capsys):
@@ -486,6 +487,12 @@ class TestSubcommands:
         ]}
         want = [0.5270187603314685, 0.04820553965595062, 0.0, 0.0]
         assert max(abs(a - b) for a, b in zip(overlaps, want)) <= 1e-12
+        # one 'nan,0' entry fails the projector check: an input error, no record
+        save_matrix(f2, np.diag([np.nan, 0, 0, 0, 0, 0]))
+        assert "nan,0" in (tmp_path / "p2.txt").read_text()
+        bad = tmp_path / "nan.json"
+        assert run(["jordan-inspect", "--p1", f1, "--p2", f2, "--out", str(bad)]) == 2
+        assert not bad.exists()
 
     def test_compound_sim(self, tmp_path, files):
         out = str(tmp_path / "c.json")

@@ -61,6 +61,7 @@ from qoneshot.qcore import (
     RegisterLayout,
     haar_unitary,
     maximally_entangled,
+    random_channel,
     random_density,
     rng_from,
     unitary_channel,
@@ -120,8 +121,9 @@ class TestDomainTypes:
             CodeParams(1.0, EPS, 1.0)
 
     def test_report_validates_errors(self):
-        with pytest.raises(ValueError, match="outside"):
-            SimulationReport((1.5,), 0.35, 1.0, (0,), 2, True, 0.0)
+        for bad in (1.5, math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                SimulationReport((bad,), 0.35, 1.0, (0,), 2, True, 0.0)
         rep = SimulationReport((0.1, -1e-12), 0.35, 1.0, (0, 1), 2, True, 0.0)
         assert rep.per_channel_error == (0.1, 0.0)
         rec = rep.to_record()
@@ -207,12 +209,17 @@ class TestHayashiNagaoka:
             assert cert["min_gap_eigenvalue"] >= -ATOL
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="positive"):
-            hayashi_nagaoka_check(0.5 * np.eye(2), np.zeros((2, 2)), 0.0)
+        nan = np.diag([math.nan, 0.0])
+        for c in (0.0, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                hayashi_nagaoka_check(0.5 * np.eye(2), np.zeros((2, 2)), c)
         with pytest.raises(ValueError, match="0 <= S <= I"):
             hayashi_nagaoka_check(1.5 * np.eye(2), np.zeros((2, 2)), 1.0)
         with pytest.raises(ValueError, match="semidefinite"):
             hayashi_nagaoka_check(0.5 * np.eye(2), -0.1 * np.eye(2), 1.0)
+        for s, t in ((nan, np.zeros((2, 2))), (0.5 * np.eye(2), nan)):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hayashi_nagaoka_check(s, t, 1.0)
         with pytest.raises(LayoutError):
             hayashi_nagaoka_check(0.5 * np.eye(2), np.zeros((3, 3)), 1.0)
 
@@ -280,6 +287,18 @@ class TestRateFormulas:
         base, _ = hypothesis_test_divergence(joint.a, ref, EPS)
         penalty = math.log2(2.0) * math.log2(ETA / 6.0) + math.log2(EPS / 4.0)
         assert abs(got - (base + penalty)) < 1e-8
+
+    def test_informed_family_validates_each_state_once(self, monkeypatch):
+        """Per member one density, its two marginals and its two outputs,
+        and the averaged partner: 11 validated states for two members."""
+        from qoneshot import qcore
+
+        cc = CompoundChannel(tuple(random_channel(QUBIT_IN, QUBIT_OUT, 2, seed) for seed in (5, 6)))
+        checked = []
+        check = qcore._check_states
+        monkeypatch.setattr(qcore, "_check_states", lambda a: checked.append(a.shape) or check(a))
+        _informed_family(cc, [schmidt_state(0.3), schmidt_state(0.7)])
+        assert len(checked) == 11
 
     def test_informed_identical_members_collapse(self):
         psi = maximally_entangled(2, ("a", "r"))
@@ -542,6 +561,9 @@ class TestRequestValidation:
             simulate_informed(cc, [psi, psi], CodeParams(0.0, EPS, ETA), true_channel=-1)
         with pytest.raises(ValueError, match="message"):
             simulate_informed(cc, [psi, psi], CodeParams(0.0, EPS, ETA), message=2)
+        three = PureState(np.eye(8)[0], RegisterLayout.of("a:2 r:2 c:2"))
+        with pytest.raises(LayoutError, match="exactly two registers"):
+            simulate_uninformed(cc, CodeParams(0.0, EPS, ETA, three))
 
 
 def every_omega_oracle(merged, dims, band, num_messages):

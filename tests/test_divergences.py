@@ -685,6 +685,22 @@ class TestIHHat:
         assert oracle >= hat - 1e-6  # the oracle scans a subset of mixtures
         assert oracle - hat <= 5e-3
 
+    def test_two_vertex_scan_validates_only_its_mixtures(self, monkeypatch):
+        """One validated sigma_B per scanned weight, 51 on the grid and 27 in
+        the golden-section polish, and no marginal of rho."""
+        from qoneshot import qcore
+
+        rng = rng_from(74)
+        rho = random_density(4, rng, layout=_qubit_layout())
+        mk = lambda lbl: random_density(2, rng, layout=RegisterLayout.of(lbl))
+        s_a = StateEnsemble((mk("s:2"), mk("s:2")))
+        s_b = StateEnsemble((mk("t:2"), mk("t:2")))
+        checked = []
+        check = qcore._check_states
+        monkeypatch.setattr(qcore, "_check_states", lambda a: checked.append(a.shape) or check(a))
+        i_h_hat(rho, s_a, s_b, 0.2)
+        assert len(checked) == 78
+
     @pytest.mark.parametrize("k", [3, 4])
     def test_lattice_order_matches_recursive_enumeration(self, k, monkeypatch):
         """Three or more vertices are scanned on the step-1/10 lattice in the
@@ -717,8 +733,9 @@ class TestResultTypes:
     def test_test_operator_validation(self):
         with pytest.raises(ValueError):
             TestOperator(ComplexMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])), 0.1, 0.5)
-        with pytest.raises(ValueError):
-            TestOperator(ComplexMatrix(np.diag([1.5, 0.0])), 0.1, 0.5)
+        for bad in (np.diag([1.5, 0.0]), np.diag([math.nan, 0.0])):
+            with pytest.raises(ValueError):
+                TestOperator(ComplexMatrix(bad), 0.1, 0.5)
 
     def test_ensemble_validation_and_mixing(self):
         lay = RegisterLayout.of("s:2")

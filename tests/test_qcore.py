@@ -32,11 +32,9 @@ from qoneshot.qcore import (
     maximally_entangled,
     partial_trace,
     pauli_channel_family,
-    permute_registers,
     random_channel,
     random_density,
     random_projector,
-    random_pure_state,
     rng_from,
     spectral,
     whiten,
@@ -76,7 +74,7 @@ def test_layout_rejects_duplicates_and_bad_dims():
 
 
 def test_layout_capacity_cap():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="total layout dimension 8192 exceeds the cap 4096"):
         RegisterLayout.of("a:4096 b:2")
     with pytest.raises(CapacityError):
         # 2^64 qubit dimensions: an int64 product would wrap to 0
@@ -109,6 +107,9 @@ def test_density_matrix_rejects_bad_trace_and_negativity():
 def test_projector_rejects_non_idempotent():
     with pytest.raises(ValueError):
         Projector.of(np.diag([0.5, 0.5]))
+    # a NaN entry fails the check as an error beyond the tolerance does
+    with pytest.raises(ValueError, match="not Hermitian"):
+        Projector.of(np.diag([np.nan, 0.0]))
     p = Projector.of(np.diag([1.0, 0.0]))
     assert p.rank == 1
 
@@ -128,14 +129,16 @@ def test_as_array_reads_every_matrix_carrying_type():
 
 
 def test_pure_state_norm_check():
-    with pytest.raises(ValueError):
-        PureState(np.array([1.0, 1.0]), qubit_layout("a"))
+    for v in ([1.0, 1.0], [np.nan, 0.0]):
+        with pytest.raises(ValueError):
+            PureState(np.array(v), qubit_layout("a"))
 
 
 def test_channel_completeness_check():
     lay = qubit_layout("a")
-    with pytest.raises(ValueError):
-        Channel((np.eye(2) * 0.5,), lay, qubit_layout("b"))
+    for k in (np.eye(2) * 0.5, np.diag([np.nan, 1.0])):
+        with pytest.raises(ValueError):
+            Channel((k,), lay, qubit_layout("b"))
     ch = Channel((np.eye(2),), lay, qubit_layout("b"))
     assert ch.dim_in == ch.dim_out == 2
 
@@ -257,29 +260,8 @@ def test_partial_trace_unknown_label():
 
 
 # ---------------------------------------------------------------------------
-# register permutation
+# operator placement on registers
 # ---------------------------------------------------------------------------
-
-def test_permute_matches_kron_swap():
-    rho = random_density(2, 21, layout=qubit_layout("a"))
-    sig = random_density(3, 22, layout=RegisterLayout.of("b:3"))
-    joint = tensor_product(rho, sig)
-    swapped = permute_registers(joint, ["b", "a"])
-    np.testing.assert_allclose(swapped.a, np.kron(sig.a, rho.a), atol=1e-12)
-    assert swapped.layout.header() == "b:3 a:2"
-
-
-def test_permute_pure_state_round_trip():
-    psi = random_pure_state(8, 4, layout=RegisterLayout.of("a:2 b:2 c:2"))
-    back = permute_registers(permute_registers(psi, ["c", "a", "b"]), ["a", "b", "c"])
-    np.testing.assert_allclose(back.vector, psi.vector, atol=1e-15)
-
-
-def test_permute_rejects_non_permutation():
-    rho = random_density(4, 0, layout=RegisterLayout.of("a:2 b:2"))
-    with pytest.raises(LayoutError):
-        permute_registers(rho, ["a", "a"])
-
 
 class TestOperatorAssembly:
     def test_arrange_matches_permuted_kron(self):
@@ -553,25 +535,41 @@ def test_state_file_round_trip_keeps_layout(tmp_path):
     back = qcore.load_state(path)
     np.testing.assert_array_equal(back.a, rho.a)
     assert back.layout == rho.layout
+    # a whole-line and a trailing '#' comment leave the bytes as they are
+    lines = path.read_text().splitlines()
+    lines[1] += "  # two qubits"
+    path.write_text("\n".join(["# a saved state", *lines]) + "\n")
+    back = qcore.load_state(path)
+    np.testing.assert_array_equal(back.a, rho.a)
+    assert back.layout == rho.layout
 
 
 def test_channel_file_round_trip(tmp_path):
     ch = random_channel(RegisterLayout.of("a:2"), RegisterLayout.of("b:3"), 2, 42)
     path = tmp_path / "ch.txt"
     qcore.save_channel(path, ch)
-    back = qcore.load_channel(path)
-    assert len(back.kraus) == 2
-    for k1, k2 in zip(back.kraus, ch.kraus):
-        np.testing.assert_array_equal(k1, k2)
-    assert back.in_layout == ch.in_layout and back.out_layout == ch.out_layout
+    plain = path.read_text()
+    lines = plain.splitlines()
+    lines[3] += " # first Kraus operator"
+    commented = "\n".join(["# a saved channel", *lines]) + "\n"
+    for text in (plain, commented):
+        path.write_text(text)
+        back = qcore.load_channel(path)
+        assert len(back.kraus) == 2
+        for k1, k2 in zip(back.kraus, ch.kraus):
+            np.testing.assert_array_equal(k1, k2)
+        assert back.in_layout == ch.in_layout and back.out_layout == ch.out_layout
 
 
 def test_parse_errors_name_the_file_and_its_line(tmp_path):
-    """Line numbers count blank lines; a bad entry, a misspelled header and
-    a bad layout each name ``path:line``, a layout error keeping its type."""
+    """Line numbers count blank and comment lines; a bad entry, a misspelled
+    header and a bad layout each name ``path:line``, a layout error keeping
+    its type."""
     cases = {
         "entry": ("dim 2\nlayout a:2\n1,0 0,0\n0,0 x\n", qcore.load_state,
                   ":4: expected an re,im entry, got 'x'"),
+        "comment": ("dim 2\nlayout a:2\n1,0 0,0\n# the last row\n0,0 x\n", qcore.load_state,
+                    ":5: expected an re,im entry, got 'x'"),
         "header": ("dim 2\nlayot a:2\n1,0 0,0\n0,0 0,0\n", qcore.load_state,
                    ":2: expected an re,im entry, got 'layot'"),
         "layout": ("dim 2\nlayout a:two\n1,0 0,0\n0,0 0,0\n", qcore.load_state,
