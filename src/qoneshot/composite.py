@@ -160,8 +160,8 @@ def composite_record(inst: CompositeInstance, value: float, test: TestOperator,
         "n": inst.n,
         "epsilon": inst.epsilon,
         "value_bits": value,
-        "type1_residuals": [1.0 - x for x in _traces(test.a, inst.nulls)],
-        "type2_per_vertex": _traces(test.a, inst.alts),
+        "type1_residuals": (1.0 - _traces(test.a, inst.nulls)).tolist(),
+        "type2_per_vertex": _traces(test.a, inst.alts).tolist(),
         "iterations": test.iterations,
         "certificate_gap_bits": test.certificate_gap_bits,
     }
@@ -225,7 +225,7 @@ def _eigenbasis_test(rmats, qmats, eps, w, lam):
     c = _lift_acceptance(p, np.clip(lp.x[:dim], 0.0, 1.0), 1.0 - eps)
     mat = (vecs * c) @ vecs.conj().T
     mat = 0.5 * (mat + mat.conj().T)
-    return mat, max(_traces(mat, qmats))
+    return mat, float(np.max(_traces(mat, qmats)))
 
 
 def beta_exact(inst: CompositeInstance) -> tuple[float, TestOperator]:
@@ -309,8 +309,8 @@ def build_universal_test(inst: CompositeInstance, delta: float,
     ground = merge_tests([t for _, t in per_prototype], delta / union_depth(size))[::2]
     block = ground @ ground.conj().T
     block = 0.5 * (block + block.conj().T)
-    type1 = max(1.0 - x for x in _traces(block, inst.nulls))
-    level = max(_traces(block, inst.alts))
+    type1 = float(np.max(1.0 - _traces(block, inst.nulls)))
+    level = float(np.max(_traces(block, inst.alts)))
     value = bits(level)
     penalty = (
         4.0 * math.log2(size) * math.log2(math.log2(size) / delta) if size > 1 else 0.0

@@ -16,6 +16,7 @@ All logarithms are base 2; values are in bits.  A support violation in
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -109,10 +110,14 @@ class StateEnsemble:
 
     def mix(self, weights: Sequence[float]) -> np.ndarray:
         w = np.asarray(weights, dtype=float)
-        if w.size != len(self.vertices) or np.any(w < -1e-12):
+        if (w.size != len(self.vertices) or not np.all(np.isfinite(w))
+                or np.any(w < -1e-12)):
             raise ValueError("weights must be a distribution over the vertices")
         w = np.clip(w, 0.0, None)
-        w = w / w.sum()
+        total = w.sum()
+        if not total > 0.0:
+            raise ValueError("weights must have a positive sum")
+        w = w / total
         return sum(wi * v.a for wi, v in zip(w, self.vertices))
 
 
@@ -133,9 +138,12 @@ def divergence_record(quantity: str, inputs: dict, value: float, test: TestOpera
     return rec
 
 
-def _traces(m: np.ndarray, ops) -> list[float]:
-    """``Tr[m x]`` for each ``x`` in ``ops``; a Type-1 error is ``1 - Tr[m R]``."""
-    return [float(np.trace(m @ x).real) for x in ops]
+def _traces(m: np.ndarray, ops) -> np.ndarray:
+    """``Tr[m x]`` for each ``x`` of the ``(k, d, d)`` stack ``ops`` (or a
+    sequence of ``d x d`` arrays); a Type-1 error is ``1 - Tr[m R]``.  An
+    elementwise product and sum, with no BLAS contraction over the stack,
+    so the result does not depend on the BLAS thread count."""
+    return (np.asarray(ops) * m.T).sum(axis=(1, 2)).real
 
 
 def _certified(m: np.ndarray, nulls, level: float, dual: float, iterations: int,
@@ -151,7 +159,7 @@ def _certified(m: np.ndarray, nulls, level: float, dual: float, iterations: int,
     value, upper = bits(level), bits(dual)
     return value, TestOperator(
         matrix=ComplexMatrix(m),
-        type1_error=max(1.0 - x for x in _traces(m, nulls)),
+        type1_error=float(np.max(1.0 - _traces(m, nulls))),
         type2_bound=level,
         threshold=threshold,
         iterations=iterations,
@@ -275,24 +283,28 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
     """
     target = 1.0 - eps
     iters = 2
-    jumps = _jump_points(r, s)
+    jumps = _jump_points(r, s).tolist()
 
     def pieces(t: float, band: float):
+        # eigenvalues ascend, so {|w| <= band} is the run [lo_cut, cut) and
+        # {w > band} the suffix from cut; diag holds (V^dag r V)_kk
         nonlocal iters
         iters += 1
         w, v = np.linalg.eigh(r - t * s)
-        pos = v[:, w > band]
-        bnd = v[:, np.abs(w) <= band]
-        t_pos = float(np.einsum("ij,ij->", pos.conj(), r @ pos).real)
-        t_bnd = float(np.einsum("ij,ij->", bnd.conj(), r @ bnd).real)
-        return pos, bnd, t_pos, t_bnd
+        diag = (v.conj() * (r @ v)).sum(axis=0).real.tolist()
+        w = w.tolist()
+        lo_cut, cut = bisect.bisect_left(w, -band), bisect.bisect_right(w, band)
+        return math.fsum(diag[cut:]), math.fsum(diag[lo_cut:cut]), (v, lo_cut, cut)
 
-    def close(pos, bnd, t_pos, t_bnd):
+    def close(t_pos, t_bnd, basis):
+        v, lo_cut, cut = basis
         frac = 0.0
         if t_bnd > 1e-300:
             frac = min(1.0, max(0.0, (target - t_pos) / t_bnd))
+        pos = v[:, cut:]
         m = pos @ pos.conj().T
-        if frac > 0.0 and bnd.shape[1]:
+        if frac > 0.0 and cut > lo_cut:
+            bnd = v[:, lo_cut:cut]
             m = m + frac * (bnd @ bnd.conj().T)
         return m
 
@@ -310,10 +322,11 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
     gaps: list[float] = []
     in_tail = False
     for _ in range(300):
-        inside = jumps[(jumps > lo) & (jumps < hi)]
+        # the jumps inside (lo, hi) are jumps[i:j]
+        i, j = bisect.bisect_right(jumps, lo), bisect.bisect_left(jumps, hi)
         secant = False
-        if inside.size:
-            t = float(inside[inside.size // 2])
+        if i < j:
+            t = jumps[(i + j) // 2]
         elif hi == math.inf:
             if not in_tail:
                 in_tail = True
@@ -339,9 +352,9 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
                 t = (lo + hi + 2.0 * lo * hi) / (2.0 + lo + hi)
                 if not lo < t < hi:
                     t = 0.5 * (lo + hi)
-        pos, bnd, t_pos, t_bnd = pieces(t, EDGE)
+        t_pos, t_bnd, basis = pieces(t, EDGE)
         if t_pos <= target <= t_pos + t_bnd:
-            m, thr = close(pos, bnd, t_pos, t_bnd), t
+            m, thr = close(t_pos, t_bnd, basis), t
             break
         side = 1 if t_pos > target else -1
         f_new = t_pos if side > 0 else t_pos + t_bnd
@@ -356,7 +369,7 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
                 w_lo *= k if k > 0.0 else 0.5
         moved = side if secant else 0
         if side > 0:
-            lo, f_lo, w_lo, at_lo = t, f_new, 1.0, (pos, bnd, t_pos, t_bnd)
+            lo, f_lo, w_lo, at_lo = t, f_new, 1.0, (t_pos, t_bnd, basis)
         else:
             hi, f_hi, w_hi = t, f_new, 1.0
         if hi < math.inf and (f_lo - f_hi <= 1e-12 or hi - lo <= 8e-16 * (1.0 + hi)):
@@ -461,6 +474,7 @@ def _best_mixture(nulls, alts, eps, w0=None):
     Returns (mu, w, beta, M, threshold, per_alternative, solves).
     """
     kn, ka = len(nulls), len(alts)
+    null_stack, alt_stack = np.asarray(nulls), np.asarray(alts)
     cut = kn if kn >= 2 else 0  # x[:cut] weighs the nulls
     size = cut + (ka if ka >= 2 else 0)  # x[cut:] weighs the alternatives
     solves = 0
@@ -479,15 +493,15 @@ def _best_mixture(nulls, alts, eps, w0=None):
         w = simplex(x[cut:], ka) if size > cut else one
         key = np.round(np.concatenate([mu, w]), 13).tobytes()
         if key not in memo:
-            r = nulls[0] if kn == 1 else sum(mi * q for mi, q in zip(mu, nulls))
-            sigma = sum(wi * p for wi, p in zip(w, alts))
+            r = null_stack[0] if kn == 1 else (mu[:, None, None] * null_stack).sum(axis=0)
+            sigma = (w[:, None, None] * alt_stack).sum(axis=0)
             beta, m, thr, _ = _np_solve(r, sigma, eps)
             solves += 1
-            per = np.array(_traces(m, alts))
+            per = _traces(m, alt_stack)
             grad = per[: size - cut]
             if cut:
                 inv_t = 0.0 if math.isinf(thr) else 1.0 / thr
-                grad = np.concatenate([-inv_t * np.array(_traces(m, nulls)), grad])
+                grad = np.concatenate([-inv_t * _traces(m, null_stack), grad])
             memo[key] = (beta, grad)
             if best is None or beta > best[0]:
                 best = (beta, np.concatenate([mu[:cut], w[: size - cut]]), mu, w, m, thr, per)

@@ -639,8 +639,9 @@ class TestModuleEntry:
 
 class TestBlasThreadDeterminism:
     def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path, files):
-        """The decoder is the library's heaviest BLAS user, and the union
-        multiplies carried range bases; their records must be
+        """The decoder is the library's heaviest BLAS user, the union
+        multiplies carried range bases, and the mixture optimizer sums
+        traces over stacked operators; their records must be
         byte-identical under one and two OpenBLAS threads."""
         channels = f"{files['ident']},{files['flip']}"
         other = str(tmp_path / "psi2.txt")
@@ -673,6 +674,11 @@ class TestBlasThreadDeterminism:
                       "--trials", "3", "--seed", "5"],
             # the stacked samples and net of the composite_family workload
             "net": ["net-validate", "--deficit", "0.1", "--samples", "3000", "--seed", "5"],
+            # the Neyman-Pearson solver and the mixture optimizer on unitary
+            # members; damped members are left out, since their records
+            # still part between thread counts inside scipy's SLSQP
+            "rates": ["rates", "--channels", channels, "--eps", "0.2", "--eta", "0.05",
+                      "--sweep-step", "0.25"],
         }
         outputs = {}
         for threads in ("1", "2"):
