@@ -76,6 +76,7 @@ from .qcore import (
     Projector,
     PureState,
     RegisterLayout,
+    _eigh,
     _read_lines,
     load_channel,
     load_matrix,
@@ -149,7 +150,7 @@ def _json_default(x):
 
 def _load_pure(path: str) -> PureState:
     dm = load_state(path)  # checks Hermiticity, so eigh reads the top eigenpair
-    w, v = np.linalg.eigh(dm.a)
+    w, v = _eigh(dm.a)
     if w[-1] < 1.0 - 1e-9:
         raise ValueError(f"{path}: expected a pure state, top weight {w[-1]:.6f}")
     return PureState(v[:, -1], dm.layout)

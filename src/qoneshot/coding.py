@@ -45,6 +45,8 @@ from .qcore import (
     RegisterLayout,
     _apply,
     _arrange,
+    _eigh,
+    _eigvalsh,
     _hermitian_error,
     apply_channel,
     as_array,
@@ -232,12 +234,12 @@ def hayashi_nagaoka_check(s, t, c: float) -> dict:
         herm = float(_hermitian_error(x))
         if not herm <= ATOL:
             raise ValueError(f"{name} is not Hermitian (|X - X^dag| = {herm:.3e})")
-    ws = np.linalg.eigvalsh(ss)
+    ws = _eigvalsh(ss)
     if not (ws[0] >= -ATOL and ws[-1] <= 1.0 + ATOL):
         raise ValueError(
             f"S must satisfy 0 <= S <= I, eigenvalues span [{ws[0]:.3e}, {ws[-1]:.3e}]"
         )
-    wt = np.linalg.eigvalsh(tt)
+    wt = _eigvalsh(tt)
     if not wt[0] >= -ATOL:
         raise ValueError(f"T must be positive semidefinite, min eigenvalue {wt[0]:.3e}")
     d = ss.shape[0]
@@ -246,12 +248,12 @@ def hayashi_nagaoka_check(s, t, c: float) -> dict:
     rhs = (1.0 + c) * (np.eye(d) - ss) + (2.0 + c + 1.0 / c) * tt
     gap = rhs - lhs
     gap = 0.5 * (gap + gap.conj().T)
-    wg = np.linalg.eigvalsh(gap)
+    wg = _eigvalsh(gap)
     if not wg[0] >= -ATOL:
         raise ValueError(f"operator inequality violated: min gap eigenvalue {wg[0]:.3e}")
     return {
         "min_gap_eigenvalue": float(wg[0]),
-        "max_lhs_eigenvalue": float(np.linalg.eigvalsh(0.5 * (lhs + lhs.conj().T))[-1]),
+        "max_lhs_eigenvalue": float(_eigvalsh(0.5 * (lhs + lhs.conj().T))[-1]),
         "c": float(c),
         "dim": d,
     }
@@ -517,7 +519,7 @@ def _ground_omega(
     total = lam(eye)
     for op, targets in terms:
         total += _apply(op, eye, dims, targets)
-    w, v = np.linalg.eigh(total)
+    w, v = _eigh(total)
     inv = np.where(w > _KERNEL_CUTOFF, 1.0 / np.sqrt(np.clip(w, _KERNEL_CUTOFF, None)), 0.0)
     root = (v * inv) @ v[::2].conj().T
     return root.conj().T @ lam(root), w
@@ -793,12 +795,12 @@ def informed_finite_blocking_bounds(
     for name, margs, blocked in (("partner", marg_r, mu), ("output", marg_b, omega)):
         bound = factor * tensor_power(blocked, blocks)
         powers = [tensor_power(m, n) for m in margs]
-        vertex = [float(np.linalg.eigvalsh(bound - p)[0]) for p in powers]
+        vertex = [float(_eigvalsh(bound - p)[0]) for p in powers]
         mixture = []
         for _ in range(3):
             w = rng.dirichlet(np.ones(s))
             mix = sum(wi * p for wi, p in zip(w, powers))
-            mixture.append(float(np.linalg.eigvalsh(bound - mix)[0]))
+            mixture.append(float(_eigvalsh(bound - mix)[0]))
         worst = min(vertex + mixture)
         if worst < -ATOL:
             raise ValueError(

@@ -47,6 +47,7 @@ from .qcore import (
     LayoutError,
     RegisterLayout,
     _check_states,
+    _eigh,
     _freeze,
     _gaussian_states,
     content_hash,
@@ -205,7 +206,7 @@ def _eigenbasis_test(rmats, qmats, eps, w, lam):
     its level is computed from the repaired test."""
     d = sum(l * r for l, r in zip(lam, rmats))
     d = d - sum(wj * q for wj, q in zip(w, qmats))
-    _, vecs = np.linalg.eigh(d)
+    _, vecs = _eigh(d)
     p = np.stack([np.einsum("ki,ij,jk->k", vecs.conj().T, r, vecs).real for r in rmats])
     q = np.stack([np.einsum("ki,ij,jk->k", vecs.conj().T, s, vecs).real for s in qmats])
     dim = vecs.shape[0]

@@ -30,6 +30,8 @@ from .qcore import (
     ComplexMatrix,
     DensityMatrix,
     LayoutError,
+    _eigh,
+    _eigvalsh,
     _hermitian_error,
     _sandwich,
     as_array,
@@ -79,7 +81,7 @@ class TestOperator:
         a = self.matrix.entries
         if not _hermitian_error(a) <= ATOL:
             raise ValueError("test operator is not Hermitian within tolerance")
-        w = np.linalg.eigvalsh(a)
+        w = _eigvalsh(a)
         if not (w[0] >= -ATOL and w[-1] <= 1 + ATOL):
             raise ValueError(
                 f"test operator eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] outside [0, 1]"
@@ -221,7 +223,7 @@ def d_max(rho, sigma) -> float:
     r, _, white, inside = _supported(rho, sigma)
     if not inside:
         return math.inf
-    return math.log2(float(np.linalg.eigvalsh(white.conj().T @ r @ white)[-1]))
+    return math.log2(float(_eigvalsh(white.conj().T @ r @ white)[-1]))
 
 
 def i_max(rho: DensityMatrix) -> float:
@@ -245,9 +247,14 @@ def _jump_points(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     supp r; mu = 1: outside supp s) give no finite jump.  Two eigensolves.
     """
     white = whiten(r + s, EDGE)[0]
-    mu = np.linalg.eigvalsh(white.conj().T @ r @ white)
+    mu = _eigvalsh(white.conj().T @ r @ white)
     mu = mu[(mu > EDGE) & (mu < 1.0 - EDGE)]
-    return np.unique(mu / (1.0 - mu))
+    # mu ascends and mu / (1 - mu) is monotone in IEEE arithmetic, so the
+    # thresholds ascend and the distinct ones are the first of each run
+    t = mu / (1.0 - mu)
+    first = np.ones(t.size, dtype=bool)
+    first[1:] = t[1:] != t[:-1]
+    return t[first]
 
 
 def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
@@ -290,7 +297,7 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
         # {w > band} the suffix from cut; diag holds (V^dag r V)_kk
         nonlocal iters
         iters += 1
-        w, v = np.linalg.eigh(r - t * s)
+        w, v = _eigh(r - t * s)
         diag = (v.conj() * (r @ v)).sum(axis=0).real.tolist()
         w = w.tolist()
         lo_cut, cut = bisect.bisect_left(w, -band), bisect.bisect_right(w, band)
@@ -309,8 +316,9 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
         return m
 
     def widened(lo: float, hi: float, at_lo):
-        # degenerate bracket: widen the boundary band to its scale
-        band = max(EDGE, 4.0 * (hi - lo) * float(np.linalg.norm(s, 2)))
+        # degenerate bracket: widen the boundary band to its scale; s is
+        # positive semidefinite, so its norm is its largest eigenvalue
+        band = max(EDGE, 4.0 * (hi - lo) * float(_eigvalsh(s)[-1]))
         return close(*(at_lo if band == EDGE and at_lo is not None else pieces(lo, band)))
 
     lo, f_lo, at_lo = 0.0, float(np.trace(r).real), None
@@ -555,7 +563,7 @@ def _ih_rounds(rho: DensityMatrix, eps: float, gap_tol: float):
         total_solves += solves
         beta_best = max(beta_best, beta)
         g = _conditional_operator(m, sq_b, d_a, d_b)
-        lam_all, vecs = np.linalg.eigh(g)
+        lam_all, vecs = _eigh(g)
         lam = float(lam_all[-1])
         if m_best is None or lam < lam_best - 1e-12 * max(1.0, lam):
             lam_best, m_best, stale = lam, m, 0

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergences import TestOperator
-from .qcore import ATOL, LayoutError, Projector, _freeze
+from .qcore import ATOL, LayoutError, Projector, _eigh, _freeze
 
 FAR = "far"
 NEAR = "near"
@@ -68,7 +68,7 @@ class JordanDecomposition:
 
 def _range_basis(p: Projector) -> np.ndarray:
     """Orthonormal columns spanning the range of p."""
-    w, v = np.linalg.eigh(p.a)
+    w, v = _eigh(p.a)
     return v[:, w > 0.5]
 
 
@@ -129,7 +129,7 @@ def jordan_decompose(p1: Projector, p2: Projector, delta: float) -> JordanDecomp
     # joint kernel: one-dimensional blocks invisible to both projectors
     used = [c for block in blocks for c in block[0]]
     basis = np.stack(used, axis=1) if used else np.zeros((d, 0))
-    w, v = np.linalg.eigh(np.eye(d) - basis @ basis.conj().T)
+    w, v = _eigh(np.eye(d) - basis @ basis.conj().T)
     blocks += [([k], zero, zero, 0.0) for k in v[:, w > 0.5].T]
     cols, r1, r2, overlaps = zip(*blocks)
     return JordanDecomposition(
@@ -258,7 +258,7 @@ def neumark_dilate(m: TestOperator) -> np.ndarray:
     ancilla-ground rows are ``V diag(sqrt w)`` and its excited rows
     ``V diag(sqrt(1 - w))``.  So R R^dag's ancilla-ground block is ``M``
     (checked): on ``rho (x) |0><0|`` it accepts as the test does on ``rho``."""
-    w, v = np.linalg.eigh(m.a)
+    w, v = _eigh(m.a)
     wc = np.clip(w, 0.0, 1.0)
     err = float(np.max(np.abs((v * wc) @ v.conj().T - m.a)))
     if not err <= 4.0 * ATOL:

@@ -23,6 +23,7 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 #: absolute tolerance for structural checks (Hermiticity, traces, idempotence)
 ATOL = 1e-9
@@ -48,6 +49,34 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of each
+    Hermitian matrix of the ``(..., d, d)`` ndarray ``a``, read from its
+    lower triangle in double precision.  This calls the LAPACK gufunc that
+    ``np.linalg.eigh`` calls, so the result is bitwise that function's,
+    without its per-call wrapping; every eigensolve in the package goes
+    through here or ``_eigvalsh``.  Raises ``LinAlgError`` on a NaN entry
+    and where LAPACK fails (numpy then also warns of an invalid value)."""
+    w, v = _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+    return _solved(a, w), v
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues of ``_eigh``, without the eigenvectors."""
+    w = _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+    return _solved(a, w)
+
+
+def _solved(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # a failed solve comes back all NaN; at d = 2 LAPACK turns a NaN on the
+    # diagonal into finite eigenvalues, so the input is checked as well (its
+    # sum of squared moduli is NaN when an entry is)
+    norm2 = np.vdot(a, a)
+    if norm2 != norm2 or math.isnan(sum(w.ravel().tolist())):
+        raise np.linalg.LinAlgError("eigensolve of a matrix with a NaN entry, or no convergence")
+    return w
 
 
 def _hermitian_error(a: np.ndarray) -> np.ndarray:
@@ -173,7 +202,7 @@ def _check_states(a: np.ndarray) -> None:
     bad = (abs(tr.real - 1.0) > ATOL) | (abs(tr.imag) > ATOL)
     if bad.any():
         raise ValueError(f"density matrix trace {tr[bad][0]} != 1")
-    wmin = np.linalg.eigvalsh(a)[..., 0].reshape(-1)
+    wmin = _eigvalsh(a)[..., 0].reshape(-1)
     if (wmin < -ATOL).any():
         raise ValueError(f"density matrix has negative eigenvalue {float(wmin[wmin < -ATOL][0])}")
 
@@ -437,7 +466,7 @@ def apply_channel(
 def spectral(a, f, cutoff: float = 0.0) -> np.ndarray:
     """``V f(w) V^dag`` from one eigensolve of a Hermitian ``a``, with ``f``
     applied to the eigenvalues above ``cutoff`` and zero on the rest."""
-    w, v = np.linalg.eigh(as_array(a))
+    w, v = _eigh(as_array(a))
     fw = np.zeros_like(w)
     fw[w > cutoff] = f(w[w > cutoff])
     return (v * fw) @ v.conj().T
@@ -447,7 +476,7 @@ def whiten(a, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """``(W, K)`` from one eigensolve of a positive semidefinite ``a``: ``W``
     scales the eigenvectors above ``cutoff`` times the largest eigenvalue so
     that ``W^dag a W = I``; ``K`` holds the rest (the kernel), orthonormal."""
-    w, v = np.linalg.eigh(as_array(a))
+    w, v = _eigh(as_array(a))
     keep = w > cutoff * w[-1]
     return v[:, keep] / np.sqrt(w[keep]), v[:, ~keep]
 

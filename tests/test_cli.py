@@ -5,6 +5,7 @@ subcommand."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -590,6 +591,44 @@ class TestSubcommands:
                     "--seed", "7", "--out", out]) == 0
         rec = read(out)
         assert rec["results"]["covered"] and rec["results"]["within_budget"]
+
+
+class TestOneEigensolverEntry:
+    def test_commands_never_call_numpy_eigensolvers(self, tmp_path, files, monkeypatch,
+                                                    eigensolves):
+        """With numpy's own eigh and eigvalsh made to raise, one command of
+        each kind still succeeds: every eigensolve goes through qcore's
+        entry point, and each command but union-stress (whose trials
+        eigensolve nothing) makes some there."""
+        def bypassed(*args, **kwargs):
+            raise AssertionError("an eigensolve bypassed qcore's entry point")
+
+        monkeypatch.setattr(np.linalg, "eigh", bypassed)
+        monkeypatch.setattr(np.linalg, "eigvalsh", bypassed)
+        channels = f"{files['ident']},{files['flip']}"
+        commands = {
+            "rates": ["rates", "--channels", channels, "--state", files["psi"], "--eps", "0.2",
+                      "--eta", "0.05", "--gap-tol", "1e-4"],
+            "composite": ["composite", "--s1", f"{files['ground']},{files['excited']}",
+                          "--s2", files["mixed"], "--n", "1", "--eps", "0.2", "--delta", "0.1"],
+            "compound-sim": ["compound-sim", "--channels", channels, "--state", files["psi"],
+                             "--rate", "0", "--eps", "0.2", "--eta", "0.05"],
+            "union-stress": ["union-stress", "--s", "3", "--delta", "0.3", "--dim", "3",
+                             "--trials", "5", "--seed", "7"],
+        }
+        for name, argv in commands.items():
+            eigensolves.clear()
+            assert run([*argv, "--out", str(tmp_path / f"{name}.json")]) == 0, name
+            assert bool(eigensolves) == (name != "union-stress"), name
+
+    def test_no_source_file_calls_numpy_eigensolvers(self):
+        calls = [
+            f"{path.name}:{n}"
+            for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"linalg\.eig(vals)?h\s*\(", line)
+        ]
+        assert calls == []
 
 
 def test_parser_built_per_command_keeps_help_and_errors(capsys, monkeypatch):

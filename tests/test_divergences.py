@@ -550,6 +550,39 @@ class TestJumpPoints:
             expected = np.sort(scipy.linalg.eigh(r, s, eigvals_only=True))
             np.testing.assert_allclose(_jump_points(r, s), expected, rtol=1e-10, atol=0)
 
+    def test_orthogonal_supports_give_no_finite_jump(self):
+        """Every direction lies outside supp r or supp s: the list is empty,
+        plain and Haar-rotated."""
+        rng = rng_from(94)
+        for _ in range(20):
+            d = int(rng.integers(2, 7))
+            k = int(rng.integers(1, d))
+            p, q = np.zeros(d), np.zeros(d)
+            p[:k], q[k:] = _probs(rng, k), _probs(rng, d - k)
+            both = (p > 0) & (q > 0)
+            expected = np.unique(p[both] / q[both])
+            u = haar_unitary(d, rng)
+            for r, s in ((np.diag(p), np.diag(q)), ((u * p) @ u.conj().T, (u * q) @ u.conj().T)):
+                jumps = _jump_points(r, s)
+                assert jumps.shape == expected.shape == (0,)
+
+    def test_equal_states_jump_once_at_one(self):
+        """r = s jumps only at t = 1, once however many directions share it:
+        states uniform on a coordinate support (every ratio rounds alike)
+        and Haar-rotated pure states."""
+        rng = rng_from(95)
+        for _ in range(20):
+            d = int(rng.integers(1, 7))
+            p = np.zeros(d)
+            p[rng.permutation(d)[: int(rng.integers(1, d + 1))]] = 1.0
+            p /= p.sum()
+            v = haar_unitary(d, rng)[:, 0]
+            expected = np.unique(p[p > 0] / p[p > 0])
+            for r in (np.diag(p), np.outer(v, v.conj())):
+                jumps = _jump_points(r, r)
+                assert jumps.shape == expected.shape == (1,)
+                np.testing.assert_allclose(jumps, expected, rtol=1e-14, atol=0)
+
 
 # ---------------------------------------------------------------------------
 # divergences minimized over one register

@@ -371,6 +371,45 @@ def test_whiten_of_zero_is_all_kernel():
     np.testing.assert_allclose(ker @ ker.conj().T, np.eye(3), atol=1e-15)
 
 
+class TestEigensolverEntry:
+    """``_eigh``/``_eigvalsh`` call numpy's private LAPACK gufunc directly;
+    a numpy that changes that kernel must fail here, not move a record."""
+
+    @staticmethod
+    def _cases():
+        rng = rng_from(43)
+        for d in range(1, 129):
+            g = rng.normal(size=(d, d))
+            yield g + g.T
+            g = g + 1j * rng.normal(size=(d, d))
+            yield g + g.conj().T
+        g = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        yield g + g.conj().swapaxes(-1, -2)
+
+    def test_bitwise_equal_to_numpy(self):
+        for a in self._cases():
+            w, v = qcore._eigh(a)
+            want_w, want_v = np.linalg.eigh(a)
+            for got, want in ((w, want_w), (v, want_v), (qcore._eigvalsh(a), np.linalg.eigvalsh(a))):
+                assert got.dtype == want.dtype and got.shape == want.shape, a.shape
+                assert got.flags.c_contiguous and want.flags.c_contiguous, a.shape
+                assert got.tobytes() == want.tobytes(), a.shape
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_in_the_lower_triangle_raises(self):
+        """At d <= 2 LAPACK passes the NaN through and ``np.linalg.eigh``
+        returns NaN eigenvalues; at d = 4 LAPACK fails.  Both raise here."""
+        rng = rng_from(44)
+        for d in (1, 2, 4):
+            for dtype in (float, complex):
+                for i, j in zip(*np.tril_indices(d)):
+                    a = np.eye(d, dtype=dtype) + 0.1 * rng.random((d, d))
+                    a[i, j] = np.nan
+                    for solve in (qcore._eigh, qcore._eigvalsh):
+                        with pytest.raises(np.linalg.LinAlgError):
+                            solve(a)
+
+
 # ---------------------------------------------------------------------------
 # channels
 # ---------------------------------------------------------------------------
