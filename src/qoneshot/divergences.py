@@ -257,26 +257,41 @@ def _jump_points(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     return t[first]
 
 
-def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
+def _slope(t: float, w: np.ndarray, v: np.ndarray, rv: np.ndarray, k: int) -> float:
+    """f'(t) of f(t) = Tr[r {r - t s > 0}] at ``w, v = eigh(r - t s)``,
+    ``rv = r v``, counting ``w[k:]`` as positive: V^dag (r - t s) V is
+    diagonal, so off it V^dag s V = V^dag r V / t, and eigenvector
+    perturbation gives -(2/t) sum_{i >= k > j} |(V^dag r V)_ij|^2 / (w_i - w_j)."""
+    x = v[:, k:].conj().T @ rv[:, :k]
+    return -2.0 / t * float(((x.real ** 2 + x.imag ** 2) / (w[k:, None] - w[:k])).sum())
+
+
+def _np_solve(r: np.ndarray, s: np.ndarray, eps: float, t0: float | None = None):
     """Optimal test for Tr[M r] >= 1 - eps minimizing Tr[M s].
 
-    Returns (beta, M, threshold, iterations); ``iterations`` counts every
-    eigensolve.  The optimal test is {r - t s > 0} plus a fractional weight
-    on the boundary block {r - t s = 0} (Wang-Renner, arXiv:1007.5456).  Its
-    Type-1 curve f(t) = Tr[r {r - t s > 0}] does not increase with t, jumps
-    only at the finite generalized eigenvalues of (r, s), and is smooth in
-    between.  One loop finds the threshold, keeping a bracket lo < hi with
-    f(lo+) > 1 - eps > f(hi-):
+    Returns (beta, M, threshold, iterations, smooth); ``iterations`` counts
+    every eigensolve, and ``smooth`` is whether the solve closed on a smooth
+    piece, where its threshold makes a good ``t0`` for a nearby solve.  The
+    optimal test is {r - t s > 0} plus a fractional weight on the boundary
+    block {r - t s = 0} (Wang-Renner, arXiv:1007.5456).  Its Type-1 curve
+    f(t) = Tr[r {r - t s > 0}] does not increase with t, jumps only at the
+    finite generalized eigenvalues of (r, s), and is smooth in between.  One
+    loop keeps a bracket lo < hi with f(lo+) > 1 - eps > f(hi-).  A Newton
+    step (``_slope``) from the probed end nearest f = 1 - eps + 5e-13 aims
+    there; it may follow only a probe that halved that distance:
 
-    1. ``_jump_points`` lists the jumps (two eigensolves);
-    2. a binary search probes the jumps inside the bracket; at a jump the
-       ``EDGE`` band gives both one-sided limits of f from one eigensolve,
-       and a target inside the jump closes there with a fractional
-       boundary block that meets the Type-1 constraint exactly;
-    3. on the smooth piece left between two jumps, a regula-falsi secant
-       with Anderson-Bjorck weights (the Illinois family) converges, with a
-       bisection step whenever f(lo+) - f(hi-) has not halved over three
-       steps (the safeguard of Brent 1973);
+    1. ``t0``, if finite and positive (else ignored), is probed first, and
+       Newton steps follow while they may;
+    2. the bracket is a smooth piece when r - t s has as many eigenvalues
+       above the ``EDGE`` band just above lo as just below hi (they do not
+       increase with t, so none crossed zero), or when no listed jump lies
+       in it.  Otherwise ``_jump_points`` lists the jumps (two eigensolves,
+       once), and a binary search probes those inside; at a jump the band
+       gives both one-sided limits of f from one eigensolve, and a target
+       inside the jump closes there with a fractional boundary block that
+       meets the Type-1 constraint exactly;
+    3. on a smooth piece, a Newton step that may not be taken or would
+       leave the open bracket is a bisection in mu = t / (1 + t) instead;
     4. past the last jump f tends to Tr[r P], P the projector onto ker(s)
        (from ``whiten``: one eigensolve of s, computed only here).  If
        that meets the target, D_H = +inf exactly: the test is P, with
@@ -284,13 +299,13 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
        below the target; if rounding keeps it above up to 2^200, the test
        at 2^200 is reported.
 
-    A bracket narrower than 1e-12 in f, or than 8e-16 (1 + hi) in t, closes
-    at lo with the boundary band widened to the bracket's scale, so the
-    returned test meets Tr[M r] >= 1 - eps with no solver slack.
+    A bracket whose lo end was probed within 1e-12 above the target closes
+    there.  One narrower than 1e-12 in f, or than 8e-16 (1 + hi) in t,
+    closes at lo with the boundary band widened to the bracket's scale.
+    Either way the returned test meets Tr[M r] >= 1 - eps with no solver
+    slack.
     """
-    target = 1.0 - eps
-    iters = 2
-    jumps = _jump_points(r, s).tolist()
+    target, iters, jumps = 1.0 - eps, 0, None
 
     def pieces(t: float, band: float):
         # eigenvalues ascend, so {|w| <= band} is the run [lo_cut, cut) and
@@ -298,13 +313,14 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
         nonlocal iters
         iters += 1
         w, v = _eigh(r - t * s)
-        diag = (v.conj() * (r @ v)).sum(axis=0).real.tolist()
-        w = w.tolist()
-        lo_cut, cut = bisect.bisect_left(w, -band), bisect.bisect_right(w, band)
-        return math.fsum(diag[cut:]), math.fsum(diag[lo_cut:cut]), (v, lo_cut, cut)
+        rv = r @ v
+        diag = (v.conj() * rv).sum(axis=0).real.tolist()
+        ws = w.tolist()
+        lo_cut, cut = bisect.bisect_left(ws, -band), bisect.bisect_right(ws, band)
+        return math.fsum(diag[cut:]), math.fsum(diag[lo_cut:cut]), (t, w, v, rv, lo_cut, cut)
 
     def close(t_pos, t_bnd, basis):
-        v, lo_cut, cut = basis
+        _, _, v, _, lo_cut, cut = basis
         frac = 0.0
         if t_bnd > 1e-300:
             frac = min(1.0, max(0.0, (target - t_pos) / t_bnd))
@@ -315,71 +331,81 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
             m = m + frac * (bnd @ bnd.conj().T)
         return m
 
+    def newton():
+        # from the end nearest the aim, counting as positive the eigenvalues
+        # on f's side of it; None unless the step stays inside (lo, hi)
+        if at_hi is None or (at_lo is not None and f_lo - aim <= aim - f_hi):
+            f, (_, _, (t, w, v, rv, _, k)) = f_lo, at_lo
+        else:
+            f, (_, _, (t, w, v, rv, k, _)) = f_hi, at_hi
+        slope = _slope(t, w, v, rv, k)
+        if slope < 0.0:
+            t = t + (aim - f) / slope
+            if lo < t < hi:
+                return t
+        return None
+
     def widened(lo: float, hi: float, at_lo):
         # degenerate bracket: widen the boundary band to its scale; s is
         # positive semidefinite, so its norm is its largest eigenvalue
         band = max(EDGE, 4.0 * (hi - lo) * float(_eigvalsh(s)[-1]))
         return close(*(at_lo if band == EDGE and at_lo is not None else pieces(lo, band)))
 
+    aim = target + 5e-13
     lo, f_lo, at_lo = 0.0, float(np.trace(r).real), None
-    hi, f_hi = math.inf, 0.0
-    # secant weights on f_lo - target and f_hi - target; `moved` is +1 (-1)
-    # when the last step was a secant step that moved lo (hi), else 0
-    w_lo = w_hi = 1.0
-    moved = 0
-    gaps: list[float] = []
-    in_tail = False
+    hi, f_hi, at_hi = math.inf, 0.0, None
+    # least |f - aim| over the probes, and whether the last probe failed
+    # to halve it (then no Newton step follows)
+    near, stalled, in_tail, smooth = math.inf, False, False, True
+    t = t0 if t0 is not None and 0.0 < t0 < math.inf else None
     for _ in range(300):
-        # the jumps inside (lo, hi) are jumps[i:j]
-        i, j = bisect.bisect_right(jumps, lo), bisect.bisect_left(jumps, hi)
-        secant = False
-        if i < j:
-            t = jumps[(i + j) // 2]
-        elif hi == math.inf:
-            if not in_tail:
-                in_tail = True
-                iters += 1
-                ker = whiten(s, EDGE)[1]
-                kernel = ker @ ker.conj().T
-                if float(np.trace(r @ kernel).real) >= target:
-                    # D_H = +inf: ker(s) alone meets the Type-1 constraint
-                    return 0.0, kernel, math.inf, iters
-            t = max(1.0, math.ldexp(1.0, math.frexp(lo)[1]))
-            if t >= 2.0**200:
-                # rounding kept f above the target although Tr[r P] is below it
-                m = close(*pieces(t, EDGE))
-                beta = float(np.trace(m @ s).real)
-                return beta, m, t, iters
-        else:
-            gaps.append(f_lo - f_hi)
-            g_lo, g_hi = w_lo * (f_lo - target), w_hi * (f_hi - target)
-            t = lo + (hi - lo) * g_lo / (g_lo - g_hi)
-            secant = lo < t < hi and not (len(gaps) > 3 and gaps[-1] > 0.5 * gaps[-4])
-            if not secant:
+        if t is None:
+            # lo's count of eigenvalues above the band against hi's at or above -band
+            on_piece = at_lo is not None and at_hi is not None and at_lo[2][5] == at_hi[2][4]
+            if not stalled and (on_piece or (jumps is None and near < math.inf)):
+                t = newton()
+            if t is None and not on_piece:
+                if jumps is None:
+                    iters += 2
+                    jumps = _jump_points(r, s).tolist()
+                # the jumps inside (lo, hi) are jumps[i:j]
+                i, j = bisect.bisect_right(jumps, lo), bisect.bisect_left(jumps, hi)
+                if i < j:
+                    t = jumps[(i + j) // 2]
+                elif hi == math.inf:
+                    if not in_tail:
+                        in_tail = True
+                        iters += 1
+                        ker = whiten(s, EDGE)[1]
+                        kernel = ker @ ker.conj().T
+                        if float(np.trace(r @ kernel).real) >= target:
+                            # D_H = +inf: ker(s) alone meets the Type-1 constraint
+                            return 0.0, kernel, math.inf, iters, False
+                    t = max(1.0, math.ldexp(1.0, math.frexp(lo)[1]))
+                    if t >= 2.0**200:
+                        # rounding kept f above the target although Tr[r P] is below it
+                        m = close(*pieces(t, EDGE))
+                        return float(np.trace(m @ s).real), m, t, iters, False
+                elif not stalled:
+                    t = newton()
+            if t is None:
                 # bisect in mu = t / (1 + t), which stays balanced when hi >> lo
                 t = (lo + hi + 2.0 * lo * hi) / (2.0 + lo + hi)
                 if not lo < t < hi:
                     t = 0.5 * (lo + hi)
         t_pos, t_bnd, basis = pieces(t, EDGE)
         if t_pos <= target <= t_pos + t_bnd:
-            m, thr = close(t_pos, t_bnd, basis), t
+            m, thr, smooth = close(t_pos, t_bnd, basis), t, False
             break
-        side = 1 if t_pos > target else -1
-        f_new = t_pos if side > 0 else t_pos + t_bnd
-        if not secant:
-            w_lo = w_hi = 1.0
-        elif side == moved:
-            # the other end was kept twice: shrink its weight (Anderson-Bjorck)
-            k = 1.0 - (f_new - target) / ((f_lo if side > 0 else f_hi) - target)
-            if side > 0:
-                w_hi *= k if k > 0.0 else 0.5
-            else:
-                w_lo *= k if k > 0.0 else 0.5
-        moved = side if secant else 0
-        if side > 0:
-            lo, f_lo, w_lo, at_lo = t, f_new, 1.0, (t_pos, t_bnd, basis)
+        if t_pos > target:
+            lo, f_lo, at_lo = t, t_pos, (t_pos, t_bnd, basis)
         else:
-            hi, f_hi, w_hi = t, f_new, 1.0
+            hi, f_hi, at_hi = t, t_pos + t_bnd, (t_pos, t_bnd, basis)
+        gap = abs((t_pos if t_pos > target else t_pos + t_bnd) - aim)
+        stalled, near, t = gap > 0.5 * near, min(near, gap), None
+        if at_lo is not None and f_lo - target <= 1e-12:
+            m, thr = close(*at_lo), lo
+            break
         if hi < math.inf and (f_lo - f_hi <= 1e-12 or hi - lo <= 8e-16 * (1.0 + hi)):
             m, thr = widened(lo, hi, at_lo), lo
             break
@@ -387,7 +413,7 @@ def _np_solve(r: np.ndarray, s: np.ndarray, eps: float):
         m, thr = widened(lo, hi, at_lo), lo
     m = 0.5 * (m + m.conj().T)
     beta = float(np.trace(m @ s).real)
-    return beta, m, thr, iters
+    return beta, m, thr, iters, smooth
 
 
 def hypothesis_test_divergence(rho, sigma, eps: float) -> tuple[float, TestOperator]:
@@ -401,7 +427,7 @@ def hypothesis_test_divergence(rho, sigma, eps: float) -> tuple[float, TestOpera
     r, s = as_array(rho), as_array(sigma)
     if r.shape != s.shape:
         raise LayoutError(f"dimension mismatch {r.shape} vs {s.shape}")
-    beta, m, thr, iters = _np_solve(r, s, eps)
+    beta, m, thr, iters, _ = _np_solve(r, s, eps)
     return _certified(m, [r], beta, beta, iters, thr)
 
 
@@ -452,7 +478,7 @@ def _conditional_operator(m: np.ndarray, sq_b: np.ndarray, d_a: int, d_b: int) -
     return 0.5 * (out + out.conj().T)
 
 
-def _best_mixture(nulls, alts, eps, w0=None):
+def _best_mixture(nulls, alts, eps, w0=None, t0=None):
     """Maximize beta(mu, w) = beta_NP(mix_mu(nulls) || mix_w(alts)) over
     both simplices, one ``_np_solve`` per evaluation.
 
@@ -477,7 +503,9 @@ def _best_mixture(nulls, alts, eps, w0=None):
     So one sequential solve from the uniform start (or ``w0`` for the
     alternatives) finds the maximum.  Only a family of two or more
     operators carries weights.  Evaluations are memoized because value
-    and gradient are requested at the same points.
+    and gradient are requested at the same points.  SLSQP moves in small
+    steps, so each solve starts at the threshold of the one before when
+    that closed on a smooth piece, and the first at ``t0``.
 
     Returns (mu, w, beta, M, threshold, per_alternative, solves).
     """
@@ -496,14 +524,15 @@ def _best_mixture(nulls, alts, eps, w0=None):
         return np.ones(k) / k if tot <= 0 else v / tot
 
     def evaluate(x):
-        nonlocal solves, best
+        nonlocal solves, t0, best
         mu = simplex(x[:cut], kn) if cut else one
         w = simplex(x[cut:], ka) if size > cut else one
         key = np.round(np.concatenate([mu, w]), 13).tobytes()
         if key not in memo:
             r = null_stack[0] if kn == 1 else (mu[:, None, None] * null_stack).sum(axis=0)
             sigma = (w[:, None, None] * alt_stack).sum(axis=0)
-            beta, m, thr, _ = _np_solve(r, sigma, eps)
+            beta, m, thr, _, smooth = _np_solve(r, sigma, eps, t0)
+            t0 = thr if smooth else None  # the next solve's start
             solves += 1
             per = _traces(m, alt_stack)
             grad = per[: size - cut]
@@ -551,7 +580,7 @@ def _ih_rounds(rho: DensityMatrix, eps: float, gap_tol: float):
     r = rho.a
     sq_b = spectral(rho_b, np.sqrt)
     prods = [np.kron(rho_a, rho_b)]
-    w0 = None
+    w0 = t0 = None  # each round starts from the weights and threshold of the last
     total_solves = 0
     lam_best = math.inf
     m_best = None
@@ -559,7 +588,7 @@ def _ih_rounds(rho: DensityMatrix, eps: float, gap_tol: float):
     stale = 0
     for _ in range(_MAX_ROUNDS):
         yield bits(lam_best), None
-        _, w, beta, m, _, _, solves = _best_mixture([r], prods, eps, w0)
+        _, w, beta, m, t0, _, solves = _best_mixture([r], prods, eps, w0, t0)
         total_solves += solves
         beta_best = max(beta_best, beta)
         g = _conditional_operator(m, sq_b, d_a, d_b)

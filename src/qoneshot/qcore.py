@@ -15,6 +15,7 @@ convention: for factors ``a:2 b:3`` the basis is ``|00>, |01>, |02>, |10>,
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -51,21 +52,44 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+#: OpenBLAS's ``eigh`` changes bitwise with the thread count from about this
+#: many rows on, so eigensolves that large run on one thread
+_SERIAL_ROWS = 112
+try:  # numpy's OpenBLAS thread count, reached through its LAPACK kernel's library
+    _blas = ctypes.CDLL(_umath_linalg.__file__)
+    _GET_THREADS = ctypes.CFUNCTYPE(ctypes.c_int)(("scipy_openblas_get_num_threads64_", _blas))
+    _SET_THREADS = ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads64_", _blas))
+except (OSError, AttributeError):
+    _GET_THREADS = _SET_THREADS = None
+
+
+def _lapack(kernel, a: np.ndarray, signature: str):
+    if a.shape[-1] < _SERIAL_ROWS or _SET_THREADS is None:
+        return kernel(a, signature=signature)
+    threads = _GET_THREADS()
+    _SET_THREADS(1)
+    try:
+        return kernel(a, signature=signature)
+    finally:
+        _SET_THREADS(threads)
+
+
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors (columns) of each
     Hermitian matrix of the ``(..., d, d)`` ndarray ``a``, read from its
     lower triangle in double precision.  This calls the LAPACK gufunc that
     ``np.linalg.eigh`` calls, so the result is bitwise that function's,
     without its per-call wrapping; every eigensolve in the package goes
-    through here or ``_eigvalsh``.  Raises ``LinAlgError`` on a NaN entry
-    and where LAPACK fails (numpy then also warns of an invalid value)."""
-    w, v = _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+    through here or ``_eigvalsh``, on one BLAS thread from ``_SERIAL_ROWS``
+    rows on.  Raises ``LinAlgError`` on a NaN entry and where LAPACK fails
+    (numpy then also warns of an invalid value)."""
+    w, v = _lapack(_umath_linalg.eigh_lo, a, "D->dD" if a.dtype.kind == "c" else "d->dd")
     return _solved(a, w), v
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """The eigenvalues of ``_eigh``, without the eigenvectors."""
-    w = _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+    w = _lapack(_umath_linalg.eigvalsh_lo, a, "D->d" if a.dtype.kind == "c" else "d->d")
     return _solved(a, w)
 
 

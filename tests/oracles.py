@@ -218,7 +218,7 @@ def min_dh_over_bloch_grid(
     r = rho.a
 
     def value_at(pt) -> float:
-        beta, _, _, _ = _np_solve(r, np.kron(bloch_density(*pt), rho_b), eps)
+        beta = _np_solve(r, np.kron(bloch_density(*pt), rho_b), eps)[0]
         return bits(beta)
 
     best_v, best_p = math.inf, None
@@ -269,7 +269,7 @@ def min_dh_over_weight_grids(
     r = rho.a
     for ta in mixtures(s_a):
         for sb in mixtures(s_b):
-            beta, _, _, _ = _np_solve(r, np.kron(ta, sb), eps)
+            beta = _np_solve(r, np.kron(ta, sb), eps)[0]
             best = min(best, bits(beta))
     return best
 

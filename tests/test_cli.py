@@ -21,6 +21,7 @@ from qoneshot.qcore import (
     PureState,
     RegisterLayout,
     maximally_entangled,
+    random_density,
     random_projector,
     rng_from,
     save_channel,
@@ -523,7 +524,8 @@ class TestSubcommands:
         assert rec["checks"]["converse_dominates"]
         assert point["converse"] >= point["achievable"]
 
-    def test_rates_sweep_solves_each_member_once_per_point(self, tmp_path, files, monkeypatch):
+    def test_rates_sweep_solves_each_member_once_per_point(self, tmp_path, files, monkeypatch,
+                                                           eigensolves):
         from qoneshot import divergences
 
         starts, solves = [], []
@@ -540,6 +542,9 @@ class TestSubcommands:
         # member is certainly above the other: 106 solves when both ran to the end
         assert len(starts) == 2 * 9
         assert len(solves) == 86
+        # every eigensolve of the command: 819 when each solve started cold
+        # from its jump list and closed smooth pieces by a secant
+        assert len(eigensolves) == 525
 
     def test_rates_requires_exactly_one_input_mode(self, files):
         assert run(["rates", "--channels", files["ident"], "--eps", "0.2",
@@ -679,10 +684,14 @@ class TestModuleEntry:
 class TestBlasThreadDeterminism:
     def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path, files):
         """The decoder is the library's heaviest BLAS user, the union
-        multiplies carried range bases, and the mixture optimizer sums
-        traces over stacked operators; their records must be
-        byte-identical under one and two OpenBLAS threads."""
+        multiplies carried range bases, the mixture optimizer sums traces
+        over stacked operators, and the Neyman-Pearson slope multiplies
+        eigenvectors; their records must be byte-identical under one and
+        two OpenBLAS threads."""
         channels = f"{files['ident']},{files['flip']}"
+        pairs = [str(tmp_path / f"full{k}.txt") for k in range(4)]
+        for k, path in enumerate(pairs):
+            save_matrix(path, random_density(4, rng_from(40 + k)))
         other = str(tmp_path / "psi2.txt")
         vec = rng_from(11).normal(size=4) + 1j * rng_from(12).normal(size=4)
         save_matrix(other, PureState(vec / np.linalg.norm(vec), RegisterLayout.of("a:2 r:2")).density())
@@ -696,16 +705,18 @@ class TestBlasThreadDeterminism:
                          "--states", f"{files['psi']},{files['psi']}", "--rate", "1",
                          "--eps", "0.2", "--eta", "0.05"],
             # two distinct partners in bands of 2 on the spin-block decoder;
-            # 2 messages keep its one block 64 wide (OpenBLAS 0.3.31's eigh
-            # is bit-identical under one and two threads up to about 96
-            # wide, and not from 112 on)
+            # 2 messages keep its one block 64 wide
             "informed_band": ["informed-sim", "--channels", channels,
                               "--states", f"{files['psi']},{other}", "--rate", "1",
                               "--eps", "0.2", "--eta", "0.05"],
+            # 4 messages make 256-wide blocks: OpenBLAS 0.3.31's eigh is
+            # bit-identical under one and two threads up to about 96 wide,
+            # and not from 112 on, so qcore solves such matrices on one
+            "informed_wide": ["informed-sim", "--channels", channels,
+                              "--states", f"{files['psi']},{other}", "--rate", "2",
+                              "--eps", "0.2", "--eta", "0.05"],
             # a qutrit partner keeps the decoder on the full register space,
-            # 2 x 3^2 x 2 = 36 wide; at --rate 2 it would be 324 wide, where
-            # decoder_min_kept_eigenvalue changes in its last digits between
-            # one and two threads
+            # 2 x 3^2 x 2 = 36 wide
             "dense": ["compound-sim", "--channels", channels, "--state", qutrit,
                       "--rate", "1", "--eps", "0.2", "--eta", "0.05"],
             "pauli": ["pauli-example", "--eps", "0.1"],
@@ -718,6 +729,11 @@ class TestBlasThreadDeterminism:
             # still part between thread counts inside scipy's SLSQP
             "rates": ["rates", "--channels", channels, "--eps", "0.2", "--eta", "0.05",
                       "--sweep-step", "0.25"],
+            # the solver alone on full-rank pairs, where it steps by the slope
+            "dh": ["divergence", "--kind", "dh", "--rho", pairs[0], "--sigma", pairs[1],
+                   "--eps", "0.2"],
+            "dh_2": ["divergence", "--kind", "dh", "--rho", pairs[2], "--sigma", pairs[3],
+                     "--eps", "0.05"],
         }
         outputs = {}
         for threads in ("1", "2"):

@@ -24,6 +24,8 @@ from qoneshot.divergences import (
     classical_np_value,
     _certified,
     _jump_points,
+    _np_solve,
+    _slope,
     _traces,
     d_max,
     divergence_record,
@@ -461,9 +463,9 @@ class TestNeymanPearsonSolver:
             assert abs(value - classical_np_value(p, q, eps)) <= 1e-9
 
     def test_eigensolves_per_solve_on_oracle_set(self, np_oracle_runs):
-        # 3,080 when this bound was set (7.7 per solve); the bisection
+        # 2,556 when this bound was set (6.4 per solve); the bisection
         # needs 38-44 per solve on this set
-        assert sum(test.iterations for *_, (_, test), _ in np_oracle_runs) <= 3080
+        assert sum(test.iterations for *_, (_, test), _ in np_oracle_runs) <= 2556
 
     def test_repeated_ratio_closes_on_a_two_wide_boundary_block(self):
         """Commuting pairs whose likelihood ratio repeats on two directions,
@@ -521,9 +523,64 @@ class TestNeymanPearsonSolver:
         rho = random_density(4, rng, layout=_qubit_layout())
         prod = np.kron(rho.marginal({"a"}).a, rho.marginal({"b"}).a)
         _, test = hypothesis_test_divergence(rho.a, prod, 0.2)
-        assert test.iterations == 13  # eigensolves; 40 with the bisection
+        assert test.iterations == 9  # eigensolves; 40 with the bisection
         _, test = i_h(rho, 0.2)
-        assert test.iterations == 97  # Neyman-Pearson solves
+        assert test.iterations == 96  # Neyman-Pearson solves
+
+    def test_slope_matches_central_difference(self):
+        """``_slope`` at points inside the smooth pieces of the oracle pairs
+        (below the first jump, between jumps in mu = t / (1 + t), and past
+        the last) against a central difference of f(t) = Tr[r {r - t s > 0}]
+        whose two points see the same eigenvalue signs."""
+
+        def probe(r, s, t):
+            w, v = np.linalg.eigh(r - t * s)
+            k = int(np.searchsorted(w, 0.0, side="right"))
+            return w, v, k, float(np.einsum("ij,ij->", v[:, k:].conj(), (r @ v)[:, k:]).real)
+
+        checked = 0
+        for shape, r, s, eps in _np_oracle_set():
+            mus = [j / (1.0 + j) for j in _jump_points(r, s)]
+            edges = [0.0, *mus, 1.0]
+            for a, b in zip(edges, edges[1:]):
+                mu = 0.5 * (a + b)
+                t, h = mu / (1.0 - mu), 1e-6 * mu / (1.0 - mu)
+                w, v, k, _ = probe(r, s, t)
+                (_, _, k_up, f_up), (_, _, k_dn, f_dn) = probe(r, s, t + h), probe(r, s, t - h)
+                if np.min(np.abs(w)) <= 1e-6 or not k_up == k_dn == k:
+                    continue
+                diff = (f_up - f_dn) / (2.0 * h)
+                # f is rounded to about 1e-14 through its eigenvectors: 1e-14 / h in diff
+                assert abs(_slope(t, w, v, r @ v, k) - diff) <= 1e-6 * abs(diff) + 1e-14 / h, (shape, t)
+                checked += 1
+        assert checked >= 1000
+
+    def test_any_start_threshold_gives_the_cold_result(self, np_oracle_runs):
+        """Started at each jump, between jumps, below the first and 10x past
+        the last, every solve meets Type-1 <= eps and the bisection's beta;
+        it still returns ker(s) at +inf where D_H = +inf, and on commuting
+        pairs, whose f is flat between jumps, it still closes at a jump."""
+        for shape, r, s, eps, (value, _), (beta, _) in np_oracle_runs:
+            jumps = _jump_points(r, s)
+            starts = [*jumps, *(0.5 * (jumps[1:] + jumps[:-1]))]
+            starts += [0.5 * jumps[0], 10.0 * jumps[-1]] if jumps.size else [1.0]
+            cold = _np_solve(r, s, eps)
+            for t0 in starts:
+                b, m, thr, _, smooth = _np_solve(r, s, eps, t0)
+                assert 1.0 - float(np.trace(m @ r).real) <= eps + 1e-15, (shape, t0)
+                assert abs(b - beta) <= TOL_NP * abs(beta) + 1e-15, (shape, t0)
+                if value == math.inf:
+                    assert (b, thr, smooth) == (0.0, math.inf, False)
+                    np.testing.assert_array_equal(m, cold[1])
+                if shape == "commuting":  # at a listed jump, or at a start inside one
+                    assert (thr in jumps or thr == t0) and not smooth, t0
+
+    @pytest.mark.parametrize("t0", [0.0, -1.0, math.inf, math.nan])
+    def test_start_threshold_not_finite_and_positive_is_ignored(self, t0):
+        for _, r, s, eps in _np_oracle_set()[:40]:
+            cold, warm = _np_solve(r, s, eps), _np_solve(r, s, eps, t0)
+            assert (warm[0], warm[2:]) == (cold[0], cold[2:])
+            np.testing.assert_array_equal(warm[1], cold[1])
 
 
 class TestJumpPoints:

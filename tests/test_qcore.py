@@ -6,6 +6,7 @@ traces, and scipy's matrix square root for fidelities.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -386,14 +387,55 @@ class TestEigensolverEntry:
         g = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
         yield g + g.conj().swapaxes(-1, -2)
 
+    @staticmethod
+    def _threads(n, solve, a):
+        """``solve(a)`` with numpy's OpenBLAS on ``n`` threads, restored after."""
+        old = qcore._GET_THREADS()
+        qcore._SET_THREADS(n)
+        try:
+            return solve(a)
+        finally:
+            qcore._SET_THREADS(old)
+
     def test_bitwise_equal_to_numpy(self):
+        """From ``_SERIAL_ROWS`` rows on, against numpy on one BLAS thread."""
         for a in self._cases():
             w, v = qcore._eigh(a)
-            want_w, want_v = np.linalg.eigh(a)
-            for got, want in ((w, want_w), (v, want_v), (qcore._eigvalsh(a), np.linalg.eigvalsh(a))):
+            if a.shape[-1] >= qcore._SERIAL_ROWS and qcore._SET_THREADS is not None:
+                (want_w, want_v), want = (self._threads(1, f, a) for f in (np.linalg.eigh,
+                                                                         np.linalg.eigvalsh))
+            else:
+                (want_w, want_v), want = np.linalg.eigh(a), np.linalg.eigvalsh(a)
+            for got, want in ((w, want_w), (v, want_v), (qcore._eigvalsh(a), want)):
                 assert got.dtype == want.dtype and got.shape == want.shape, a.shape
                 assert got.flags.c_contiguous and want.flags.c_contiguous, a.shape
                 assert got.tobytes() == want.tobytes(), a.shape
+
+    @pytest.mark.skipif(qcore._SET_THREADS is None, reason="numpy's BLAS has no thread setter")
+    def test_large_solves_run_on_one_blas_thread(self, monkeypatch):
+        """Under two threads, the kernel sees one thread for a matrix of
+        ``_SERIAL_ROWS`` rows and two for one row fewer, and two are back
+        after each solve."""
+        seen = []
+
+        def recording(kernel):
+            def solve(a, **kwargs):
+                seen.append(qcore._GET_THREADS())
+                return kernel(a, **kwargs)
+            return solve
+
+        real = qcore._umath_linalg
+        monkeypatch.setattr(qcore, "_umath_linalg", types.SimpleNamespace(
+            eigh_lo=recording(real.eigh_lo), eigvalsh_lo=recording(real.eigvalsh_lo)))
+
+        def solve_all(_):
+            for d in (qcore._SERIAL_ROWS - 1, qcore._SERIAL_ROWS):
+                for solve in (qcore._eigh, qcore._eigvalsh):
+                    solve(np.eye(d))
+                    seen.append(qcore._GET_THREADS())
+
+        self._threads(2, solve_all, None)
+        assert seen == [2, 2, 2, 2, 1, 2, 1, 2]
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nan_in_the_lower_triangle_raises(self):
