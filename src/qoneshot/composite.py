@@ -18,7 +18,8 @@ largest beta_NP over both mixtures: the same maximization, on the same
 exact Neyman-Pearson solver, that ``i_h`` and ``i_h_tilde`` run with a
 single null (``divergences._best_mixture``).  An explicit optimal test is
 then rebuilt by a linear program in the eigenbasis of the dual's threshold
-operator.  ``build_universal_test`` assembles a
+operator, solved by the module's own simplex (``_test_lp``, no external LP
+solver) as the least-trace optimal test.  ``build_universal_test`` assembles a
 single test for the whole family by the dilate/union/compress route: one
 near-optimal test per prototype state, each dilated to an isometry with a
 shared ancilla qubit, merged by the projector union on range bases, and
@@ -34,7 +35,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.optimize
 
 from .divergences import (StateEnsemble, TestOperator, _best_mixture, _certified, _traces,
                           bits)
@@ -62,6 +62,10 @@ MAX_TOTAL_DIM = 64
 MAX_FIDELITY_ENTRIES = 2 ** 26
 #: most of them it holds at once: samples are drawn and scored in blocks
 FIDELITY_BLOCK = 2 ** 16
+#: most simplex steps ``_test_lp`` takes; a random 64-column program takes 281
+MAX_PIVOTS = 1000
+#: zero for ``_test_lp``'s reduced costs and pivots, and for its value ties
+_LP_TOL, _LP_TIE = 1e-12, 1e-15
 
 QUBIT = RegisterLayout.of("a:2")
 
@@ -183,7 +187,8 @@ def _lift_acceptance(p: np.ndarray, c: np.ndarray, floor: float) -> np.ndarray:
     ``i`` by ``alpha (sum(p_i) - p_i . c)`` and raises any Type-2 level by
     at most ``alpha``.  ``alpha`` aims a few ulps above ``floor`` so that
     rounding in the quotient and in the lifted rows cannot leave a row
-    short.  ``c`` is returned untouched when every row already holds."""
+    short.  ``c`` is returned untouched when every row already holds, as
+    it does after ``_test_lp`` unless its solves round a row short."""
     accept = p @ c
     short = accept < floor
     if not np.any(short):
@@ -194,36 +199,77 @@ def _lift_acceptance(p: np.ndarray, c: np.ndarray, floor: float) -> np.ndarray:
     return c + min(1.0, alpha) * (1.0 - c)
 
 
+def _test_lp(p: np.ndarray, q: np.ndarray, floor: float) -> tuple[np.ndarray, int]:
+    """Weights ``c`` of a least-level diagonal test, and the pivot count:
+    minimize t over ``q c <= t``, ``p c >= floor``, ``0 <= c <= 1``, then
+    with t held at its optimum minimize ``sum(c)``, so that the test of
+    least trace among the optimal ones is returned whatever the path.
+
+    A bounded-variable primal simplex on ``q c - t + s = 0``,
+    ``p c - u = floor`` (slacks ``s, u >= 0``) that solves with each basis
+    afresh, so no rounding builds up.  It starts at ``c = 1``, feasible as
+    each row of ``p`` sums to a trace 1 above the floor.  Bland's rule
+    (least index enters, least index leaves among ties) keeps it from
+    cycling on degenerate faces.  A step is a pivot or a bound flip."""
+    (k1, dim), k2 = p.shape, len(q)
+    rows, cols = k1 + k2, dim + 1 + k1 + k2
+    a = np.zeros((rows, cols))
+    a[:, :dim], a[:k2, dim] = np.concatenate([q, p]), -1.0
+    a[:, dim + 1:] = np.diag(np.repeat([1.0, -1.0], [k2, k1]))
+    # aimed two ulps above the floor, so that rounding seldom leaves a row short
+    b = np.repeat([0.0, floor + 2.0 * np.finfo(float).eps], [k2, k1])
+    lo = np.repeat([0.0, -np.inf, 0.0], [dim, 1, rows])
+    hi = np.repeat([1.0, np.inf], [dim, 1 + rows])
+    x = np.repeat([1.0, 0.0], [dim, 1 + rows])
+    top = int(np.argmax(q.sum(axis=1)))  # t is basic in its row, slacks in the others
+    basis = np.array([dim] + [dim + 1 + r for r in range(rows) if r != top])
+    nonbasic = ~np.isin(np.arange(cols), basis)
+    cost, pivots = np.repeat([0.0, 1.0, 0.0], [dim, 1, rows]), 0
+    for _ in range(2):
+        while True:
+            rhs = b - a @ np.where(nonbasic, x, 0.0)
+            sol = np.linalg.solve(a[:, basis], np.column_stack([a, rhs]))
+            tab, x[basis] = sol[:, :-1], sol[:, -1]
+            red = cost - cost[basis] @ tab
+            enter = np.flatnonzero(nonbasic & np.where(x == hi, red > _LP_TOL, red < -_LP_TOL))
+            if not enter.size:
+                break
+            if pivots == MAX_PIVOTS:
+                raise ArithmeticError(f"test reconstruction failed: {pivots} pivots")
+            pivots, k = pivots + 1, enter[0]
+            g = np.sign(-red[k]) * tab[:, k]  # basic values fall by g per unit step
+            move = np.flatnonzero(np.abs(g) > _LP_TOL)
+            bound = np.where(g[move] > 0, lo[basis[move]], hi[basis[move]])
+            ratio = np.maximum(0.0, (x[basis[move]] - bound) / g[move])
+            step = ratio.min(initial=np.inf)
+            if step >= hi[k] - lo[k]:  # x_k reaches its other bound first
+                if math.isinf(hi[k] - lo[k]):
+                    raise ArithmeticError("test reconstruction failed: unbounded program")
+                x[k] = hi[k] if red[k] < 0 else lo[k]
+                continue
+            # ties are judged on the values the step leaves, not on the ratios
+            tied = np.flatnonzero((ratio - step) * np.abs(g[move]) <= _LP_TIE)
+            i = tied[np.argmin(basis[move[tied]])]
+            x[basis[move[i]]] = bound[i]
+            nonbasic[basis[move[i]]], nonbasic[k] = True, False
+            basis[move[i]] = k
+        hi[dim], cost = x[dim], np.repeat([1.0, 0.0], [dim, 1 + rows])
+    return np.clip(x[:dim], 0.0, 1.0), pivots
+
+
 def _eigenbasis_test(rmats, qmats, eps, w, lam):
     """Rebuild an explicit test from the dual solution: diagonalize the
-    threshold operator and optimize the acceptance weights of its
-    eigenvectors by a linear program.
-
-    HiGHS meets the acceptance rows ``p_i . c >= 1 - eps`` only to its
-    primal feasibility tolerance (about 1e-7), so its weights are then
-    repaired exactly on the diagonal data by ``_lift_acceptance``; the
-    returned test meets every acceptance constraint with no LP slack, and
-    its level is computed from the repaired test."""
+    threshold operator and weight its eigenvectors by ``_test_lp``.  An
+    acceptance row ``p_i . c >= 1 - eps`` that rounding leaves short is
+    repaired exactly on the diagonal data by ``_lift_acceptance``, and the
+    level is computed from the repaired test."""
     d = sum(l * r for l, r in zip(lam, rmats))
     d = d - sum(wj * q for wj, q in zip(w, qmats))
     _, vecs = _eigh(d)
-    p = np.stack([np.einsum("ki,ij,jk->k", vecs.conj().T, r, vecs).real for r in rmats])
-    q = np.stack([np.einsum("ki,ij,jk->k", vecs.conj().T, s, vecs).real for s in qmats])
-    dim = vecs.shape[0]
-    # variables: acceptance weights c (dim of them), then the level t
-    c_obj = np.concatenate([np.zeros(dim), [1.0]])
-    a_ub = np.block([[q, -np.ones((len(qmats), 1))], [-p, np.zeros((len(rmats), 1))]])
-    b_ub = np.concatenate([np.zeros(len(qmats)), -np.full(len(rmats), 1.0 - eps)])
-    lp = scipy.optimize.linprog(
-        c_obj,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(0.0, 1.0)] * dim + [(0.0, None)],
-        method="highs",
-    )
-    if not lp.success:
-        raise ArithmeticError(f"test reconstruction failed: {lp.message}")
-    c = _lift_acceptance(p, np.clip(lp.x[:dim], 0.0, 1.0), 1.0 - eps)
+    # p_ik and q_jk: the diagonals of V^dag R_i V and V^dag Q_j V
+    diag = (vecs.conj() * (np.stack([*rmats, *qmats]) @ vecs)).sum(axis=1).real
+    p, q = diag[:len(rmats)], diag[len(rmats):]
+    c = _lift_acceptance(p, _test_lp(p, q, 1.0 - eps)[0], 1.0 - eps)
     mat = (vecs * c) @ vecs.conj().T
     mat = 0.5 * (mat + mat.conj().T)
     return mat, float(np.max(_traces(mat, qmats)))
@@ -242,12 +288,11 @@ def beta_exact(inst: CompositeInstance) -> tuple[float, TestOperator]:
     The returned value is the one achieved by the returned test; the gap
     to the dual estimate is recorded on the test's certificate field by
     ``divergences._certified``, the constructor every solver shares.  The
-    test meets every acceptance constraint exactly, with no LP tolerance:
-    the linear program's weights are lifted toward the accept-everything
-    test by the smallest step that restores ``Tr[M rho_i] >= 1 - eps`` on
-    the eigenbasis data (see ``_eigenbasis_test``), so the reported Type-1
-    error exceeds ``eps`` by at most the rounding of the final matrix
-    products (about 1e-15).
+    test is rebuilt in the threshold operator's eigenbasis by ``_test_lp``,
+    with no solver tolerance: any acceptance row that its rounding leaves
+    short is lifted exactly on the eigenbasis data (``_lift_acceptance``),
+    so the reported Type-1 error exceeds ``eps`` by at most the rounding of
+    the final matrix products (about 1e-15).
     """
     mu, w, g_star, _, thr, _, solves = _best_mixture(inst.nulls, inst.alts, inst.epsilon)
     lam = mu * (0.0 if math.isinf(thr) else 1.0 / thr)

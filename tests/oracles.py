@@ -1,7 +1,8 @@
 """Independent oracles for cross-checking the solvers, and test helpers.
 
-Brute-force grids, restricted measurement families and linear programs that
-share no optimization path with the solvers in ``qoneshot``; per-state
+Brute-force grids, restricted measurement families and linear programs
+(HiGHS, and a simplex in exact rational arithmetic) that share no
+optimization path with the solvers in ``qoneshot``; per-state
 references for the stacked state sampler and qubit nets; the dense
 d x d forms of the union's per-trial figures and of the joint-block
 residuals; and the structural helpers
@@ -10,6 +11,7 @@ residuals; and the structural helpers
 """
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +23,7 @@ from qoneshot.divergences import (
     _split_bipartite,
     bits,
 )
-from qoneshot.composite import _sphere_layer, bloch_density
+from qoneshot.composite import _lift_acceptance, _sphere_layer, bloch_density
 from qoneshot.qcore import (
     ComplexMatrix,
     DensityMatrix,
@@ -419,3 +421,92 @@ def classical_i_h(p_ab: np.ndarray, eps: float) -> float:
     if not lp.success:
         raise ArithmeticError(f"classical I_H program failed: {lp.message}")
     return bits(lp.x[-1])
+
+
+def highs_test_weights(p: np.ndarray, q: np.ndarray, floor: float) -> np.ndarray:
+    """Reference for ``composite._test_lp``'s weights: HiGHS (through
+    ``linprog``) on minimize t subject to ``q_j . c <= t``,
+    ``p_i . c >= floor``, ``0 <= c <= 1``, clipped to the box and lifted by
+    ``composite._lift_acceptance``, since HiGHS meets the acceptance rows
+    only to its primal feasibility tolerance (about 1e-7)."""
+    dim = p.shape[1]
+    lp = scipy.optimize.linprog(
+        np.concatenate([np.zeros(dim), [1.0]]),
+        A_ub=np.block([[q, -np.ones((len(q), 1))], [-p, np.zeros((len(p), 1))]]),
+        b_ub=np.concatenate([np.zeros(len(q)), np.full(len(p), -floor)]),
+        bounds=[(0.0, 1.0)] * dim + [(0.0, None)],
+        method="highs",
+    )
+    if not lp.success:
+        raise ArithmeticError(f"test reconstruction failed: {lp.message}")
+    return _lift_acceptance(p, np.clip(lp.x[:dim], 0.0, 1.0), floor)
+
+
+def exact_test_lp(p: np.ndarray, q: np.ndarray, floor: float) -> tuple[Fraction, Fraction]:
+    """``(t*, s*)`` for ``composite._test_lp``'s program on the given floats,
+    in exact rational arithmetic: t* is the least t with ``q c <= t``,
+    ``p c >= floor``, ``0 <= c <= 1``, and s* the least ``sum(c)`` among
+    those c with ``max(q c) = t*``.
+
+    A dense-tableau simplex with Bland's rule and no tolerance anywhere; the
+    second objective runs on the optimal face, with every nonbasic column of
+    nonzero first-phase reduced cost held at its bound."""
+    (k1, dim), k2 = p.shape, len(q)
+    rows, cols = k1 + k2, dim + 1 + k1 + k2
+    tab = [[Fraction(float(v)) for v in row] for row in np.concatenate([q, p])]
+    for r, row in enumerate(tab):
+        row += [Fraction(-1 if r < k2 else 0)]
+        row += [Fraction((1 if r < k2 else -1) * (s == r)) for s in range(rows)]
+        row.append(Fraction(0 if r < k2 else Fraction(float(floor))))
+    lo = [0] * dim + [-math.inf] + [0] * rows
+    hi = [1] * dim + [math.inf] * (1 + rows)
+    x = [Fraction(1)] * dim + [Fraction(0)] * (1 + rows)
+    sums = [sum(row[:dim]) for row in tab[:k2]]
+    top = sums.index(max(sums))
+    basis = [dim if r == top else dim + 1 + r for r in range(rows)]
+    for r, col in enumerate(basis):
+        _exact_pivot(tab, r, col)
+
+    def values():
+        nonbasic = [k for k in range(cols) if k not in basis and x[k]]
+        return [row[-1] - sum(row[k] * x[k] for k in nonbasic) for row in tab]
+
+    def optimize(cost, fixed):
+        while True:
+            priced = [(cost[b], row) for b, row in zip(basis, tab) if cost[b]]
+            red = [cost[k] - sum(cb * row[k] for cb, row in priced) for k in range(cols)]
+            free = [k for k in range(cols) if k not in basis and k not in fixed]
+            enter = next((k for k in free if (red[k] > 0 if x[k] == hi[k] else red[k] < 0)),
+                         None)
+            if enter is None:
+                return red
+            sign = 1 if red[enter] < 0 else -1  # direction in which x_enter moves
+            steps = [(hi[enter] - lo[enter], -1, None)]
+            for r, (b, v) in enumerate(zip(basis, values())):
+                g = sign * tab[r][enter]  # x_b falls by g per unit step
+                limit = lo[b] if g > 0 else hi[b]
+                if g != 0 and math.isfinite(limit):
+                    steps.append(((v - limit) / g, b, r))
+            step, _, r = min(steps, key=lambda s: (s[0], s[1]))
+            if r is None:
+                x[enter] = hi[enter] if sign > 0 else lo[enter]
+                continue
+            b = basis[r]
+            x[b] = Fraction(lo[b] if sign * tab[r][enter] > 0 else hi[b])
+            _exact_pivot(tab, r, enter)
+            basis[r] = enter
+
+    red = optimize([0] * dim + [1] + [0] * rows, set())
+    fixed = {k for k in range(cols) if k not in basis and red[k] != 0}
+    optimize([1] * dim + [0] * (1 + rows), fixed)
+    final = dict(zip(basis, values()))
+    return final[dim], sum(final.get(k, x[k]) for k in range(dim))
+
+
+def _exact_pivot(tab: list, r: int, col: int) -> None:
+    pivot = tab[r][col]
+    tab[r] = [v / pivot for v in tab[r]]
+    for i, row in enumerate(tab):
+        if i != r and row[col] != 0:
+            f = row[col]
+            tab[i] = [a - f * b for a, b in zip(row, tab[r])]

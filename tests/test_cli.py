@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qoneshot import cli, composite, jordan
 from qoneshot.qcore import (
@@ -634,6 +635,29 @@ class TestOneEigensolverEntry:
             if re.search(r"linalg\.eig(vals)?h\s*\(", line)
         ]
         assert calls == []
+
+
+class TestNoHighsOnTestPath:
+    def test_composite_runs_with_scipy_lp_solvers_raising(self, tmp_path, files, monkeypatch):
+        """With scipy's HiGHS front ends made to raise, composite commands
+        with a delta floor and with a net still succeed: the test LP is
+        solved in the package."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the composite test path called HiGHS")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", forbidden)
+        monkeypatch.setattr(scipy.optimize, "milp", forbidden)
+        common = ["composite", "--s1", f"{files['ground']},{files['tilted']}",
+                  "--s2", f"{files['mixed']},{files['excited']}", "--n", "2", "--eps", "0.2"]
+        for name, extra in (("delta", ["--delta", "0.1"]),
+                            ("net", ["--delta", "0.3", "--net-deficit", "0.04"])):
+            out = tmp_path / f"{name}.json"
+            assert run([*common, *extra, "--out", str(out)]) == 0, name
+            assert read(out)["ok"], name
+
+    def test_composite_does_not_import_scipy_optimize(self):
+        source = Path(composite.__file__).read_text()
+        assert not re.search(r"scipy\.optimize|from scipy import", source)
 
 
 def test_parser_built_per_command_keeps_help_and_errors(capsys, monkeypatch):

@@ -5,8 +5,9 @@ linear program on the diagonals for commuting instances, and the separate
 Neyman-Pearson bisection solver (direct or scanned over mixture weights)
 for noncommuting ones.  The universal-test construction is verified
 against its acceptance/rejection guarantees and squeezed between the
-per-prototype floor and the relaxed exact value.  Net quality is measured
-by sampling, as it is calibrated, not proved.
+per-prototype floor and the relaxed exact value.  The eigenbasis test LP is
+checked against HiGHS and against a simplex in exact rational arithmetic.
+Net quality is measured by sampling, as it is calibrated, not proved.
 """
 
 import math
@@ -20,6 +21,8 @@ from qoneshot.composite import (
     EpsilonNet,
     _bloch_fidelity,
     _bloch_vectors,
+    _lift_acceptance,
+    _test_lp,
     beta_exact,
     build_universal_test,
     composite_record,
@@ -31,7 +34,13 @@ from qoneshot.divergences import (
     classical_np_value,
     hypothesis_test_divergence,
 )
-from oracles import classical_composite_value, gaussian_states_by_state, net_states_by_point
+from oracles import (
+    classical_composite_value,
+    exact_test_lp,
+    gaussian_states_by_state,
+    highs_test_weights,
+    net_states_by_point,
+)
 from qoneshot.qcore import (
     CapacityError,
     ComplexMatrix,
@@ -68,6 +77,107 @@ def random_families():
         s1 = StateEnsemble(tuple(random_density(2, rng, layout=QUBIT) for _ in range(n1)))
         s2 = StateEnsemble(tuple(random_density(2, rng, layout=QUBIT) for _ in range(n2)))
         yield CompositeInstance(s1, s2, n, eps)
+
+
+@pytest.fixture(scope="module")
+def family_runs():
+    """``beta_exact`` on each of the 300 families: ``(inst, value, test,
+    programs)``, where ``programs`` are the ``(p, q, floor)`` of the test
+    LPs it solved."""
+    runs, programs = [], []
+
+    def recording(p, q, floor):
+        programs.append((p, q, floor))
+        return _test_lp(p, q, floor)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(composite, "_test_lp", recording)
+        for inst in random_families():
+            start = len(programs)
+            runs.append((inst, *beta_exact(inst), programs[start:]))
+    return runs
+
+
+def check_test_lp(p, q, floor) -> int:
+    """Assert ``_test_lp``'s four guarantees on one program and return its
+    pivot count: its lifted level is at most HiGHS's lifted level and the
+    exact optimum, each times 1 + 1e-12; after the lift every acceptance row
+    holds with no slack; its trace is at most the least trace of an exactly
+    optimal test plus 1e-9; and it stays under the pivot cap."""
+    c, pivots = _test_lp(p, q, floor)
+    assert pivots < composite.MAX_PIVOTS
+    c = _lift_acceptance(p, c, floor)
+    assert np.all(p @ c >= floor) and np.all((0.0 <= c) & (c <= 1.0))
+    level = np.max(q @ c)
+    assert level <= np.max(q @ highs_test_weights(p, q, floor)) * (1.0 + 1e-12)
+    t_star, least_trace = exact_test_lp(p, q, floor)
+    assert level <= float(t_star) * (1.0 + 1e-12)
+    assert c.sum() <= float(least_trace) + 1e-9
+    return pivots
+
+
+def degenerate_programs():
+    """Hand-made test LPs on degenerate faces, by name: ``(p, q, floor)``."""
+    p1, p2 = np.array([0.8, 0.2]), np.array([0.7, 0.3])
+    q1, q2 = np.array([0.4, 0.6]), np.array([0.25, 0.75])
+    rng = rng_from(65)
+    return {
+        # n-fold products repeat each column once per arrangement of its factors
+        "tensor powers": (
+            np.stack([tensor_power(p1, 3), tensor_power(p2, 3)]),
+            np.stack([tensor_power(q1, 3), tensor_power(q2, 3)]),
+            0.8,
+        ),
+        "one column": (np.array([[1.0]]), np.array([[0.5]]), 0.7),
+        # the second alternative costs nothing, so ties abound on the face t = max
+        "zero alternative row": (
+            np.array([[0.1, 0.2, 0.3, 0.4]]), np.array([[0.3, 0.7, 0.0, 0.0], [0.0] * 4]), 0.6
+        ),
+        # each row of p sums to exactly 1, so only c = 1 meets the floor
+        "floor met only at c = 1": (
+            np.array([[0.5, 0.25, 0.125, 0.125], [0.25, 0.25, 0.25, 0.25]]),
+            np.array([[0.125, 0.125, 0.25, 0.5]]),
+            1.0,
+        ),
+        "ties in every ratio": (np.full((2, 4), 0.25), np.full((2, 4), 0.25), 0.6),
+        "65 columns": (rng.dirichlet(np.ones(64), 4), rng.dirichlet(np.ones(64), 4), 0.8),
+    }
+
+
+class TestTestLP:
+    def test_every_program_of_the_random_families(self, family_runs):
+        programs = [lp for *_, lps in family_runs for lp in lps]
+        assert len(programs) == 300
+        assert max(check_test_lp(*lp) for lp in programs) <= 13
+
+    def test_degenerate_programs(self):
+        pivots = {name: check_test_lp(*lp) for name, lp in degenerate_programs().items()}
+        # deterministic work counts: the data are exact, with no eigensolve
+        assert pivots == {
+            "tensor powers": 11,
+            "one column": 1,
+            "zero alternative row": 3,
+            "floor met only at c = 1": 4,
+            "ties in every ratio": 2,
+            "65 columns": 281,
+        }
+
+    def test_least_trace_among_optimal_tests(self):
+        # t = 0 needs c0 = c1 = 0; the floor then wants 0.6 of columns 2 and 3,
+        # and the least trace fills the larger p first: c3 = 1, c2 = 2/3
+        c, _ = _test_lp(*degenerate_programs()["zero alternative row"])
+        np.testing.assert_allclose(c, [0.0, 0.0, 2.0 / 3.0, 1.0], atol=1e-15)
+        c, _ = _test_lp(*degenerate_programs()["floor met only at c = 1"])
+        np.testing.assert_array_equal(c, np.ones(4))
+
+    def test_pivot_cap(self, monkeypatch):
+        p, q, floor = degenerate_programs()["65 columns"]
+        _, pivots = _test_lp(p, q, floor)
+        monkeypatch.setattr(composite, "MAX_PIVOTS", pivots)
+        _test_lp(p, q, floor)
+        monkeypatch.setattr(composite, "MAX_PIVOTS", pivots - 1)
+        with pytest.raises(ArithmeticError, match=f"^test reconstruction failed: {pivots - 1} pivots$"):
+            _test_lp(p, q, floor)
 
 
 class TestInstanceType:
@@ -210,34 +320,56 @@ class TestBetaExact:
         # reported value is the one the returned test actually achieves
         assert abs(value + math.log2(test.type2_bound)) < 1e-12
 
-    def test_returned_tests_are_exactly_feasible_on_random_families(self):
-        # The LP behind the test meets its acceptance rows only to the
-        # solver's feasibility tolerance (about 1e-7); the returned test
-        # must meet them up to rounding, over many random families.
-        for inst in random_families():
-            value, test = beta_exact(inst)
-            assert test.type1_error <= inst.epsilon + 1e-12
+    def test_returned_tests_are_exactly_feasible_on_random_families(self, family_runs):
+        # The simplex behind the test meets its acceptance rows up to the
+        # rounding of its solves, and the lift repairs what rounding leaves
+        # short; the returned test must meet them up to the rounding of the
+        # final matrix products, over many random families.
+        for inst, value, test, _ in family_runs:
+            assert test.type1_error <= inst.epsilon + 1.4e-15
             assert abs(value + math.log2(test.type2_bound)) < 1e-12
 
-    def test_single_null_certificate_gap_closes(self):
+    def test_never_below_the_highs_reconstruction(self, family_runs, monkeypatch):
+        # the same dual solutions, with the test LP solved by HiGHS and lifted
+        monkeypatch.setattr(
+            composite, "_test_lp", lambda p, q, floor: (highs_test_weights(p, q, floor), 0)
+        )
+        gaps = 0
+        for inst, value, test, _ in family_runs:
+            reference, _ = beta_exact(inst)
+            assert value >= reference - 1e-12
+            gaps += test.certificate_gap_bits > 1e-6
+        assert gaps <= 15
+
+    def test_single_null_certificate_gap_closes(self, family_runs):
         # With one null the eigenbasis test meets the dual bound to the
         # optimizer's tolerance; several nulls can leave a near-kernel of
         # the threshold operator whose basis the eigenbasis LP cannot rotate.
-        singles = [inst for inst in random_families() if len(inst.s1.vertices) == 1]
+        singles = [test for inst, _, test, _ in family_runs if len(inst.s1.vertices) == 1]
         assert len(singles) == 79
-        for inst in singles:
-            assert beta_exact(inst)[1].certificate_gap_bits <= 1e-6
+        for test in singles:
+            assert test.certificate_gap_bits <= 1e-6
 
-    def test_pinned_work_on_fixed_two_null_instance(self):
+    def test_pinned_work_on_fixed_two_null_instance(self, monkeypatch):
         # iterations counts Neyman-Pearson solves over the weights on both
-        # families; a change here is a change of the optimizer's path
+        # families; a change here is a change of the optimizer's path.  The
+        # test LP's pivots are the reconstruction's own deterministic work.
+        pivots = []
+
+        def recording(p, q, floor):
+            c, k = _test_lp(p, q, floor)
+            pivots.append(k)
+            return c, k
+
+        monkeypatch.setattr(composite, "_test_lp", recording)
         tilt = qubit(np.diag([0.7, 0.3]))
         inst = CompositeInstance(
             StateEnsemble((GROUND, PLUS)), StateEnsemble((MIXED, tilt)), 2, 0.2
         )
         value, test = beta_exact(inst)
         assert test.iterations == 8
-        assert abs(value - 1.137845013) < 1e-8
+        assert pivots == [7]
+        assert abs(value - 1.1378452902) < 1e-8
         assert test.certificate_gap_bits <= 1e-6
 
     def test_value_nondecreasing_in_epsilon(self):
