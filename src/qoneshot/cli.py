@@ -46,15 +46,14 @@ from .composite import (
     CompositeInstance,
     beta_exact,
     build_universal_test,
-    composite_record,
     epsilon_net,
     net_covering_report,
 )
 from .divergences import (
     StateEnsemble,
+    _traces,
     bits,
     d_max,
-    divergence_record,
     hypothesis_test_divergence,
     i_h,
     i_max,
@@ -78,6 +77,7 @@ from .qcore import (
     RegisterLayout,
     _eigh,
     _read_lines,
+    content_hash,
     load_channel,
     load_matrix,
     load_state,
@@ -89,17 +89,7 @@ SCHEMA = "qoneshot-result-1"
 OUTPUT_DIR_ENV = "QONESHOT_OUTPUT_DIR"
 EXIT_OK, EXIT_CONFIG, EXIT_CAPACITY, EXIT_ASSERTION = 0, 2, 3, 4
 
-__all__ = ["ExperimentConfig", "main", "OUTPUT_DIR_ENV", "SCHEMA"]
-
-
-@dataclasses.dataclass(frozen=True)
-class ExperimentConfig:
-    """A fully resolved invocation: command, seed, parameters, output."""
-
-    command: str
-    seed: int | None
-    parameters: dict
-    output: str | None
+__all__ = ["main", "OUTPUT_DIR_ENV", "SCHEMA"]
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +126,10 @@ def _load_config(path: str) -> dict[str, str]:
         key, _, value = (part.strip() for part in line.partition(" "))
         if not value:
             raise ValueError(f"{path}:{lineno}: expected 'key value', got {line!r}")
-        values[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+        values[key] = value
     return values
 
 
@@ -186,10 +179,20 @@ def _run_divergence(p: dict, seed):
         value, test = i_h(rho, p["eps"])
     else:
         raise ValueError(f"unknown divergence kind {kind!r}")
-    results = divergence_record(kind, inputs, value, test)
+    results = {
+        "quantity": kind,
+        "inputs": {k: content_hash(v) for k, v in inputs.items()},
+        "value_bits": value,
+    }
     checks = {"value_finite": bool(math.isfinite(value))}
     tolerances = {"atol": ATOL}
     if test is not None:
+        results["iterations"] = test.iterations
+        results["residuals"] = {
+            "type1_error": test.type1_error,
+            "type2_bound": test.type2_bound,
+            "certificate_gap_bits": test.certificate_gap_bits,
+        }
         checks["test_feasible"] = bool(test.type1_error <= p["eps"] + 1e-9)
         tolerances["feasibility_slack"] = 1e-9
     return results, checks, tolerances
@@ -355,22 +358,32 @@ def _run_pauli_example(p: dict, seed):
 
 
 def _run_composite(p: dict, seed):
-    if p["net_deficit"] is not None and p["delta"] is None:
+    delta, deficit = p["delta"], p["net_deficit"]
+    if deficit is not None and delta is None:
         raise ValueError("--net-deficit needs --delta")
     s1 = StateEnsemble(tuple(load_state(f) for f in p["s1"]))
     s2 = StateEnsemble(tuple(load_state(f) for f in p["s2"]))
     inst = CompositeInstance(s1, s2, p["n"], p["eps"])
+    # the net and the universal test first: a bad net fails before the solve
+    net = epsilon_net(inst.dim, deficit) if deficit is not None else None
+    merged = build_universal_test(inst, delta, net=net) if delta is not None else None
     value, test = beta_exact(inst)
-    results = {"beta": composite_record(inst, value, test, delta=p["delta"])}
+    beta = {
+        "s1_hashes": [content_hash(v) for v in s1.vertices],
+        "s2_hashes": [content_hash(v) for v in s2.vertices],
+        "n": inst.n,
+        "epsilon": inst.epsilon,
+        "value_bits": value,
+        "type1_residuals": (1.0 - _traces(test.a, inst.nulls)).tolist(),
+        "type2_per_vertex": _traces(test.a, inst.alts).tolist(),
+        "iterations": test.iterations,
+        "certificate_gap_bits": test.certificate_gap_bits,
+    }
+    results = {"beta": beta}
     checks = {"beta_test_feasible": bool(test.type1_error <= p["eps"] + 1e-9)}
     tolerances = {"atol": ATOL, "feasibility_slack": 1e-9}
-    if p["delta"] is not None:
-        net = (
-            epsilon_net(inst.dim, p["net_deficit"])
-            if p["net_deficit"] is not None
-            else None
-        )
-        merged = build_universal_test(inst, p["delta"], net=net)
+    if merged is not None:
+        beta["delta"] = delta
         uval = bits(merged.type2_bound)
         results["universal"] = {
             "value_bits": uval,
@@ -380,7 +393,7 @@ def _run_composite(p: dict, seed):
             "slack_bits": merged.certificate_gap_bits,
         }
         checks["universal_acceptance"] = bool(
-            merged.type1_error <= p["eps"] + 2.0 * p["delta"] + 1e-9
+            merged.type1_error <= p["eps"] + 2.0 * delta + 1e-9
         )
         if net is None:
             floor, penalty = merged.floor_bits, merged.penalty_bits
@@ -542,7 +555,7 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> ExperimentConfig:
+def _resolve(args: argparse.Namespace) -> tuple[int | None, dict, str | None]:
     spec = COMMANDS[args.command]
     file_values: dict[str, str] = {}
     if args.config is not None:
@@ -576,15 +589,14 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     if spec.needs_seed and seed is None:
         raise ValueError(f"{args.command}: a seed is required")
     output = args.out if args.out is not None else file_values.get("out")
-    return ExperimentConfig(args.command, seed, parameters, output)
+    return seed, parameters, output
 
 
-def _output_path(config: ExperimentConfig) -> str:
+def _output_path(command: str, seed: int | None, path: str | None) -> str:
     """The result file's path, checked before the run: ``OSError`` if it
     names a directory or its directory does not exist."""
-    path = config.output
     if path is None:
-        name = config.command + ("" if config.seed is None else f"-{config.seed}") + ".json"
+        name = command + ("" if seed is None else f"-{seed}") + ".json"
         path = os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), name)
     if os.path.isdir(path):
         raise OSError(f"output path {path} is a directory")
@@ -604,19 +616,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_help()
         return EXIT_CONFIG
     try:
-        config = _resolve(args)
-        path = _output_path(config)
+        seed, parameters, output = _resolve(args)
+        path = _output_path(args.command, seed, output)
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    spec = COMMANDS[config.command]
     try:
-        results, checks, tolerances = spec.runner(config.parameters, config.seed)
+        results, checks, tolerances = COMMANDS[args.command].runner(parameters, seed)
         record = {
             "schema": SCHEMA,
-            "command": config.command,
-            "seed": config.seed,
-            "parameters": config.parameters,
+            "command": args.command,
+            "seed": seed,
+            "parameters": parameters,
             "tolerances": tolerances,
             "results": results,
             "checks": checks,
@@ -632,7 +643,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     failing = sorted(name for name, passed in checks.items() if not passed)
     if failing:
-        print(f"{config.command}: FAIL {failing} -> {path}")
+        print(f"{args.command}: FAIL {failing} -> {path}")
         return EXIT_ASSERTION
-    print(f"{config.command}: ok -> {path}")
+    print(f"{args.command}: ok -> {path}")
     return EXIT_OK

@@ -263,17 +263,15 @@ def hayashi_nagaoka_check(s, t, c: float) -> dict:
 # shared-state families and channel outputs
 # ---------------------------------------------------------------------------
 
-def schmidt_state(p: float, labels: tuple[str, str] = ("a", "r")) -> PureState:
+def schmidt_state(p: float) -> PureState:
     """The two-qubit pure state sqrt(p)|00> + sqrt(1-p)|11>."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"Schmidt weight must be in (0, 1), got {p}")
-    v = np.zeros(4, dtype=np.complex128)
-    v[0] = math.sqrt(p)
-    v[3] = math.sqrt(1.0 - p)
-    return PureState(v, RegisterLayout(((labels[0], 2), (labels[1], 2))))
+    v = np.array([math.sqrt(p), 0.0, 0.0, math.sqrt(1.0 - p)], dtype=np.complex128)
+    return PureState(v, RegisterLayout.of("a:2 r:2"))
 
 
-def shared_state_sweep(step: float = 0.05, labels: tuple[str, str] = ("a", "r")) -> list[PureState]:
+def shared_state_sweep(step: float = 0.05) -> list[PureState]:
     """The documented family of candidate shared states: a Schmidt-weight
     grid ``p in {step, 2 step, ...}``, every multiple of ``step`` below 1
     (the balanced point is the maximally entangled state)."""
@@ -281,7 +279,7 @@ def shared_state_sweep(step: float = 0.05, labels: tuple[str, str] = ("a", "r"))
         raise ValueError(f"step must be in (0, 0.5), got {step}")
     n = math.ceil(1.0 / step)
     points = [i * step for i in range(1, n + 1) if i * step < 1.0]
-    return [schmidt_state(p, labels) for p in points]
+    return [schmidt_state(p) for p in points]
 
 
 def _require_bipartite(psi: PureState, cc: CompoundChannel) -> tuple[str, str]:

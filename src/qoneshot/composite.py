@@ -75,7 +75,6 @@ __all__ = [
     "UniversalTest",
     "beta_exact",
     "build_universal_test",
-    "composite_record",
     "epsilon_net",
     "net_covering_report",
 ]
@@ -154,25 +153,6 @@ class EpsilonNet:
             raise ValueError(f"resolution must lie in (0, 1), got {self.resolution}")
         _check_states(states)
         object.__setattr__(self, "states", _freeze(states))
-
-
-def composite_record(inst: CompositeInstance, value: float, test: TestOperator,
-                     delta: float | None = None) -> dict:
-    """Structured, JSON-ready record of a composite-testing computation."""
-    rec = {
-        "s1_hashes": [content_hash(v) for v in inst.s1.vertices],
-        "s2_hashes": [content_hash(v) for v in inst.s2.vertices],
-        "n": inst.n,
-        "epsilon": inst.epsilon,
-        "value_bits": value,
-        "type1_residuals": (1.0 - _traces(test.a, inst.nulls)).tolist(),
-        "type2_per_vertex": _traces(test.a, inst.alts).tolist(),
-        "iterations": test.iterations,
-        "certificate_gap_bits": test.certificate_gap_bits,
-    }
-    if delta is not None:
-        rec["delta"] = delta
-    return rec
 
 
 # ---------------------------------------------------------------------------

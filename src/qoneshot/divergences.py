@@ -35,7 +35,6 @@ from .qcore import (
     _hermitian_error,
     _sandwich,
     as_array,
-    content_hash,
     partial_trace,
     spectral,
     whiten,
@@ -121,23 +120,6 @@ class StateEnsemble:
             raise ValueError("weights must have a positive sum")
         w = w / total
         return sum(wi * v.a for wi, v in zip(w, self.vertices))
-
-
-def divergence_record(quantity: str, inputs: dict, value: float, test: TestOperator | None) -> dict:
-    """Structured, JSON-ready record of a divergence computation."""
-    rec = {
-        "quantity": quantity,
-        "inputs": {k: content_hash(v) for k, v in inputs.items()},
-        "value_bits": value,
-    }
-    if test is not None:
-        rec["iterations"] = test.iterations
-        rec["residuals"] = {
-            "type1_error": test.type1_error,
-            "type2_bound": test.type2_bound,
-            "certificate_gap_bits": test.certificate_gap_bits,
-        }
-    return rec
 
 
 def _traces(m: np.ndarray, ops) -> np.ndarray:

@@ -16,11 +16,14 @@ import pytest
 import scipy.optimize
 
 from qoneshot import cli, composite, jordan
+from qoneshot.divergences import hypothesis_test_divergence
 from qoneshot.qcore import (
     ComplexMatrix,
     DensityMatrix,
     PureState,
     RegisterLayout,
+    content_hash,
+    load_state,
     maximally_entangled,
     random_density,
     random_projector,
@@ -89,10 +92,22 @@ class TestConfigResolution:
         cfg.write_text("command rates\n")
         assert run(["divergence", "--config", str(cfg)]) == 2
 
-    def test_malformed_config_line(self, tmp_path):
-        cfg = tmp_path / "c.txt"
-        cfg.write_text("eps\n")
-        assert run(["divergence", "--config", str(cfg)]) == 2
+    def test_malformed_config_line(self, tmp_path, files, capsys):
+        # a line with no value; a key given twice, also spelled with - and _
+        composite_cfg = f"s1 {files['ground']}\ns2 {files['mixed']}\nn 1\neps 0.2\ndelta 0.3\n"
+        cases = (
+            ("divergence", "eps\n", ":1: expected 'key value'"),
+            ("net-validate", "deficit 0.3\nsamples 100\nsamples 200\nseed 5\n",
+             ":3: key 'samples' given twice"),
+            ("composite", composite_cfg + "net-deficit 0.08\n# finer\nnet_deficit 0.04\n",
+             ":8: key 'net_deficit' given twice"),
+        )
+        cfg, out = tmp_path / "c.txt", tmp_path / "o.json"
+        for command, text, error in cases:
+            cfg.write_text(text)
+            assert run([command, "--config", str(cfg), "--out", str(out)]) == 2, command
+            assert f"config error: {cfg}{error}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_config_supplies_and_cli_overrides(self, tmp_path, files):
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -192,6 +207,34 @@ class TestExitCodes:
                     "--out", str(out)]) == 2
         assert "--net-deficit needs --delta" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_composite_bad_net_fails_before_the_solve(self, tmp_path, files, monkeypatch,
+                                                       capsys):
+        """A net too coarse for delta, or a net of a non-qubit family, ends
+        the command before beta_exact runs."""
+        calls = []
+        for module in (cli, composite):
+            solve = module.beta_exact
+            monkeypatch.setattr(module, "beta_exact",
+                                lambda inst, solve=solve: calls.append(1) or solve(inst))
+        qutrits = []
+        for k, diag in enumerate(([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1 / 3] * 3)):
+            qutrits.append(str(tmp_path / f"qutrit{k}.txt"))
+            save_matrix(qutrits[-1], DensityMatrix(ComplexMatrix(np.diag(diag).astype(complex)),
+                                                   RegisterLayout.of("a:3")))
+        nulls = f"{files['ground']},{files['excited']},{files['tilted']}"
+        cases = (
+            (["--s1", nulls, "--s2", files["mixed"], "--n", "2", "--delta", "0.1",
+              "--net-deficit", "0.08"], 2, "net resolution 0.08 too coarse"),
+            (["--s1", ",".join(qutrits[:2]), "--s2", qutrits[2], "--n", "1", "--delta", "0.3",
+              "--net-deficit", "0.04"], 3, "nets are built for dimension 2 only"),
+        )
+        out = tmp_path / "c.json"
+        for argv, code, error in cases:
+            assert run(["composite", *argv, "--eps", "0.2", "--out", str(out)]) == code
+            assert error in capsys.readouterr().err
+            assert not out.exists()
+        assert calls == []
 
     def test_composite_families_on_different_spaces_are_config_error(self, tmp_path, files,
                                                                     capsys):
@@ -377,6 +420,130 @@ class TestDeterminism:
         assert (outdir / "divergence.json").exists()
 
 
+def leaf_keys(node, prefix=""):
+    """Dotted key paths of a record's leaves; a list of dicts is read
+    through its first element, as ``name[]``."""
+    if isinstance(node, list) and node and isinstance(node[0], dict):
+        return leaf_keys(node[0], prefix[:-1] + "[].")
+    if not isinstance(node, dict):
+        return {prefix[:-1]}
+    return {path for key, value in node.items() for path in leaf_keys(value, f"{prefix}{key}.")}
+
+
+#: the leaves of every command's record besides "schema command seed ok"
+RECORD_KEYS = {
+    "divergence": """
+        parameters.eps parameters.kind parameters.rho parameters.sigma
+        tolerances.atol tolerances.feasibility_slack
+        results.inputs.rho results.inputs.sigma results.iterations results.quantity
+        results.residuals.certificate_gap_bits results.residuals.type1_error
+        results.residuals.type2_bound results.value_bits
+        checks.test_feasible checks.value_finite""",
+    "union-stress": """
+        parameters.delta parameters.dim parameters.eps parameters.s parameters.trials
+        tolerances.slack tolerances.support_cutoff
+        results.acceptance_floor results.delta results.dim results.eps
+        results.operator_constant results.operator_factor results.s
+        results.support_residual results.trials results.worst_acceptance_margin
+        checks.acceptance_bound checks.operator_bound""",
+    "jordan-inspect": """
+        parameters.delta parameters.p1 parameters.p2
+        tolerances.residual_tol
+        results.report.blocks[].label results.report.blocks[].overlap
+        results.report.blocks[].p1_rank results.report.blocks[].p2_rank
+        results.report.blocks[].rank results.report.delta results.report.num_blocks
+        results.residuals.commutation results.residuals.completeness
+        results.residuals.orthogonality results.residuals.reconstruction
+        checks.commutation checks.completeness checks.orthogonality checks.reconstruction""",
+    "compound-sim": """
+        parameters.channels parameters.eps parameters.eta parameters.message
+        parameters.rate parameters.state parameters.true
+        tolerances.atol tolerances.error_bound tolerances.povm_tol
+        results.bound results.certified_rate results.channel_indices
+        results.decoder_min_kept_eigenvalue results.decoder_rank results.num_messages
+        results.per_channel_error results.povm_gap_min_eig results.rate_ok
+        results.rate_used results.trivial_decoder results.within_bound
+        checks.errors_within_bound checks.povm_dominated""",
+    "informed-sim": """
+        parameters.channels parameters.eps parameters.eta parameters.message
+        parameters.rate parameters.states parameters.true
+        tolerances.atol tolerances.error_bound tolerances.povm_tol
+        results.bound results.certified_rate results.channel_indices
+        results.decoder_min_kept_eigenvalue results.decoder_rank results.num_messages
+        results.per_channel_error results.povm_gap_min_eig results.rate_ok
+        results.rate_used results.trivial_decoder results.within_bound
+        checks.errors_within_bound checks.povm_dominated""",
+    "rates": """
+        parameters.channels parameters.eps parameters.eta parameters.gap_tol
+        parameters.state parameters.states parameters.sweep_step
+        tolerances.gap_tol
+        results.informed_rate results.points[].achievable results.points[].converse
+        results.points[].point
+        checks.converse_dominates""",
+    "pauli-example": """
+        parameters.eps parameters.qubits
+        tolerances.deviation_tol tolerances.symmetry_tol
+        results.average_channel_max_deviation results.epsilon results.min_value
+        results.num_qubits results.per_channel_value results.reference_gap
+        results.reference_value
+        checks.average_depolarizes checks.channel_symmetry""",
+    "composite": """
+        parameters.delta parameters.eps parameters.n parameters.net_deficit
+        parameters.s1 parameters.s2
+        tolerances.atol tolerances.feasibility_slack
+        results.beta.certificate_gap_bits results.beta.delta results.beta.epsilon
+        results.beta.iterations results.beta.n results.beta.s1_hashes
+        results.beta.s2_hashes results.beta.type1_residuals
+        results.beta.type2_per_vertex results.beta.value_bits
+        results.universal.floor_bits results.universal.penalty_bits
+        results.universal.slack_bits results.universal.type1_error
+        results.universal.type2_bound results.universal.union_rounds
+        results.universal.value_bits
+        checks.beta_test_feasible checks.universal_acceptance
+        checks.universal_value_floor""",
+    "net-validate": """
+        parameters.deficit parameters.samples
+        tolerances.deficit
+        results.budget results.covered results.max_deficit results.mean_deficit
+        results.resolution results.samples results.size results.within_budget
+        checks.covered checks.within_budget""",
+}
+
+
+class TestRecordFormats:
+    def test_every_command_record_keys(self, tmp_path, files):
+        """The key set of each command's record, pinned: the CLI alone
+        builds every record."""
+        p1, p2 = str(tmp_path / "p1.txt"), str(tmp_path / "p2.txt")
+        save_matrix(p1, random_projector(4, 2, 11).a)
+        save_matrix(p2, random_projector(4, 2, 12).a)
+        channels = f"{files['ident']},{files['flip']}"
+        pair = f"{files['psi']},{files['psi']}"
+        commands = {
+            "divergence": ["--kind", "dh", "--rho", files["tilted"], "--sigma", files["mixed"],
+                           "--eps", "0.2"],
+            "union-stress": ["--s", "2", "--delta", "0.3", "--dim", "3", "--trials", "1",
+                             "--seed", "7"],
+            "jordan-inspect": ["--p1", p1, "--p2", p2],
+            "compound-sim": ["--channels", channels, "--state", files["psi"], "--rate", "0",
+                             "--eps", "0.2", "--eta", "0.05"],
+            "informed-sim": ["--channels", channels, "--states", pair, "--rate", "0",
+                             "--eps", "0.2", "--eta", "0.05"],
+            "rates": ["--channels", channels, "--state", files["psi"], "--states", pair,
+                      "--eps", "0.2", "--eta", "0.05", "--gap-tol", "1e-4"],
+            "pauli-example": ["--eps", "0.1"],
+            "composite": ["--s1", f"{files['ground']},{files['excited']}", "--s2",
+                          files["mixed"], "--n", "1", "--eps", "0.2", "--delta", "0.1"],
+            "net-validate": ["--deficit", "0.3", "--samples", "300", "--seed", "5"],
+        }
+        assert set(commands) == set(cli.COMMANDS) == set(RECORD_KEYS)
+        for name, argv in commands.items():
+            out = str(tmp_path / f"{name}.json")
+            assert run([name, *argv, "--out", out]) == 0, name
+            want = {"schema", "command", "seed", "ok", *RECORD_KEYS[name].split()}
+            assert leaf_keys(read(out)) == want, name
+
+
 class TestSubcommands:
     def test_divergence_matches_closed_form(self, tmp_path, files):
         out = str(tmp_path / "d.json")
@@ -385,6 +552,17 @@ class TestSubcommands:
         rec = read(out)
         assert abs(rec["results"]["value_bits"] + math.log2(0.75)) < 1e-12
         assert rec["checks"]["test_feasible"]
+        # the record's fields are the library's own figures
+        rho = load_state(files["tilted"])
+        value, test = hypothesis_test_divergence(rho.a, rho.a, 0.25)
+        results = rec["results"]
+        assert results["quantity"] == "dh" and results["value_bits"] == value
+        assert results["inputs"] == {"rho": content_hash(rho), "sigma": content_hash(rho)}
+        assert all(len(h) == 64 for h in results["inputs"].values())
+        assert results["iterations"] == test.iterations
+        assert results["residuals"] == {"type1_error": test.type1_error,
+                                        "type2_bound": test.type2_bound,
+                                        "certificate_gap_bits": test.certificate_gap_bits}
 
     def test_divergence_kind_coverage(self, tmp_path, files):
         out = str(tmp_path / "d.json")
@@ -564,7 +742,11 @@ class TestSubcommands:
                     "--s2", files["mixed"], "--n", "1", "--eps", "0.2",
                     "--delta", "0.1", "--out", out]) == 0
         rec = read(out)
-        assert abs(rec["results"]["beta"]["value_bits"] - 0.3219280948873623) < 1e-9
+        beta = rec["results"]["beta"]
+        assert abs(beta["value_bits"] - 0.3219280948873623) < 1e-9
+        assert beta["n"] == 1 and beta["delta"] == 0.1
+        assert len(beta["s1_hashes"]) == 2 and len(beta["type2_per_vertex"]) == 1
+        assert max(beta["type1_residuals"]) <= 0.2 + 1e-9
         assert rec["checks"]["universal_acceptance"]
         assert rec["checks"]["universal_value_floor"]
 
@@ -586,8 +768,8 @@ class TestSubcommands:
         assert run(["composite", "--s1", f"{files['ground']},{files['excited']},{files['tilted']}",
                     "--s2", files["mixed"], "--n", "1", "--eps", "0.2",
                     "--delta", "0.1", "--out", out]) == 0
-        # the family once, then each s1 vertex once for the universal test
-        assert calls == [3, 1, 1, 1]
+        # each s1 vertex once for the universal test, then the family once
+        assert calls == [1, 1, 1, 3]
         universal = read(out)["results"]["universal"]
         assert "floor_bits" in universal and "penalty_bits" in universal
 

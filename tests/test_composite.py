@@ -25,7 +25,6 @@ from qoneshot.composite import (
     _test_lp,
     beta_exact,
     build_universal_test,
-    composite_record,
     epsilon_net,
     net_covering_report,
 )
@@ -405,14 +404,6 @@ class TestBetaExact:
             w = rng.dirichlet(np.ones(2))
             mixed = w[0] * qmats[0] + w[1] * qmats[1]
             assert float(np.trace(test.a @ mixed).real) <= vertex_max + 1e-12
-
-    def test_record_shape(self):
-        inst = CompositeInstance(StateEnsemble((GROUND,)), StateEnsemble((MIXED,)), 1, 0.2)
-        value, test = beta_exact(inst)
-        rec = composite_record(inst, value, test, delta=0.1)
-        assert rec["n"] == 1 and rec["delta"] == 0.1
-        assert len(rec["s1_hashes"]) == 1 and len(rec["type2_per_vertex"]) == 1
-        assert rec["type1_residuals"][0] <= 0.2 + 1e-9
 
 
 class TestUniversalTest:

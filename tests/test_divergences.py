@@ -28,7 +28,6 @@ from qoneshot.divergences import (
     _slope,
     _traces,
     d_max,
-    divergence_record,
     hypothesis_test_divergence,
     i_h,
     i_h_hat,
@@ -905,17 +904,6 @@ class TestResultTypes:
         # a dual end below the value is clipped
         assert _certified(m, null, 0.25, 0.5, 1)[1].certificate_gap_bits == 0.0
         assert _certified(m, null, 0.5, 0.5, 1)[1].certificate_gap_bits == 0.0
-
-    def test_divergence_record_shape(self):
-        rng = rng_from(81)
-        r = random_density(2, rng).a
-        value, test = hypothesis_test_divergence(r, np.eye(2) / 2, 0.2)
-        rec = divergence_record("dh", {"rho": r, "sigma": np.eye(2) / 2}, value, test)
-        assert rec["quantity"] == "dh"
-        assert set(rec["inputs"]) == {"rho", "sigma"}
-        assert all(len(h) == 64 for h in rec["inputs"].values())
-        assert rec["value_bits"] == value
-        assert rec["residuals"]["type2_bound"] == test.type2_bound
 
     def test_bloch_density_matches_expected_parametrization(self):
         np.testing.assert_allclose(bloch_density(0, 0, 1), np.diag([1.0, 0.0]))
