@@ -70,18 +70,17 @@ from .jordan import (
 )
 from .qcore import (
     ATOL,
+    DIM_CAP,
     CapacityError,
     LayoutError,
     Projector,
     PureState,
-    RegisterLayout,
     _eigh,
     _read_lines,
     content_hash,
     load_channel,
     load_matrix,
     load_state,
-    random_pure_state,
     rng_from,
 )
 
@@ -111,6 +110,10 @@ class _Param:
     default: object = None
     help: str = ""
 
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
 
 @dataclasses.dataclass(frozen=True)
 class _Command:
@@ -118,6 +121,14 @@ class _Command:
     runner: Callable
     needs_seed: bool
     summary: str
+
+
+#: the flags every command takes besides its own
+_COMMON = (
+    _Param("config", str, help="structured config file"),
+    _Param("seed", int, help="64-bit seed"),
+    _Param("out", str, help="result file path"),
+)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -232,8 +243,9 @@ def _run_union_stress(p: dict, seed):
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if dim > DIM_CAP:
+        raise CapacityError(f"dimension {dim} exceeds the cap {DIM_CAP}")
     rng = rng_from(seed)
-    layout = RegisterLayout((("r", dim),))
     width = union_depth(s)
     factor = (2.0 / delta ** 2) ** width
     floor = 1.0 - eps - delta * width
@@ -242,7 +254,8 @@ def _run_union_stress(p: dict, seed):
     for _ in range(trials):
         vecs, planted = [], []
         for _ in range(s):
-            psi = random_pure_state(dim, rng, layout).vector
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            psi /= np.linalg.norm(psi)
             g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             g = g - (psi.conj() @ g) * psi
             orth = g / np.linalg.norm(g)
@@ -541,18 +554,32 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     for name in [argv[0]] if one else COMMANDS:
         spec = COMMANDS[name]
         sub = subparsers.add_parser(name, help=spec.summary)
-        for param in spec.params:
-            sub.add_argument(
-                f"--{param.name.replace('_', '-')}",
-                dest=param.name,
-                type=param.conv,
-                default=None,
-                help=param.help,
-            )
-        sub.add_argument("--config", default=None, help="structured config file")
-        sub.add_argument("--seed", type=int, default=None, help="64-bit seed")
-        sub.add_argument("--out", default=None, help="result file path")
+        for param in (*spec.params, *_COMMON):
+            sub.add_argument(param.flag, dest=param.name, type=param.conv, default=None,
+                             help=param.help)
     return parser
+
+
+def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace ``_build_parser(argv).parse_args(argv)`` returns for a
+    plain argv, read from the command specs: ``<command> --name value ...``
+    with each flag an exact name given once, no value starting with ``-``
+    and every value accepted by its converter.  ``None`` for any other argv,
+    which argparse reads, as the only source of help and error text."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    options = {p.flag: p for p in (*COMMANDS[argv[0]].params, *_COMMON)}
+    flags, values = argv[1::2], argv[2::2]
+    if (len(set(flags)) < len(flags) or not all(f in options for f in flags)
+            or any(v.startswith("-") for v in values)):
+        return None
+    parsed = {p.name: None for p in options.values()}
+    try:
+        for flag, value in zip(flags, values):
+            parsed[options[flag].name] = options[flag].conv(value)
+    except (ValueError, TypeError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(command=argv[0], **parsed)
 
 
 def _resolve(args: argparse.Namespace) -> tuple[int | None, dict, str | None]:
@@ -607,14 +634,16 @@ def _output_path(command: str, seed: int | None, path: str | None) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.command is None:
-        parser.print_help()
-        return EXIT_CONFIG
+    args = _plain_args(argv)
+    if args is None:
+        parser = _build_parser(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        if args.command is None:
+            parser.print_help()
+            return EXIT_CONFIG
     try:
         seed, parameters, output = _resolve(args)
         path = _output_path(args.command, seed, output)

@@ -88,7 +88,8 @@ def _far_complement(q1: np.ndarray, q2: np.ndarray, delta: float) -> np.ndarray:
     vectors B^dag (I - Q1 Q1^dag) B = I - diag(c^2), so [Q1, G] is
     orthonormal."""
     a, b, c = _principal(q1, q2)
-    cos = np.pad(c, (0, b.shape[1] - len(c)))
+    cos = np.zeros(b.shape[1])
+    cos[:len(c)] = c
     far = b[:, (cos * cos < 1.0 - delta * delta) & (cos < 1.0 - _ALIGNED)]
     g = far - a @ (a.conj().T @ far)
     return g / np.linalg.norm(g, axis=0)

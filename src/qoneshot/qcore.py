@@ -575,17 +575,6 @@ def haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     return q * ph
 
 
-def random_pure_state(
-    dim: int, seed: int | np.random.Generator, layout: RegisterLayout | None = None
-) -> PureState:
-    rng = rng_from(seed)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    if layout is None:
-        layout = RegisterLayout((("r", dim),))
-    return PureState(v, layout)
-
-
 def random_density(
     dim: int,
     seed: int | np.random.Generator,

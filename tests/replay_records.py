@@ -7,12 +7,15 @@ Writes rounds ``0 .. rounds-1`` of each seed on every ``perfbench`` workload
 checkout, which it only imports), plus a fixed set of extra commands that the
 workloads do not reach: ``divergence`` of all six kinds, ``jordan-inspect``,
 ``pauli-example``, ``rates --state --states``, ``compound-sim`` with a qutrit
-partner and ``informed-sim --message 2``.  Both trees read the same input
-files.  Each tree runs every command through ``qoneshot.cli.main`` in one
-fresh interpreter with one BLAS thread, importing qoneshot from its own
-``src``.  The script prints each command whose exit code or record SHA-256
-differs between the trees, then a summary line; it exits 0 when every
-command agrees and 1 otherwise.  pytest does not collect it.
+partner and ``informed-sim --message 2``, then argv forms outside the plain
+``<command> --name value`` shape that argparse reads (an abbreviated flag,
+``--name=value``, a repeated flag, a rejected value) and a config file with
+a flag overriding it.  Both trees read the same input files.  Each tree
+runs every command through ``qoneshot.cli.main`` in one fresh interpreter
+with one BLAS thread, importing qoneshot from its own ``src``.  The script
+prints each command whose exit code or record SHA-256 differs between the
+trees, then a summary line; it exits 0 when every command agrees and 1
+otherwise.  pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ def _extra_commands(workdir: str) -> list[dict]:
     states = [write_matrix(f"{base}-psi{k}.txt", pure_density(rng, 4), BIPARTITE)
               for k in range(2)]
     qutrit = write_matrix(f"{base}-psi3.txt", pure_density(rng, 6), "a:2 r:3")
+    config = f"{base}-config.txt"
+    with open(config, "w") as fh:
+        fh.write(f"command divergence\nkind dh\nrho {rho}\nsigma {sigma}\neps 0.3\n")
     argvs = [
         *(["divergence", "--kind", kind, "--rho", rho, "--sigma", sigma, "--eps", "0.2"]
           for kind in ("re", "var", "dmax", "dh")),
@@ -67,6 +73,12 @@ def _extra_commands(workdir: str) -> list[dict]:
          "--eps", "0.2", "--eta", "0.05"],
         ["informed-sim", "--channels", channels, "--states", ",".join(states), "--rate", "1",
          "--eps", "0.2", "--eta", "0.05", "--message", "2"],
+        ["divergence", "--kind", "re", "--rho", rho, "--sig", sigma],
+        ["divergence", "--kind=dmax", "--rho", rho, "--sigma", sigma],
+        ["pauli-example", "--eps", "0.3", "--eps", "0.1"],
+        ["divergence", "--config", config, "--eps", "0.2"],
+        ["union-stress", "--s", "two", "--delta", "0.1", "--dim", "4", "--trials", "1",
+         "--seed", "5"],
     ]
     return [{"label": f"extra-{k}-{argv[0]}", "argv": argv} for k, argv in enumerate(argvs)]
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from qoneshot import cli, composite, jordan
 from qoneshot.divergences import hypothesis_test_divergence
@@ -36,6 +37,7 @@ from oracles import union_figures_dense
 
 #: the source tree this module imported qoneshot from, for child interpreters
 SRC = str(Path(cli.__file__).resolve().parents[1])
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 QUBIT = RegisterLayout.of("a:2")
 OUT_QUBIT = RegisterLayout.of("b:2")
 
@@ -69,7 +71,17 @@ def files(tmp_path):
 
 
 def run(args):
+    """``cli.main(args)``, once the plain-argv reader, where it takes the
+    argv, is checked to read what argparse reads."""
+    plain = cli._plain_args(args)
+    if plain is not None:
+        assert reading(plain) == reading(cli._build_parser(args).parse_args(args)), args
     return cli.main(args)
+
+
+def reading(namespace):
+    """A namespace's values, compared by repr so that a NaN equals itself."""
+    return repr(sorted(vars(namespace).items()))
 
 
 def read(path):
@@ -140,7 +152,11 @@ class TestConfigResolution:
 
     def test_no_command_prints_help(self, capsys):
         assert run([]) == 2
-        assert "subcommand" in capsys.readouterr().out or True
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: qoneshot") and err == ""
+        words = " ".join(out.split())  # argparse wraps long summaries
+        for name, spec in cli.COMMANDS.items():
+            assert f"{name} {spec.summary}" in words, name
 
 
 class TestExitCodes:
@@ -871,6 +887,83 @@ def test_parser_built_per_command_keeps_help_and_errors(capsys, monkeypatch):
     unknown = seen["no-such-command",][2]
     assert "invalid choice" in unknown and all(f"'{name}'" in unknown for name in cli.COMMANDS)
     assert "unrecognized arguments: --rate 2" in seen["union-stress", "--rate", "2"][2]
+
+
+@pytest.fixture(scope="module")
+def workload_commands(tmp_path_factory):
+    """Round 0 of seed 11 of every benchmark workload, written through
+    ``perfbench/inputs.py`` and ``workloads.py``, which are only imported."""
+    with pytest.MonkeyPatch.context() as m:
+        m.syspath_prepend(str(PERFBENCH))
+        from inputs import write_round
+        from workloads import WORKLOADS
+    folder = str(tmp_path_factory.mktemp("workloads"))
+    return [cmd for workload in WORKLOADS.values()
+            for cmd in write_round(workload.templates, 11, 0, folder)]
+
+
+#: valid values by converter; none starts with "-"
+_TEXT = st.text().filter(lambda t: not t.startswith("-"))
+_VALUES = {
+    str: _TEXT,
+    int: st.integers(min_value=0).map(str),
+    float: st.floats(min_value=0.0).map(str),
+    cli._paths: _TEXT.filter(lambda t: t.strip(",")),
+}
+
+
+@st.composite
+def plain_argvs(draw):
+    """A command and a subset of its flags in any order, each given once
+    with a value its converter accepts."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    convs = {p.flag: p.conv for p in (*cli.COMMANDS[command].params, *cli._COMMON)}
+    flags = draw(st.permutations(sorted(convs)))
+    argv = [command]
+    for flag in flags[:draw(st.integers(0, len(flags)))]:
+        argv += [flag, draw(_VALUES[convs[flag]])]
+    return argv
+
+
+class TestPlainArgv:
+    """``_plain_args`` reads a plain argv from the command specs into the
+    namespace argparse would return, and leaves every other argv to it."""
+
+    def test_workload_argvs_read_as_argparse_reads_them(self, workload_commands):
+        for argv in (cmd["argv"] for cmd in workload_commands):
+            plain = cli._plain_args(argv)
+            assert plain is not None, argv
+            assert reading(plain) == reading(cli._build_parser(argv).parse_args(argv)), argv
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_argvs())
+    def test_drawn_plain_argvs_read_as_argparse_reads_them(self, argv):
+        plain = cli._plain_args(argv)
+        assert plain is not None
+        assert reading(plain) == reading(cli._build_parser(argv).parse_args(argv))
+
+    def test_other_forms_are_left_to_argparse(self):
+        cases = (
+            [], ["-h"], ["--help"], ["no-such-command"],
+            ["rates", "--sweep", "0.1"],  # an abbreviation
+            ["divergence", "--eps=0.2"],
+            ["divergence", "--eps", "0.2", "--eps", "0.3"],
+            ["net-validate", "--seed", "-5"],
+            ["rates", "--sweep_step", "0.1"],  # the dest, not the flag
+            ["divergence", "--kind", "re", "--eps"],
+            ["rates", "--channels", ","],
+            ["union-stress", "--s", "two"],
+        )
+        for argv in cases:
+            assert cli._plain_args(argv) is None, argv
+
+    def test_workload_commands_run_without_argparse(self, workload_commands, monkeypatch):
+        def refused(argv):
+            raise AssertionError(f"argparse built for {argv}")
+
+        monkeypatch.setattr(cli, "_build_parser", refused)
+        for cmd in workload_commands:
+            assert cli.main(cmd["argv"]) == 0, cmd["label"]
 
 
 class TestModuleEntry:
